@@ -15,6 +15,7 @@ them with ``from _bench_utils import ...``.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro.experiments.figures import run_figure_by_id
@@ -34,14 +35,27 @@ RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
 
 
+def bench_writes_enabled() -> bool:
+    """True when bench runs may rewrite the committed baselines.
+
+    Only ``REPRO_SCALING_BENCH=1`` (the CI bench job, or a deliberate
+    local re-baseline) writes ``BENCH_*.json``; a plain test run only
+    asserts, so it leaves the working tree clean.
+    """
+    return os.environ.get("REPRO_SCALING_BENCH") == "1"
+
+
 def write_bench_json(name: str, payload: dict) -> Path:
     """Persist one bench's machine-readable results.
 
-    Writes ``BENCH_<name>.json`` at the repository root and returns the
-    path.  Numbers are rounded by the caller; this helper only fixes
-    the location and format so successive PRs diff cleanly.
+    Writes ``BENCH_<name>.json`` at the repository root (only when
+    :func:`bench_writes_enabled`) and returns the path.  Numbers are
+    rounded by the caller; this helper only fixes the location and
+    format so successive PRs diff cleanly.
     """
     path = REPO_ROOT / f"BENCH_{name}.json"
+    if not bench_writes_enabled():
+        return path
     path.write_text(
         json.dumps({"bench": name, **payload}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -57,9 +71,12 @@ def merge_bench_json(name: str, payload: dict) -> Path:
     land in ``BENCH_streaming.json``); merging instead of rewriting
     means a run that only regenerates one section keeps the committed
     others untouched, so partial runs never silently drop trajectory
-    data and the file always diffs cleanly.
+    data and the file always diffs cleanly.  Like
+    :func:`write_bench_json`, a no-op unless :func:`bench_writes_enabled`.
     """
     path = REPO_ROOT / f"BENCH_{name}.json"
+    if not bench_writes_enabled():
+        return path
     existing: dict = {}
     if path.exists():
         existing = json.loads(path.read_text(encoding="utf-8"))

@@ -147,7 +147,8 @@ def _build_stream_parser() -> argparse.ArgumentParser:
         "--no-delta",
         dest="delta",
         action="store_false",
-        help="rebuild the candidate pool from scratch every round",
+        help="rebuild the candidate pool from scratch every round "
+        "(unsharded engine only)",
     )
     parser.add_argument(
         "--warm-select",
@@ -162,14 +163,6 @@ def _build_stream_parser() -> argparse.ArgumentParser:
         dest="warm_select",
         action="store_false",
         help="re-derive the selection structures from scratch every round",
-    )
-    parser.add_argument(
-        "--delta-slack",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="motion slack for the delta builder (default 0.0; engine "
-        "entities are static)",
     )
     parser.add_argument(
         "--shards",
@@ -260,23 +253,13 @@ def _run_stream_command(argv: list[str]) -> int:
     if args.shards and args.dense:
         print("--shards requires the sparse builder (drop --dense)", file=sys.stderr)
         return 2
+    if args.shards and not args.delta:
+        print("--shards requires the delta builder (drop --no-delta)", file=sys.stderr)
+        return 2
     if args.hotspots < 1:
         print("--hotspots must be >= 1", file=sys.stderr)
         return 2
     workload = _stream_workload(args)
-    if args.delta_slack < 0.0:
-        print("--delta-slack must be >= 0", file=sys.stderr)
-        return 2
-    if args.shards and args.delta and args.delta_slack > 0.0:
-        # An unsupported combination must fail loudly, not silently
-        # fall back: per-tile delta pools have no motion slack.
-        print(
-            "--delta-slack needs the unsharded engine: per-tile delta "
-            "pools do not support motion slack (drop --shards, or add "
-            "--no-delta / --delta-slack 0)",
-            file=sys.stderr,
-        )
-        return 2
     config = StreamConfig(
         round_interval=args.round_interval,
         budget=args.budget,
@@ -285,7 +268,6 @@ def _run_stream_command(argv: list[str]) -> int:
         use_sparse_builder=not args.dense,
         use_delta_builder=args.delta,
         use_warm_select=args.warm_select,
-        delta_slack=args.delta_slack,
         enable_tracing=args.trace_out is not None,
     )
     if args.shards:

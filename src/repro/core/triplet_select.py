@@ -658,13 +658,13 @@ class SelectionState:
 
     - **trusted**: a :class:`~repro.model.delta.ChurnRecord` whose
       ``row_origin`` maps each new pool row to the previous round's
-      row.  ``DeltaPoolBuilder`` emits it directly; the fused round
-      pipeline (``repro.streaming.pipeline``, the serial *and*
-      sharded engines' default build path) composes it from the
-      per-tile builders' emission-local origins — each tile's entity
-      lists are monotone subsequences of the global ones, so the
-      merged pool's rank order embeds every tile's, and the composed
-      map is exactly what a whole-pool builder would have produced;
+      row.  The fused round pipeline (``repro.streaming.pipeline``,
+      the serial *and* sharded engines' default build path) composes
+      it from the per-tile builders' emission-local origins — each
+      tile's entity lists are monotone subsequences of the global
+      ones, so the merged pool's rank order embeds every tile's, and
+      the composed map is exactly what a whole-pool builder would
+      have produced;
     - **self-diff**: current-current rows are matched by packed
       ``(worker_id, task_id)`` identity against the previous round's,
       which needs no builder cooperation (the ``--no-delta`` fresh
@@ -844,7 +844,7 @@ class SelectionState:
             return None
 
         # Column verification: demote any matched row whose
-        # order-determining values changed (e.g. within-slack motion).
+        # order-determining values changed since the previous round.
         o_cost, o_var, o_ub, o_qual, o_cur = self._cols
         same = (
             (pool.cost_mean[surv_new] == o_cost[surv_old])

@@ -37,11 +37,11 @@ _LOG_CAPACITY = 65536
 class IndexChangeLog:
     """Ordered journal of one subscriber's unseen index mutations.
 
-    Each entry is ``(op, key, x, y)`` with ``op`` one of ``"insert"``,
-    ``"remove"`` (coordinates are the point the key held) or ``"move"``
-    (coordinates are the *new* point).  Ops are recorded in mutation
-    order, so a consumer replaying them sees exactly the sequence of
-    dirty-set changes — including remove-then-reinsert of one key.
+    Each entry is ``(op, key, x, y)`` with ``op`` either ``"insert"``
+    or ``"remove"`` (coordinates are the point the key held).  Ops are
+    recorded in mutation order, so a consumer replaying them sees
+    exactly the sequence of dirty-set changes — including
+    remove-then-reinsert of one key.
     ``drain()`` hands the batch over and resets; when more than
     ``capacity`` ops accumulate between drains the log discards them
     and reports ``overflowed=True``, telling the consumer to rebuild
@@ -89,7 +89,6 @@ class SpatialIndex:
         self._grid = grid if isinstance(grid, GridIndex) else GridIndex(grid)
         self._buckets: dict[int, dict[int, tuple[float, float]]] = {}
         self._cell_of_key: dict[int, int] = {}
-        self._version = 0
         self._subscribers: list[IndexChangeLog] = []
 
     @classmethod
@@ -112,24 +111,13 @@ class SpatialIndex:
     def __contains__(self, key: int) -> bool:
         return key in self._cell_of_key
 
-    @property
-    def version(self) -> int:
-        """Monotone mutation counter: bumps on insert, remove and move.
-
-        Derived structures (cached CSR snapshots, tile slices, delta
-        candidate pools) key their validity on it — an unchanged
-        version guarantees the indexed point set (and therefore any
-        pure function of it) is unchanged.
-        """
-        return self._version
-
     def subscribe(self, capacity: int = _LOG_CAPACITY) -> IndexChangeLog:
         """Attach a mutation journal fed by every subsequent change.
 
-        Each subscriber owns its log and drains it independently (the
-        serial delta builder and the sharded slice cache can watch one
-        index side by side).  The log starts empty — the subscriber is
-        assumed to synchronize with the current contents first.
+        Each subscriber owns its log and drains it independently, so
+        several consumers can watch one index side by side.  The log
+        starts empty — the subscriber is assumed to synchronize with
+        the current contents first.
         """
         log = IndexChangeLog(capacity)
         self._subscribers.append(log)
@@ -140,7 +128,6 @@ class SpatialIndex:
         self._subscribers.remove(log)
 
     def _notify(self, op: str, key: int, x: float, y: float) -> None:
-        self._version += 1
         for log in self._subscribers:
             log.record(op, key, x, y)
 
@@ -161,24 +148,6 @@ class SpatialIndex:
         if not bucket:
             del self._buckets[cell]
         self._notify("remove", key, x, y)
-
-    def move(self, key: int, point: Point) -> None:
-        """Relocate a live ``key`` to ``point``; ``KeyError`` when absent.
-
-        One journal entry (``"move"``, with the new coordinates) and
-        one version bump, whether or not the cell changes — consumers
-        track accumulated displacement, not cell membership.
-        """
-        old_cell = self._cell_of_key[key]  # KeyError propagates
-        new_cell = self._grid.cell_of(point)
-        if new_cell != old_cell:
-            bucket = self._buckets[old_cell]
-            del bucket[key]
-            if not bucket:
-                del self._buckets[old_cell]
-            self._cell_of_key[key] = new_cell
-        self._buckets.setdefault(new_cell, {})[key] = (point.x, point.y)
-        self._notify("move", key, point.x, point.y)
 
     def location(self, key: int) -> Point:
         """The indexed point of ``key``."""

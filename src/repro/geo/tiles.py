@@ -145,7 +145,7 @@ class TileGrid:
         compared against ``margin``, so a point inside the tile (gap
         zero) is always a member.  Every point belongs to at least its
         owning tile; points near an edge appear in the neighbors too —
-        the border-zone duplication the sharded builder relies on.
+        the border-zone duplication the sharded pipeline relies on.
         """
         if margin < 0.0:
             raise ValueError(f"margin must be non-negative, got {margin}")
@@ -187,9 +187,7 @@ class TileZones:
     margin quantizes above the zone's current width, and never shrinks
     it.  A zone is thus always a superset of the exact per-round
     margin box — the overshoot tasks cost cache space, never
-    correctness, because every downstream validity scan is exact
-    (precisely the argument ``_TileSliceCache`` makes for its
-    quantized slices).
+    correctness, because every downstream validity scan is exact.
 
     Growth returns the affected tiles so the pipeline can re-prime
     their pools: newly covered tasks would splice into the *middle* of
@@ -253,7 +251,3 @@ class TileZones:
     def tiles_of_cell(self, cell: int) -> np.ndarray:
         """Tiles whose zone contains ``cell`` (churn-routing fan-out)."""
         return np.flatnonzero(self._membership[:, cell])
-
-    def tiles_of_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Zone-membership matrix of shape ``(num_tiles, len(cells))``."""
-        return self._membership[:, cells]

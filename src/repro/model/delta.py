@@ -8,48 +8,40 @@ recomputed for pairs that were identical one round earlier.
 :class:`DeltaPoolBuilder` persists that family across rounds and
 *repairs* it instead:
 
-- Worker rows are joined once against the maintained task CSR with a
-  radius inflated by a **motion slack** (kinetic-data-structure style:
-  the cached gather stays a superset of every future valid set as long
-  as no endpoint drifts further than the slack from its join-time
-  anchor; joins inflate by ``3 × slack`` because a pair couples a
-  worker within ``slack`` of its row anchor to a task within ``slack``
-  of a bucket position that is itself within ``slack`` of the task's
-  anchor).
-- Each round only three deltas run: rows/columns of arrived, expired
-  and assigned entities are spliced in or dropped; entities whose
-  accumulated displacement since their anchor exceeds the slack are
-  dropped and re-joined (their cached superset can no longer be
-  trusted); and one vectorized exact-validity pass re-prices time:
-  the per-pair horizon test is the only quantity that changes when
-  nothing moves, and it is a handful of elementwise ops over cached
-  distances.
-- The Section III-B quality statistics, existence probabilities and
-  the reservation filter are *recomputed from the cached triplets in
-  canonical row-major order* every round and flow through the same
-  :func:`~repro.model.sparse._predicted_family_coupling` helper the
-  sparse and sharded builders share — identical inputs in identical
-  order, so every downstream float matches the fresh builder exactly.
+- Worker rows are joined once against the maintained task CSR with
+  the exact reachable radius.  Engine entities never move (a relocated
+  worker re-arrives under a fresh id), so a cached gather stays a
+  superset of every future valid set of its pair.
+- Each round only two deltas run: rows/columns of arrived, expired and
+  assigned entities are spliced in or dropped, and one vectorized
+  exact-validity pass re-prices time — the per-pair horizon test is
+  the only quantity that changes when nothing moves, and it is a
+  handful of elementwise ops over cached distances.  Validity is
+  monotone in time, so the sweep also purges the pairs it proves dead.
 - The predicted families are inherently fresh (prediction resamples
   entities each round) and run through the same batched join kernels,
-  but against the cached CSR and cached current-entity columns, so no
-  per-round Python attribute extraction or index snapshotting remains.
+  but against the cached CSRs and cached current-entity columns.
 
-The emitted :class:`~repro.model.instance.ProblemInstance` is
-**bit-for-bit identical** to ``build_problem_sparse`` on the same
-inputs (hypothesis-enforced by ``tests/test_model_delta.py``): cached
-distances/qualities are pure functions of unchanged operands, the
-cached gather is a proven superset of the exact valid set, and the
-canonical pair order is maintained under splices (engine list removals
-preserve relative order; arrivals append — both verified against the
-passed lists every round).
+The builder is one tile's half of a fused round build: its
+:meth:`~DeltaPoolBuilder.emit_partition` hands the raw triplets to the
+global reconcile pass of :mod:`repro.streaming.pipeline`, which
+computes the Section III-B quality statistics, existence
+probabilities, the reservation filter and pricing over the merged
+tiles.  The assembled pool is **bit-for-bit identical** to
+``build_problem_sparse`` on the same inputs (hypothesis-enforced by
+``tests/test_model_delta.py``): cached distances/qualities are pure
+functions of unchanged operands, the cached gather is a proven
+superset of the exact valid set, and the canonical pair order is
+maintained under splices (engine list removals preserve relative
+order; arrivals append — both verified against the passed lists
+every round).
 
 The builder is *total*: whenever the incremental path cannot be
-trusted — first round, change-journal overflow, clock regression,
-churn above ``rebuild_churn_ratio``, or any inconsistency between the
-journal and the entity lists — it falls back to a full rebuild
-(re-prime) of the cache and still returns the exact pool.  The fall
-back triggers are observable through :class:`DeltaBuildStats`.
+trusted — first round, an untrusted op feed (journal overflow), clock
+regression, churn above ``rebuild_churn_ratio``, or any inconsistency
+between the journal and the entity lists — it falls back to a full
+rebuild (re-prime) of the cache and still emits the exact pool.  The
+fall back triggers are observable through :class:`DeltaBuildStats`.
 """
 
 from __future__ import annotations
@@ -60,17 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo.grid import GridIndex
-from repro.geo.spatial_index import SpatialIndex
 from repro.model.entities import Task, Worker
-from repro.model.instance import (
-    ProblemInstance,
-    _box_intervals,
-    _task_columns,
-    _worker_columns,
-    quality_sample_stats,
-    validate_predicted_flags,
-)
-from repro.model.pairs import PairPool
+from repro.model.instance import _box_intervals, _task_columns, _worker_columns
 from repro.model.quality import QualityModel
 from repro.obs.metrics import monotonic
 from repro.model.sparse import (
@@ -78,10 +61,7 @@ from repro.model.sparse import (
     SparseBuildStats,
     _CandidateCSR,
     _pair_quality,
-    _predicted_family_coupling,
-    _price_distance,
     _reach,
-    _triplet_pool,
     _uncertain_pairs_batched,
 )
 from repro.uncertainty.vector import _interval_gap_vec
@@ -94,12 +74,12 @@ class ChurnRecord:
     """One round's churn, shared by the pool builder and the selector.
 
     The streaming engine journals its own entity churn here (the
-    trusted hints that previously traveled as bare keyword arguments),
-    hands the record to :meth:`DeltaPoolBuilder.build`, and the builder
-    annotates it with the *row-level* consequence of that churn: for
-    every row of the emitted pool, the row it occupied in the previous
-    round's emission (or ``-1`` for rows with no verbatim predecessor —
-    new pairs, re-priced pairs, and the always-fresh predicted
+    trusted hints for the pool repair), hands the record to
+    :meth:`~repro.streaming.pipeline.FusedRoundBuilder.build_round`,
+    and the builder annotates it with the *row-level* consequence of
+    that churn: for every row of the emitted pool, the row it occupied
+    in the previous round's emission (or ``-1`` for rows with no
+    verbatim predecessor — new pairs and the always-fresh predicted
     families).  Downstream, :class:`~repro.core.triplet_select.
     SelectionState` repairs its sorted orders from exactly this
     mapping.
@@ -206,14 +186,14 @@ def predicted_task_columns(predicted_tasks) -> PredictedTaskColumns | None:
 class PartitionEmission:
     """One partition's half of a fused round build.
 
-    The raw material :func:`repro.streaming.pipeline` assembles into a
-    global :class:`ProblemInstance`: the partition's revalidated
-    current×current triplets (local row/column indices into the
-    partition's own worker/task lists) plus the index pairs of the
-    always-fresh predicted families, with pricing and Section III-B
-    coupling deferred to the global reconcile pass — the same division
-    of labor as the sharded builder's phase 1 / phase 2 split, which is
-    what makes the merged output bit-identical to the serial builders.
+    The raw material :mod:`repro.streaming.pipeline` assembles into a
+    global :class:`~repro.model.instance.ProblemInstance`: the
+    partition's revalidated current×current triplets (local row/column
+    indices into the partition's own worker/task lists) plus the index
+    pairs of the always-fresh predicted families, with pricing and
+    Section III-B coupling deferred to the global reconcile pass, which
+    is what makes the merged output bit-identical to the serial
+    builders.
     ``prev_origin`` maps each cc row to the rank it held in this
     partition's previous emission (or ``-1``), letting the parent
     compose a trusted global row-origin map for warm selection.
@@ -244,10 +224,6 @@ class DeltaBuildStats:
         pairs_cached: current size of the cached candidate superset.
         revalidated: cached pairs swept by the exact validity pass,
             summed over rounds.
-        moved_within_slack: motion events absorbed by the slack
-            (coordinates updated, cached pairs kept).
-        rejoined_for_motion: entities whose accumulated displacement
-            exceeded the slack and forced a drop-and-rejoin.
     """
 
     rounds: int = 0
@@ -257,8 +233,6 @@ class DeltaBuildStats:
     cols_joined: int = 0
     pairs_cached: int = 0
     revalidated: int = 0
-    moved_within_slack: int = 0
-    rejoined_for_motion: int = 0
 
 
 def _ids_of(entities) -> np.ndarray:
@@ -286,95 +260,48 @@ def _require_current(entities, kind: str) -> None:
 
 
 class DeltaPoolBuilder:
-    """Round-over-round maintained equivalent of ``build_problem_sparse``.
+    """One partition's round-over-round maintained candidate pool.
 
-    Construct once per stream with the engine's incrementally
-    maintained *current-task* :class:`SpatialIndex` (the builder
-    subscribes to its mutation journal) and call :meth:`build` every
-    round with the same arguments the fresh builder would receive.
+    Runs in *external-journal* mode: nothing is subscribed; the caller
+    (a :class:`~repro.streaming.pipeline.TilePipeline`) feeds each
+    round's pre-split task-index mutation ops to :meth:`repair`, then
+    collects the partition's raw triplets with :meth:`emit_partition`.
 
     Args:
         quality_model: pair scorer; its ``quality_pairs_by_ids`` hook
             is used when present (scores are cached per pair, so the
             model must be a pure function of the pair — the same
             contract the sparse builder documents).
-        unit_cost: price per traveled distance.
-        task_index: the maintained index over current tasks.  Only its
-            mutation journal and grid resolution are consumed; the
-            entity lists passed to :meth:`build` stay authoritative,
-            and any disagreement between the two triggers a re-prime.
-            ``None`` runs the builder in **external-journal mode**
-            (``index_gamma`` then required): nothing is subscribed and
-            the caller feeds each round's pre-split mutation ops to
-            :meth:`repair`/:meth:`build` itself — the mode the fused
-            per-tile round pipelines drive, where one parent-side
-            splitter fans a single index journal out to many builders.
-        slack: motion slack in unit-square distance.  ``0.0`` (the
-            engine default — its entities never move) keeps joins
-            exact; a positive slack lets entities drift up to it from
-            their join-time anchors before a rejoin is forced, at the
-            price of ``3 x slack``-inflated gathers.
+        index_gamma: grid resolution of the cached CSRs.
+        include_future_future_pairs: emit the ``<w_hat, t_hat>``
+            family.
         rebuild_churn_ratio: when more than this fraction of the
             cached population changes in one round, repairing costs
             more than rebuilding — fall back to a prime.
-        assume_static_queries: skip the per-round motion scan of the
-            query (worker) side.  The engine's workers are immutable
-            and id-stable, so it passes ``True``; drive it with
-            ``False`` to support callers that move workers in place.
     """
 
     def __init__(
         self,
         quality_model: QualityModel,
-        unit_cost: float,
-        task_index: SpatialIndex | None,
+        index_gamma: int,
         *,
-        discount_by_existence: bool = True,
-        reservation_filter: bool = True,
         include_future_future_pairs: bool = True,
-        exact_predicted_quality: bool = False,
-        index_gamma: int | None = None,
-        slack: float = 0.0,
         rebuild_churn_ratio: float = 0.5,
-        assume_static_queries: bool = True,
-        stats: SparseBuildStats | None = None,
     ) -> None:
-        if unit_cost < 0.0:
-            raise ValueError(f"unit cost must be non-negative, got {unit_cost}")
-        if slack < 0.0:
-            raise ValueError(f"slack must be non-negative, got {slack}")
         if not 0.0 < rebuild_churn_ratio <= 1.0:
             raise ValueError(
                 f"rebuild_churn_ratio must be in (0, 1], got {rebuild_churn_ratio}"
             )
-        if task_index is None and not index_gamma:
-            raise ValueError("external-journal mode (task_index=None) needs index_gamma")
         self._quality_model = quality_model
-        self._unit_cost = float(unit_cost)
-        self._index = task_index
-        self._log = task_index.subscribe() if task_index is not None else None
-        self._discount = discount_by_existence
-        self._reservation = reservation_filter
         self._future_future = include_future_future_pairs
-        self._exact_predicted = exact_predicted_quality
-        self._gamma = index_gamma or task_index.grid.gamma
-        self._empty_grid = task_index.grid if task_index is not None else GridIndex(self._gamma)
-        self._slack = float(slack)
+        self._gamma = index_gamma
+        self._empty_grid = GridIndex(index_gamma)
         self._churn_ratio = float(rebuild_churn_ratio)
-        self._static_queries = assume_static_queries
-        self._stats = stats
-        self._by_ids = (
-            getattr(quality_model, "quality_pairs_by_ids", None)
-        )
+        self._by_ids = getattr(quality_model, "quality_pairs_by_ids", None)
         self.delta_stats = DeltaBuildStats()
 
         self._primed = False
         self._last_now = -np.inf
-        #: Row count of the previous emission and the churn record of
-        #: the latest build — survives primes (origins just go all-
-        #: fresh across one), reset only with the builder itself.
-        self._last_emitted_rows = -1
-        self.last_churn: ChurnRecord | None = None
         self._reset_cache()
 
     # -- cache state --------------------------------------------------------
@@ -382,14 +309,12 @@ class DeltaPoolBuilder:
     def _reset_cache(self) -> None:
         self._w_ids = _EMPTY_IDX
         self._wx = self._wy = self._wvel = self._warr = _EMPTY_F
-        self._w_ax = self._w_ay = _EMPTY_F
         self._t_ids = _EMPTY_IDX
         # Mirror of _t_ids for O(1) membership in the journal replay,
         # maintained incrementally (rebuilding a set per round would
         # cost O(cached population) in Python).
         self._t_id_set: set[int] = set()
         self._tx = self._ty = self._tdl = self._tarr = _EMPTY_F
-        self._t_ax = self._t_ay = _EMPTY_F
         self._csr = _CandidateCSR.empty(self._empty_grid)
         # Worker-side CSR: lets the <w, t_hat> family run *transposed*
         # (few predicted-task queries against the cached worker
@@ -403,13 +328,9 @@ class DeltaPoolBuilder:
         self._p_origin = _EMPTY_IDX
 
     def invalidate(self) -> None:
-        """Force a full rebuild on the next :meth:`build`."""
+        """Force a full rebuild on the next :meth:`repair`."""
         self._primed = False
         self._reset_cache()
-
-    @property
-    def num_cached_pairs(self) -> int:
-        return int(self._p_w.size)
 
     # -- pair-store maintenance (canonical (row, col) order throughout) -----
 
@@ -455,7 +376,6 @@ class DeltaPoolBuilder:
         self._w_ids = self._w_ids[keep]
         self._wx, self._wy = self._wx[keep], self._wy[keep]
         self._wvel, self._warr = self._wvel[keep], self._warr[keep]
-        self._w_ax, self._w_ay = self._w_ax[keep], self._w_ay[keep]
 
     def _drop_task_positions(self, remove: np.ndarray) -> None:
         if not remove.any():
@@ -473,30 +393,14 @@ class DeltaPoolBuilder:
         self._t_ids = self._t_ids[keep]
         self._tx, self._ty = self._tx[keep], self._ty[keep]
         self._tdl, self._tarr = self._tdl[keep], self._tarr[keep]
-        self._t_ax, self._t_ay = self._t_ax[keep], self._t_ay[keep]
-
-    def _drop_pairs_with_tasks(self, positions: np.ndarray) -> None:
-        if positions.size == 0 or self._p_t.size == 0:
-            return
-        keep = ~np.isin(self._p_t, positions)
-        self._p_w, self._p_t = self._p_w[keep], self._p_t[keep]
-        self._p_dist, self._p_qual = self._p_dist[keep], self._p_qual[keep]
-        self._p_origin = self._p_origin[keep]
-
-    def _drop_pairs_with_workers(self, positions: np.ndarray) -> None:
-        if positions.size == 0 or self._p_w.size == 0:
-            return
-        keep = ~np.isin(self._p_w, positions)
-        self._p_w, self._p_t = self._p_w[keep], self._p_t[keep]
-        self._p_dist, self._p_qual = self._p_dist[keep], self._p_qual[keep]
-        self._p_origin = self._p_origin[keep]
 
     # -- joins --------------------------------------------------------------
 
     def _join_radius(self, deadline_max: float, now: float) -> np.ndarray:
-        """Slack-inflated per-worker gather radius (see module docs)."""
+        """Per-worker gather radius: the farthest a worker can still
+        travel before the latest deadline."""
         bound = np.maximum(0.0, deadline_max - np.maximum(now, self._warr))
-        return self._wvel * bound + 3.0 * self._slack
+        return self._wvel * bound
 
     def _quality_of(
         self,
@@ -593,13 +497,11 @@ class DeltaPoolBuilder:
         if n:
             self._wx, self._wy, self._wvel, self._warr = _worker_columns(current_workers)
             self._w_ids = _ids_of(current_workers)
-            self._w_ax, self._w_ay = self._wx.copy(), self._wy.copy()
             self._w_csr = _CandidateCSR.from_coordinates(self._wx, self._wy, self._gamma)
         if m:
             self._tx, self._ty, self._tdl, self._tarr = _task_columns(current_tasks)
             self._t_ids = _ids_of(current_tasks)
             self._t_id_set = set(self._t_ids.tolist())
-            self._t_ax, self._t_ay = self._tx.copy(), self._ty.copy()
             self._csr = _CandidateCSR.from_coordinates(self._tx, self._ty, self._gamma)
         if n and m:
             self._join_worker_rows(
@@ -614,31 +516,22 @@ class DeltaPoolBuilder:
         """Net effect of the journal batch; ``None`` when inconsistent."""
         cached = self._t_id_set
         removed: dict[int, None] = {}
-        new: dict[int, tuple[float, float]] = {}
-        moved: dict[int, tuple[float, float]] = {}
-        for op, key, x, y in ops:
+        new: dict[int, None] = {}
+        for op, key, _, _ in ops:
             if op == "insert":
                 if key in new or (key in cached and key not in removed):
                     return None
-                new[key] = (x, y)
+                new[key] = None
             elif op == "remove":
                 if key in new:
                     del new[key]
                 elif key in cached and key not in removed:
                     removed[key] = None
-                    moved.pop(key, None)
                 else:
                     return None
-            elif op == "move":
-                if key in new:
-                    new[key] = (x, y)
-                elif key in cached and key not in removed:
-                    moved[key] = (x, y)
-                else:
-                    return None
-            else:  # pragma: no cover - journal only emits the three ops
+            else:
                 return None
-        return removed, new, moved
+        return removed, new
 
     def _apply_deltas(
         self,
@@ -654,7 +547,7 @@ class DeltaPoolBuilder:
         parsed = self._parse_ops(ops)
         if parsed is None:
             return False
-        removed_t, new_t, moved_t = parsed
+        removed_t, new_t = parsed
 
         if worker_arrivals is not None:
             # Trusted churn hints (the engine's own journal): no
@@ -709,95 +602,8 @@ class DeltaPoolBuilder:
                 return False
             self._drop_task_positions(remove_mask)
 
-        # 2. query-side motion (only when the caller may move workers)
-        rejoin_w = _EMPTY_IDX
-        if not self._static_queries and num_persist:
-            if len(current_workers) != num_persist + num_new_w:
-                return False
-            live = current_workers[:num_persist]
-            wx = np.array([w.location.x for w in live], dtype=float)
-            wy = np.array([w.location.y for w in live], dtype=float)
-            vel = np.array([w.velocity for w in live], dtype=float)
-            arr = np.array([w.arrival for w in live], dtype=float)
-            if not (
-                np.array_equal(vel, self._wvel) and np.array_equal(arr, self._warr)
-            ):
-                return False
-            moved_mask = (wx != self._wx) | (wy != self._wy)
-            if moved_mask.any():
-                disp = np.hypot(wx - self._w_ax, wy - self._w_ay)
-                beyond = moved_mask & (disp > self._slack)
-                within = moved_mask & ~beyond
-                self._wx, self._wy = wx, wy
-                if within.any():
-                    within_pos = np.flatnonzero(within)
-                    touched = np.isin(self._p_w, within_pos)
-                    self._p_dist[touched] = np.hypot(
-                        self._wx[self._p_w[touched]] - self._tx[self._p_t[touched]],
-                        self._wy[self._p_w[touched]] - self._ty[self._p_t[touched]],
-                    )
-                    # Re-priced pairs are no verbatim survivors.
-                    self._p_origin[touched] = -1
-                    self.delta_stats.moved_within_slack += int(within.sum())
-                if beyond.any():
-                    rejoin_w = np.flatnonzero(beyond).astype(np.int64)
-                    self._drop_pairs_with_workers(rejoin_w)
-                    keep_w = np.ones(self._w_ids.size, dtype=bool)
-                    keep_w[rejoin_w] = False
-                    self._w_csr = self._w_csr.remove_columns(
-                        keep_w, renumber=False
-                    ).insert_columns(
-                        self._w_csr.grid.cells_of_coordinates(
-                            self._wx[rejoin_w], self._wy[rejoin_w]
-                        ),
-                        rejoin_w,
-                    )
-                    self._w_ax[rejoin_w] = self._wx[rejoin_w]
-                    self._w_ay[rejoin_w] = self._wy[rejoin_w]
-                    self.delta_stats.rejoined_for_motion += int(beyond.sum())
-
-        # 3. target-side motion
-        rejoin_t = _EMPTY_IDX
-        if moved_t:
-            moved_ids = np.fromiter(moved_t, dtype=np.int64, count=len(moved_t))
-            positions = np.flatnonzero(np.isin(self._t_ids, moved_ids))
-            if positions.size != len(moved_t):
-                return False
-            moved_xy = np.array(
-                [moved_t[int(key)] for key in self._t_ids[positions]], dtype=float
-            )
-            self._tx[positions] = moved_xy[:, 0]
-            self._ty[positions] = moved_xy[:, 1]
-            disp = np.hypot(
-                self._tx[positions] - self._t_ax[positions],
-                self._ty[positions] - self._t_ay[positions],
-            )
-            beyond = disp > self._slack
-            within_pos = positions[~beyond]
-            if within_pos.size:
-                touched = np.isin(self._p_t, within_pos)
-                self._p_dist[touched] = np.hypot(
-                    self._wx[self._p_w[touched]] - self._tx[self._p_t[touched]],
-                    self._wy[self._p_w[touched]] - self._ty[self._p_t[touched]],
-                )
-                # Re-priced pairs are no verbatim survivors.
-                self._p_origin[touched] = -1
-                self.delta_stats.moved_within_slack += int(within_pos.size)
-            if beyond.any():
-                rejoin_t = positions[beyond].astype(np.int64)
-                self._drop_pairs_with_tasks(rejoin_t)
-                # The stale buckets of the rejoined columns come out of
-                # the CSR (without renumbering) and fresh buckets go
-                # back in below, together with the new columns.
-                keep = np.ones(self._t_ids.size, dtype=bool)
-                keep[rejoin_t] = False
-                self._csr = self._csr.remove_columns(keep, renumber=False)
-                self._t_ax[rejoin_t] = self._tx[rejoin_t]
-                self._t_ay[rejoin_t] = self._ty[rejoin_t]
-                self.delta_stats.rejoined_for_motion += int(beyond.sum())
-
-        # 4. new tasks: append columns, join them against the persistent
-        #    workers, splice their buckets (plus rejoined ones) in.
+        # 2. new tasks: append columns, join them against the persistent
+        #    workers, splice their buckets in.
         num_old_w = self._w_ids.size
         if new_t:
             tail = list(current_tasks[len(current_tasks) - len(new_t):])
@@ -812,37 +618,21 @@ class DeltaPoolBuilder:
             self._ty = np.concatenate((self._ty, nty))
             self._tdl = np.concatenate((self._tdl, ntdl))
             self._tarr = np.concatenate((self._tarr, ntarr))
-            self._t_ax = np.concatenate((self._t_ax, ntx))
-            self._t_ay = np.concatenate((self._t_ay, nty))
-            new_positions = np.arange(offset, self._t_ids.size, dtype=np.int64)
-        else:
-            new_positions = _EMPTY_IDX
-        join_cols = np.concatenate((rejoin_t, new_positions))
-        if join_cols.size:
-            # Workers pending a row rejoin are excluded here: their full
-            # rows (step 5) already cover the rejoined/new columns, and
-            # joining them twice would duplicate the shared pairs.
-            query_w = np.arange(num_old_w, dtype=np.int64)
-            if rejoin_w.size:
-                keep_query = np.ones(num_old_w, dtype=bool)
-                keep_query[rejoin_w] = False
-                query_w = query_w[keep_query]
+            new_cols = np.arange(offset, self._t_ids.size, dtype=np.int64)
             self._join_task_columns(
-                join_cols,
-                query_w,
+                new_cols,
+                np.arange(num_old_w, dtype=np.int64),
                 now,
                 current_workers,
                 current_tasks,
                 local,
             )
-            grid = self._csr.grid
             self._csr = self._csr.insert_columns(
-                grid.cells_of_coordinates(self._tx[join_cols], self._ty[join_cols]),
-                join_cols,
+                self._csr.grid.cells_of_coordinates(ntx, nty), new_cols
             )
 
-        # 5. new workers (appended at the tail) and rejoined movers get
-        #    full rows against the spliced CSR.
+        # 3. new workers (appended at the tail) get full rows against
+        #    the spliced CSR.
         if num_new_w:
             tail_w = list(current_workers[num_persist:])
             _require_current(tail_w, "worker")
@@ -853,15 +643,11 @@ class DeltaPoolBuilder:
             self._wy = np.concatenate((self._wy, nwy))
             self._wvel = np.concatenate((self._wvel, nwvel))
             self._warr = np.concatenate((self._warr, nwarr))
-            self._w_ax = np.concatenate((self._w_ax, nwx))
-            self._w_ay = np.concatenate((self._w_ay, nwy))
             self._w_csr = self._w_csr.insert_columns(
                 self._w_csr.grid.cells_of_coordinates(nwx, nwy),
                 np.arange(offset_w, self._w_ids.size, dtype=np.int64),
             )
-        join_rows = np.concatenate(
-            (rejoin_w, np.arange(num_old_w, self._w_ids.size, dtype=np.int64))
-        )
+        join_rows = np.arange(num_old_w, self._w_ids.size, dtype=np.int64)
         if join_rows.size and self._t_ids.size:
             self._join_worker_rows(
                 join_rows, now, current_workers, current_tasks, local
@@ -908,24 +694,25 @@ class DeltaPoolBuilder:
     ) -> bool:
         """Bring the cache up to date with one round's churn.
 
-        Drains the subscribed journal (or consumes the caller-split
-        ``ops`` batch in external-journal mode; ``None`` there means
-        "cannot trust the feed" and forces a re-prime, the analogue of
-        a journal overflow), applies the deltas, and falls back to a
+        Consumes the caller-split ``ops`` batch (``None`` means "cannot
+        trust the feed" and forces a re-prime, the analogue of a
+        journal overflow), applies the deltas, and falls back to a
         full prime whenever the incremental path cannot be trusted.
-        Returns ``True`` when the round was served incrementally.
+
+        ``worker_arrivals``/``worker_removed_ids`` are the engine's own
+        churn journal for the query side since the previous round:
+        when provided they replace the per-entity id diff (an O(n)
+        Python pass), and the caller vouches that the list discipline
+        holds (removals preserve order, arrivals append at the tail).
+        Omit them to have the builder derive the diff itself; ``now``
+        may not decrease without forcing a re-prime.  Returns ``True``
+        when the round was served incrementally.
         """
         if local is None:
             local = SparseBuildStats()
-        if self._log is not None:
-            ops, overflowed = self._log.drain()
-        else:
-            overflowed = ops is None
-            if ops is None:
-                ops = []
         incremental = (
             self._primed
-            and not overflowed
+            and ops is not None
             and now >= self._last_now
             and self._apply_deltas(
                 ops, worker_arrivals, worker_removed_ids,
@@ -940,80 +727,18 @@ class DeltaPoolBuilder:
         self._last_now = now
         return incremental
 
-    def build(
-        self,
-        current_workers: Sequence[Worker],
-        current_tasks: Sequence[Task],
-        predicted_workers: Sequence[Worker],
-        predicted_tasks: Sequence[Task],
-        now: float,
-        worker_arrivals: Sequence[Worker] | None = None,
-        worker_removed_ids: Sequence[int] | None = None,
-        churn: ChurnRecord | None = None,
-        ops=None,
-    ) -> ProblemInstance:
-        """One round's problem, repaired from the cached pool.
-
-        Same contract (and bit-identical output) as
-        :func:`~repro.model.sparse.build_problem_sparse` on the same
-        arguments; ``now`` may not decrease without forcing a re-prime.
-
-        ``worker_arrivals``/``worker_removed_ids`` are the engine's own
-        churn journal for the query side since the previous build: when
-        provided they replace the per-entity id diff (an O(n) Python
-        pass), and the caller vouches that the list discipline holds
-        (removals preserve order, arrivals append at the tail).  Omit
-        them to have the builder derive the diff itself.
-
-        ``churn`` carries the same hints as a :class:`ChurnRecord`
-        (explicit keyword arguments win when both are given); after the
-        build it is annotated with ``row_origin``/``prev_pool_rows``
-        and also exposed as :attr:`last_churn` — a record is annotated
-        there every round even when the caller passes none.
-        """
-        if churn is not None:
-            if worker_arrivals is None:
-                worker_arrivals = churn.worker_arrivals
-            if worker_removed_ids is None:
-                worker_removed_ids = churn.worker_removed_ids
-        validate_predicted_flags(predicted_workers, predicted_tasks)
-        n, m = len(current_workers), len(current_tasks)
-        k, l = len(predicted_workers), len(predicted_tasks)
-        local = SparseBuildStats()
-        local.dense_equivalent = n * m + k * m + n * l
-        if self._future_future:
-            local.dense_equivalent += k * l
-
-        self.repair(
-            current_workers, current_tasks, now,
-            worker_arrivals=worker_arrivals,
-            worker_removed_ids=worker_removed_ids,
-            ops=ops,
-            local=local,
-        )
-
-        instance = self._emit(
-            current_workers, current_tasks, predicted_workers, predicted_tasks,
-            now, n, m, k, l, local, churn,
-        )
-        # Gauge the cache after emission: the slack-0 sweep purges the
-        # pairs it just proved dead, and that post-purge size is what
-        # the next round will actually carry.
-        self.delta_stats.pairs_cached = int(self._p_w.size)
-        if self._stats is not None:
-            self._stats.merge(local)
-        return instance
-
-    # -- emission (mirrors build_problem_sparse family for family) ----------
+    # -- emission -----------------------------------------------------------
 
     def _sweep_current(self, now: float, local: SparseBuildStats):
         """One exact revalidation sweep over the cached cc pairs.
 
         Returns ``(rows, cols, dist, quality, prev_origin)`` — the
         valid current×current triplets in canonical order plus each
-        emitted row's rank in the previous emission — and rolls the
-        per-pair origins forward to this emission's ranks (purging the
-        proven-dead pairs when joins are exact).
+        emitted row's rank in the previous emission — and shrinks the
+        cache to exactly the valid set: joins are exact and nothing
+        moves, so validity is monotone in time and a pair invalid *now*
+        can never become valid again (the emission gather doubles as
+        the purge).
         """
         if self._p_w.size:
             departure = np.maximum(
@@ -1029,24 +754,13 @@ class DeltaPoolBuilder:
             cc_quality = self._p_qual[valid]
             # Origins of the emitted cc rows (previous-emission rows),
             # gathered before the per-pair origins roll forward to
-            # *this* emission's row numbering below.
+            # *this* emission's row numbering.
             prev_origin = self._p_origin[valid]
-            emitted_rank = np.cumsum(valid, dtype=np.int64) - 1
             local.gathered += int(self._p_w.size)
             self.delta_stats.revalidated += int(self._p_w.size)
-            if self._slack == 0.0:
-                # Exact joins: validity is monotone in time for every
-                # unmoved pair, and any move forces a drop-and-rejoin
-                # of the whole row/column — so pairs invalid *now* can
-                # never become valid again and the cache shrinks to
-                # exactly the valid set (the emission gather doubles
-                # as the purge).  A positive slack keeps the superset:
-                # a within-slack move may resurrect an invalid pair.
-                self._p_w, self._p_t = cc_rows, cc_cols
-                self._p_dist, self._p_qual = cc_dist, cc_quality
-                self._p_origin = np.arange(cc_rows.size, dtype=np.int64)
-            else:
-                self._p_origin = np.where(valid, emitted_rank, -1)
+            self._p_w, self._p_t = cc_rows, cc_cols
+            self._p_dist, self._p_qual = cc_dist, cc_quality
+            self._p_origin = np.arange(cc_rows.size, dtype=np.int64)
         else:
             cc_rows = cc_cols = _EMPTY_IDX
             cc_dist = cc_quality = _EMPTY_F
@@ -1071,8 +785,8 @@ class DeltaPoolBuilder:
         worker buckets, so the per-round cost scales with the
         prediction volume instead of the standing worker pool.  The
         gather stays a superset (the radius covers the fastest worker
-        over each task's horizon plus the kernel reach and the motion
-        slack), and the exact validity predicate runs the same float
+        over each task's horizon plus the kernel reach), and the exact
+        validity predicate runs the same float
         arithmetic as ``_uncertain_pairs_batched`` on the same
         operands, so the surviving pairs — and their canonical
         ``(row, col)`` order — are identical to the query-by-worker
@@ -1080,7 +794,7 @@ class DeltaPoolBuilder:
         """
         pt_hb = np.maximum(0.0, pt_deadline - np.maximum(now, pt_arr))
         vel_max = float(self._wvel.max())
-        radius = vel_max * pt_hb + pt_reach + 3.0 * self._slack
+        radius = vel_max * pt_hb + pt_reach
         t_rows, w_cols = self._w_csr.join(ptx, pty, radius, local)
         if t_rows.size == 0:
             return _EMPTY_IDX, _EMPTY_IDX
@@ -1121,8 +835,8 @@ class DeltaPoolBuilder:
         local indices) plus the index pairs of the predicted families
         joined against the cached CSRs — no Section III-B statistics,
         no coupling, no pricing.  Those are genuinely global and run
-        once in the parent's reconcile pass over the merged triplets,
-        exactly like ``build_problem_sharded`` phase 2, which is what
+        once in the parent's reconcile pass over the merged triplets
+        (:func:`repro.streaming.pipeline._reconcile`), which is what
         keeps the assembled pool bit-identical to the serial builders.
 
         Call :meth:`repair` first; predicted entities arrive as packed
@@ -1146,8 +860,7 @@ class DeltaPoolBuilder:
             t_intervals = (self._tx, self._tx, self._ty, self._ty)
             rows, cols, _ = _uncertain_pairs_batched(
                 self._csr, pw.xs, pw.ys, pw.vel, pw.arr, pw.intervals, pw.reach,
-                t_intervals, self._tdl, self._tarr, float(self._tdl.max()),
-                3.0 * self._slack,
+                t_intervals, self._tdl, self._tarr, float(self._tdl.max()), 0.0,
                 now, local,
             )
             out.pw_ct = (rows, cols)
@@ -1169,224 +882,5 @@ class DeltaPoolBuilder:
             )
             out.pw_pt = (rows, cols)
         self.delta_stats.pairs_cached = int(self._p_w.size)
-        if self._stats is not None:
-            self._stats.merge(local)
         out.build_seconds = monotonic() - started
         return out
-
-    def _emit(
-        self,
-        current_workers: Sequence[Worker],
-        current_tasks: Sequence[Task],
-        predicted_workers: Sequence[Worker],
-        predicted_tasks: Sequence[Task],
-        now: float,
-        n: int,
-        m: int,
-        k: int,
-        l: int,
-        local: SparseBuildStats,
-        churn: ChurnRecord | None = None,
-    ) -> ProblemInstance:
-        unit_cost = self._unit_cost
-        quality_model = self._quality_model
-        pools: list[PairPool] = []
-        prior = quality_model.prior()
-
-        # ---- current x current: one exact revalidation sweep --------------
-        cc_rows, cc_cols, cc_dist, cc_quality, prev_origin = self._sweep_current(
-            now, local
-        )
-
-        if cc_rows.size:
-            cost_cc = unit_cost * cc_dist
-            zeros = np.zeros_like(cc_dist)
-            pools.append(
-                _triplet_pool(
-                    cc_rows,
-                    cc_cols,
-                    worker_offset=0,
-                    task_offset=0,
-                    cost=(cost_cc, zeros, cost_cc, cost_cc),
-                    quality=(cc_quality, zeros, cc_quality, cc_quality),
-                    existence=np.ones_like(cc_dist),
-                    is_current=True,
-                )
-            )
-            local.emitted += int(cc_rows.size)
-
-        # ---- Section III-B coupling from the cached triplets --------------
-        stats_cc = quality_sample_stats(cc_rows, cc_cols, cc_quality, n, m, prior)
-        exist_task = np.minimum(stats_cc.task_count / max(n, 1), 1.0)
-        exist_worker = np.minimum(stats_cc.worker_count / max(m, 1), 1.0)
-
-        # ---- cached current-side columns, fresh predicted columns ---------
-        if m:
-            t_intervals = (self._tx, self._tx, self._ty, self._ty)
-            t_deadline_max = float(self._tdl.max())
-        else:
-            t_intervals = (_EMPTY_F,) * 4
-            t_deadline_max = -np.inf
-        if k:
-            pw_intervals = _box_intervals(predicted_workers)
-            pwx, pwy, pw_vel, pw_arr = _worker_columns(predicted_workers)
-            pw_reach = _reach(pw_intervals, pwx, pwy)
-
-        def _emit_predicted_block(rows, cols, d_stats, quality, existence,
-                                  worker_offset, task_offset) -> None:
-            d_mean, d_var, d_lb, d_ub = d_stats
-            pools.append(
-                _triplet_pool(
-                    rows,
-                    cols,
-                    worker_offset=worker_offset,
-                    task_offset=task_offset,
-                    cost=(
-                        unit_cost * d_mean,
-                        unit_cost**2 * d_var,
-                        unit_cost * d_lb,
-                        unit_cost * d_ub,
-                    ),
-                    quality=quality,
-                    existence=existence,
-                    is_current=False,
-                )
-            )
-            local.emitted += int(rows.size)
-
-        # ---- predicted workers x current tasks ----------------------------
-        if k and m:
-            # target_reach carries the motion slack: the CSR buckets
-            # tasks at their join-time anchors, and a within-slack move
-            # leaves the bucket (== anchor) up to ``slack`` away from
-            # the current position the exact validity scan uses.  The
-            # uniform 3x factor matches every other join here.
-            rows, cols, d_stats = _uncertain_pairs_batched(
-                self._csr, pwx, pwy, pw_vel, pw_arr, pw_intervals, pw_reach,
-                t_intervals, self._tdl, self._tarr, t_deadline_max,
-                3.0 * self._slack,
-                now, local,
-            )
-            if rows.size:
-                existence = exist_task[cols]
-                exact_q = (
-                    _pair_quality(
-                        quality_model, predicted_workers, current_tasks, rows, cols
-                    )
-                    if self._exact_predicted
-                    else None
-                )
-                quality, keep = _predicted_family_coupling(
-                    stats_cc, "task", cols, existence,
-                    self._discount, self._reservation, exact_q,
-                )
-                if keep is not None:
-                    rows, cols = rows[keep], cols[keep]
-                    if d_stats is not None:
-                        d_stats = tuple(a[keep] for a in d_stats)
-                    quality = tuple(a[keep] for a in quality)
-                    existence = existence[keep]
-                if d_stats is None:
-                    d_stats = _price_distance(
-                        pw_intervals, t_intervals, rows, cols, local
-                    )
-                _emit_predicted_block(
-                    rows, cols, d_stats, quality, existence,
-                    worker_offset=n, task_offset=0,
-                )
-
-        # ---- current workers x predicted tasks ----------------------------
-        build_pt_blocks = l and (n or (k and self._future_future))
-        if build_pt_blocks:
-            ptx, pty, pt_deadline, pt_arr = _task_columns(predicted_tasks)
-            pt_intervals = _box_intervals(predicted_tasks)
-            pt_reach = _reach(pt_intervals, ptx, pty)
-            pt_deadline_max = float(pt_deadline.max())
-            max_pt_reach = float(pt_reach.max())
-        if k and l and self._future_future:
-            pt_csr = _CandidateCSR.from_coordinates(ptx, pty, self._gamma)
-        if n and l:
-            cw_intervals = (self._wx, self._wx, self._wy, self._wy)
-            rows, cols = self._join_current_predicted_tasks(
-                ptx, pty, pt_deadline, pt_arr, pt_intervals, pt_reach, now, local
-            )
-            d_stats = None
-            if rows.size:
-                existence = exist_worker[rows]
-                exact_q = (
-                    _pair_quality(
-                        quality_model, current_workers, predicted_tasks, rows, cols
-                    )
-                    if self._exact_predicted
-                    else None
-                )
-                quality, keep = _predicted_family_coupling(
-                    stats_cc, "worker", rows, existence,
-                    self._discount, self._reservation, exact_q,
-                )
-                if keep is not None:
-                    rows, cols = rows[keep], cols[keep]
-                    if d_stats is not None:
-                        d_stats = tuple(a[keep] for a in d_stats)
-                    quality = tuple(a[keep] for a in quality)
-                    existence = existence[keep]
-                if d_stats is None:
-                    d_stats = _price_distance(
-                        cw_intervals, pt_intervals, rows, cols, local
-                    )
-                _emit_predicted_block(
-                    rows, cols, d_stats, quality, existence,
-                    worker_offset=0, task_offset=m,
-                )
-
-        # ---- predicted workers x predicted tasks --------------------------
-        if k and l and self._future_future:
-            existence_value = min(stats_cc.total_valid / max(n * m, 1), 1.0)
-            rows, cols, d_stats = _uncertain_pairs_batched(
-                pt_csr, pwx, pwy, pw_vel, pw_arr, pw_intervals, pw_reach,
-                pt_intervals, pt_deadline, pt_arr, pt_deadline_max, max_pt_reach,
-                now, local,
-            )
-            if rows.size:
-                existence = np.full(rows.size, existence_value)
-                exact_q = (
-                    _pair_quality(
-                        quality_model, predicted_workers, predicted_tasks, rows, cols
-                    )
-                    if self._exact_predicted
-                    else None
-                )
-                quality, _ = _predicted_family_coupling(
-                    stats_cc, "global", rows, existence,
-                    self._discount, self._reservation, exact_q,
-                )
-                if d_stats is None:
-                    d_stats = _price_distance(
-                        pw_intervals, pt_intervals, rows, cols, local
-                    )
-                _emit_predicted_block(
-                    rows, cols, d_stats, quality, existence,
-                    worker_offset=n, task_offset=m,
-                )
-
-        instance = ProblemInstance(
-            workers=list(current_workers) + list(predicted_workers),
-            tasks=list(current_tasks) + list(predicted_tasks),
-            num_current_workers=n,
-            num_current_tasks=m,
-            pool=PairPool.concatenate(pools),
-            now=now,
-        )
-        # Annotate the round's churn record: cc rows (emitted first)
-        # carry their previous-emission origin, predicted-family rows
-        # are fresh every round by construction.
-        total = len(instance.pool)
-        if churn is None:
-            churn = ChurnRecord()
-        churn.row_origin = np.concatenate(
-            (prev_origin, np.full(total - prev_origin.size, -1, dtype=np.int64))
-        )
-        churn.prev_pool_rows = self._last_emitted_rows
-        self._last_emitted_rows = total
-        self.last_churn = churn
-        return instance

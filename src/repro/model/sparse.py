@@ -233,8 +233,8 @@ def _predicted_family_coupling(
     """Quality estimate, discount and reservation verdict of one family.
 
     The single source of the Section III-B predicted-pair semantics,
-    shared by the serial sparse builder and the sharded builder so the
-    two can never diverge: ``side`` selects the sample-statistic axis
+    shared by the serial sparse builder and the fused pipeline's
+    reconcile pass so the two can never diverge: ``side`` selects the sample-statistic axis
     (``"task"`` for ``<w_hat, t>`` gathered by ``index = cols``,
     ``"worker"`` for ``<w, t_hat>`` gathered by ``index = rows``,
     ``"global"`` for ``<w_hat, t_hat>``), the quality is discounted by
@@ -330,34 +330,6 @@ class _CandidateCSR:
         starts = np.concatenate((first, [sorted_cells.size])).astype(np.int64)
         return cls(grid, cells, starts, order)
 
-    def restrict_to_cells(self, cells: np.ndarray) -> "_CandidateCSR":
-        """CSR sliced to the occupied cells listed in ``cells``.
-
-        ``cells`` is a sorted array of cell ids (typically one tile's
-        margin zone from :meth:`GridIndex.cells_intersecting_box`); the
-        result keeps only the buckets of those cells, preserving the
-        original candidate column values — the per-shard view the
-        sharded builder queries, with no re-indexing of columns.
-        """
-        if self.cells.size == 0 or cells.size == 0:
-            return _CandidateCSR(
-                self.grid,
-                np.zeros(0, dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-            )
-        positions = np.searchsorted(self.cells, cells)
-        clamped = np.minimum(positions, self.cells.size - 1)
-        positions = positions[
-            (positions < self.cells.size) & (self.cells[clamped] == cells)
-        ]
-        kept_cells = self.cells[positions]
-        sizes = self.starts[positions + 1] - self.starts[positions]
-        starts = np.zeros(positions.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        cols = self.cols[_concat_ranges(self.starts[positions], self.starts[positions + 1])]
-        return _CandidateCSR(self.grid, kept_cells, starts, cols)
-
     @classmethod
     def empty(cls, grid: GridIndex) -> "_CandidateCSR":
         return cls(
@@ -367,17 +339,14 @@ class _CandidateCSR:
             np.zeros(0, dtype=np.int64),
         )
 
-    def remove_columns(self, keep: np.ndarray, renumber: bool = True) -> "_CandidateCSR":
-        """Splice out columns, optionally renumbering the survivors.
+    def remove_columns(self, keep: np.ndarray) -> "_CandidateCSR":
+        """Splice out columns, renumbering the survivors.
 
-        ``keep`` is a boolean mask over the column-id space.  With
-        ``renumber`` (the default) surviving column values compact to
-        ``cumsum(keep) - 1``, matching a caller that drops the same
-        rows from its aligned column arrays; ``renumber=False`` keeps
-        the original values — the drop-and-reinsert a moved column
-        needs.  Emptied cells are dropped.  The delta pool builder
-        uses this when tasks expire, get assigned, or drift past
-        their motion slack.
+        ``keep`` is a boolean mask over the column-id space; surviving
+        column values compact to ``cumsum(keep) - 1``, matching a
+        caller that drops the same rows from its aligned column
+        arrays.  Emptied cells are dropped.  The delta pool builder
+        uses this when entities expire or get assigned.
         """
         if self.cols.size == 0:
             return _CandidateCSR.empty(self.grid)
@@ -387,9 +356,7 @@ class _CandidateCSR:
         keep_cell = lengths > 0
         starts = np.zeros(int(keep_cell.sum()) + 1, dtype=np.int64)
         np.cumsum(lengths[keep_cell], out=starts[1:])
-        cols = self.cols[kept]
-        if renumber:
-            cols = (np.cumsum(keep) - 1)[cols]
+        cols = (np.cumsum(keep) - 1)[self.cols[kept]]
         return _CandidateCSR(
             self.grid,
             self.cells[keep_cell],

@@ -39,7 +39,6 @@ _STAT_COUNTERS = {
     "delta": (
         ("primes", "delta_primes_total", "delta.prime"),
         ("incremental_rounds", "delta_incremental_rounds_total", "delta.repair"),
-        ("rejoined_for_motion", "delta_motion_rejoins_total", "delta.motion_rejoin"),
     ),
     "warm_select": (
         ("primes", "warm_select_primes_total", "warm_select.prime"),
@@ -147,7 +146,7 @@ class StreamObserver:
 
     def record_tile_phases(self, entries: list[tuple[int, float]]) -> None:
         """Book per-tile build phases: ``(tile, seconds)``, tile ``-1``
-        being the phase-2 reconcile pass.
+        being the global reconcile pass.
 
         Tile spans are *end-anchored* at the record time: every tile
         ran to completion inside the enclosing build phase (serial
@@ -183,22 +182,19 @@ class StreamObserver:
     def record_tile_pool_events(self, events: list[tuple[int, str]]) -> None:
         """Book per-tile delta-pool lifecycle events on the shard tracks.
 
-        Entries are ``(tile, kind)`` with kind one of ``"repair"`` (the
-        tile's pool was served incrementally), ``"prime"`` (full
-        rebuild), or ``"border_rejoin"`` (an entity crossed into the
-        tile's margin zone, forcing a drop-and-rejoin).  Each books a
-        tile-labelled counter (``tile_delta_repairs_total`` /
-        ``tile_delta_primes_total`` / ``tile_border_rejoins_total``)
-        and an instant on the tile's trace track — the same ``tid``
-        convention as :meth:`record_tile_phases`, so the instants land
-        on the existing shard rows.
+        Entries are ``(tile, kind)`` with kind ``"repair"`` (the tile's
+        pool was served incrementally) or ``"prime"`` (full rebuild).
+        Each books a tile-labelled counter (``tile_delta_repairs_total``
+        / ``tile_delta_primes_total``) and an instant on the tile's
+        trace track — the same ``tid`` convention as
+        :meth:`record_tile_phases`, so the instants land on the
+        existing shard rows.
         """
         if not events or not self.enabled:
             return
         counters = {
             "repair": "tile_delta_repairs_total",
             "prime": "tile_delta_primes_total",
-            "border_rejoin": "tile_border_rejoins_total",
         }
         for tile, kind in events:
             counter = counters.get(kind)

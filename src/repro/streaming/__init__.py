@@ -46,7 +46,6 @@ from repro.streaming.server import (
 from repro.streaming.sharding import (
     ShardedStreamingEngine,
     ShardingConfig,
-    build_problem_sharded,
     prepared_sharded_engine,
     run_sharded_stream,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "TenantSpec",
     "ShardingConfig",
     "ShardedStreamingEngine",
-    "build_problem_sharded",
     "prepared_sharded_engine",
     "run_sharded_stream",
 ]

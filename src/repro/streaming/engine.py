@@ -30,7 +30,7 @@ from repro.core.triplet_select import SelectionState
 from repro.geo.grid import GridIndex
 from repro.geo.point import euclidean_distance
 from repro.geo.spatial_index import SpatialIndex
-from repro.model.delta import ChurnRecord, DeltaPoolBuilder
+from repro.model.delta import ChurnRecord
 from repro.model.entities import Task, Worker
 from repro.model.instance import build_problem
 from repro.model.quality import QualityModel
@@ -81,15 +81,12 @@ class StreamConfig:
             path is output-sensitive.
         index_gamma: grid resolution of the maintained task index.
         use_delta_builder: maintain the current×current candidate pool
-            incrementally across rounds (:class:`~repro.model.delta.
-            DeltaPoolBuilder`) instead of rebuilding it every round.
-            Emits bit-identical pools; only the work per round changes.
-            Requires the sparse builder.
-        delta_slack: motion slack handed to the delta builder.  The
-            engine's own entities never move, so ``0.0`` (exact joins)
-            is right here; embedders that relocate tasks through the
-            index can budget ``expected per-round displacement x
-            horizon rounds``.
+            incrementally across rounds (the fused round pipeline,
+            :class:`~repro.streaming.pipeline.FusedRoundBuilder`)
+            instead of rebuilding it every round.  Emits bit-identical
+            pools; only the work per round changes.  Requires the
+            sparse builder; ``False`` selects the reference
+            ``build_problem_sparse`` the differentials compare against.
         delta_rebuild_ratio: churn fraction above which the delta
             builder re-primes instead of repairing (see
             ``DeltaPoolBuilder.rebuild_churn_ratio``).
@@ -127,7 +124,6 @@ class StreamConfig:
     use_sparse_builder: bool = True
     index_gamma: int = 16
     use_delta_builder: bool = True
-    delta_slack: float = 0.0
     delta_rebuild_ratio: float = 0.5
     use_warm_select: bool = True
     enable_metrics: bool = True
@@ -146,8 +142,6 @@ class StreamConfig:
             raise ValueError("window must be >= 1")
         if self.index_gamma < 1:
             raise ValueError("index_gamma must be >= 1")
-        if self.delta_slack < 0.0:
-            raise ValueError("delta_slack must be non-negative")
         if not 0.0 < self.delta_rebuild_ratio <= 1.0:
             raise ValueError("delta_rebuild_ratio must be in (0, 1]")
 
@@ -237,20 +231,14 @@ class StreamingEngine:
         self._log: list[AssignmentRecord] = []
         self.events_processed = 0
         self.build_stats = SparseBuildStats()
-        # Created lazily on the first delta-path build so subclasses
-        # that override _build_problem never pay the subscription.
-        # The delta path runs through the fused round pipeline as its
-        # K=1 case (one tile, inline runner); the standalone
-        # DeltaPoolBuilder attribute remains for API compatibility but
-        # the engine no longer populates it.
-        self._delta_builder: DeltaPoolBuilder | None = None
+        # The delta path's fused round pipeline, created lazily on the
+        # first round so the journal subscription starts with it.
         self._fused_builder = None
         # Engine-side churn journal handed to the delta builder as
         # trusted hints: this round's worker arrivals (append order)
         # and the ids assigned away since the previous build.  Only
-        # journaled while a delta-path build will consume it —
-        # subclasses that override _build_problem opt out so the list
-        # cannot grow unboundedly in a long-lived stream.
+        # journaled while a delta-path build will consume it, so the
+        # list cannot grow unboundedly under the reference builders.
         self._round_worker_arrivals: list[Worker] = []
         self._removed_worker_ids: list[int] = []
         self._journal_worker_churn = (
@@ -258,7 +246,9 @@ class StreamingEngine:
         )
         # Persistent warm-start selection layer (None when disabled).
         self._selection_state: SelectionState | None = (
-            self._make_selection_state() if self._config.use_warm_select else None
+            SelectionState(repair_ratio=self._config.delta_rebuild_ratio)
+            if self._config.use_warm_select
+            else None
         )
         # Observability hub: the round loop always times its phases
         # through the observer's RoundTimer (one clock, one set of
@@ -268,14 +258,6 @@ class StreamingEngine:
             MetricsRegistry(self._config.enable_metrics),
             TraceRecorder(self._config.enable_tracing),
         )
-
-    def _make_selection_state(self) -> SelectionState:
-        """Build the persistent selection state (subclass hook).
-
-        The sharded engine overrides this to key one state per spatial
-        tile; everything else about the round loop stays shared.
-        """
-        return SelectionState(repair_ratio=self._config.delta_rebuild_ratio)
 
     # -- state inspection ---------------------------------------------------
 
@@ -299,11 +281,9 @@ class StreamingEngine:
         On the fused pipeline this is the per-tile aggregate —
         ``rounds`` counts tile-rounds, so the incremental rate reads
         as a per-tile average for any K."""
-        if self._fused_builder is not None:
-            return self._fused_builder.delta_stats
-        if self._delta_builder is None:
+        if self._fused_builder is None:
             return None
-        return self._delta_builder.delta_stats
+        return self._fused_builder.delta_stats
 
     @property
     def select_stats(self):
@@ -584,11 +564,11 @@ class StreamingEngine:
         selection stay byte-for-byte shared with the serial engine.
 
         ``churn`` is the round's shared :class:`ChurnRecord`: the
-        engine stamps its worker-churn journal on it beforehand, and a
-        builder that can prove row provenance (the delta builder)
-        annotates ``row_origin`` in place so the selection layer can
-        repair from a trusted origin map.  Builders that cannot simply
-        leave it unannotated — warm selection then self-diffs.
+        engine stamps its worker-churn journal on it beforehand, and
+        the fused delta pipeline annotates ``row_origin`` in place so
+        the selection layer can repair from a trusted origin map.  The
+        reference builders leave it unannotated — warm selection then
+        self-diffs.
         """
         config = self._config
         if config.use_sparse_builder and config.use_delta_builder:
@@ -609,7 +589,6 @@ class StreamingEngine:
                     reservation_filter=config.reservation_filter,
                     include_future_future_pairs=config.include_future_future_pairs,
                     index_gamma=config.index_gamma,
-                    slack=config.delta_slack,
                     rebuild_churn_ratio=config.delta_rebuild_ratio,
                     stats=self.build_stats,
                 )

@@ -1,41 +1,40 @@
 """One incremental round pipeline: per-tile persistent build state.
 
 This module fuses the repo's two incremental layers — the
-:class:`~repro.model.delta.DeltaPoolBuilder` candidate cache (PR 5)
-and warm :class:`~repro.core.triplet_select.SelectionState` repair
-(PR 6) — into the sharded build path (PR 4), so the serial engine is
-literally the K=1 case of the sharded engine instead of a parallel
-implementation:
+:class:`~repro.model.delta.DeltaPoolBuilder` candidate cache and warm
+:class:`~repro.core.triplet_select.SelectionState` repair — into the
+sharded build path, so the serial engine is literally the K=1 case of
+the sharded engine instead of a parallel implementation:
 
 - :class:`TilePipeline` owns one tile's persistent round state: the
   tile's entity lists, a :class:`DeltaPoolBuilder` in external-journal
   mode over the tile's slice of the task-index journal, and the churn
   bookkeeping that keeps both consistent across rounds.
 - :class:`TileChurnSplitter` fans the engine's single spatial-index
-  mutation journal out to per-tile op streams at *cell* granularity.
-  Entities crossing a tile border (more precisely: a tile's grow-only
-  margin zone, :class:`~repro.geo.tiles.TileZones`) drop-and-rejoin
-  exactly like slack crossings in the serial delta builder — losing
-  tiles see a synthetic remove, gaining tiles re-prime, and the
-  crossing is surfaced as a ``border_rejoin`` observability event.
+  mutation journal out to per-tile op streams at *cell* granularity:
+  an insert or remove reaches every tile whose grow-only margin zone
+  (:class:`~repro.geo.tiles.TileZones`) contains the entity's cell.
+  Engine entities never move — a relocated worker re-arrives under a
+  fresh id — so the journal carries inserts and removes only.
 - :class:`FusedRoundBuilder` orchestrates a round: it repairs a
   parent-side mirror of the global entity columns in O(churn), splits
   the journal, drives every tile pipeline through a
   :class:`TileRunner` backend (inline for serial/thread, shared-memory
   worker pool for process — see :mod:`repro.streaming.shm`), maps the
   tile-local emissions into global coordinates, and hands the merged
-  triplets to the sharded builder's phase-2 reconcile pass
-  (:func:`repro.streaming.sharding._reconcile`).  The emitted pool is
-  therefore bit-identical to both the serial delta builder and the
-  fresh builders — the same proof obligation PRs 4–6 carried.
+  triplets to the global reconcile pass (:func:`_reconcile`: merge,
+  Section III-B coupling, survivor pricing).  The emitted pool is
+  therefore bit-identical to the fresh builders
+  (:func:`~repro.model.sparse.build_problem_sparse` and the dense
+  :func:`~repro.model.instance.build_problem`).
 
 Warm selection composes through the same machinery: each tile's
 emission carries the per-row rank it held in the tile's *previous*
 emission, the parent composes those through the previous round's
 merged positions into a trusted global ``row_origin`` map, and
-annotates the round's :class:`~repro.model.delta.ChurnRecord` exactly
-like the serial delta builder does — so ``SelectionState`` repairs
-from verbatim survivors instead of self-diffing pair identities.
+annotates the round's :class:`~repro.model.delta.ChurnRecord` with
+it — so ``SelectionState`` repairs from verbatim survivors instead of
+self-diffing pair identities.
 
 Correctness hinges on one structural invariant, preserved everywhere:
 **tile entity lists are monotone subsequences of the engine's global
@@ -74,7 +73,6 @@ from concurrent.futures import Executor
 
 import numpy as np
 
-from repro.geo.box import Box
 from repro.geo.point import Point
 from repro.geo.spatial_index import SpatialIndex
 from repro.geo.tiles import TileGrid, TileZones
@@ -89,17 +87,24 @@ from repro.model.delta import (
     predicted_worker_columns,
 )
 from repro.model.entities import Task, Worker
-from repro.model.instance import ProblemInstance, validate_predicted_flags
+from repro.model.instance import (
+    ProblemInstance,
+    quality_sample_stats,
+    validate_predicted_flags,
+)
+from repro.model.pairs import PairPool
 from repro.model.quality import QualityModel
 from repro.model.sparse import (
     _EMPTY_IDX,
     _RADIUS_SLACK,
     SparseBuildStats,
+    _predicted_family_coupling,
     _task_columns,
+    _triplet_pool,
     _worker_columns,
 )
 from repro.obs.metrics import monotonic
-from repro.streaming.sharding import _ReconcileContext, _reconcile, _ShardResult
+from repro.uncertainty.vector import distance_stats_aligned
 
 __all__ = [
     "FusedRoundBuilder",
@@ -189,14 +194,9 @@ class PipelineSpec:
     """
 
     quality_model: QualityModel
-    unit_cost: float
     index_gamma: int
-    slack: float = 0.0
     rebuild_churn_ratio: float = 0.5
-    discount_by_existence: bool = True
-    reservation_filter: bool = True
     include_future_future_pairs: bool = True
-    exact_predicted_quality: bool = False
 
     def make(self, tile: int) -> "TilePipeline":
         return TilePipeline(tile, self)
@@ -221,16 +221,9 @@ class TilePipeline:
         self._task_ids: set[int] = set()
         self.builder = DeltaPoolBuilder(
             spec.quality_model,
-            spec.unit_cost,
-            None,
-            discount_by_existence=spec.discount_by_existence,
-            reservation_filter=spec.reservation_filter,
+            spec.index_gamma,
             include_future_future_pairs=spec.include_future_future_pairs,
-            exact_predicted_quality=spec.exact_predicted_quality,
-            index_gamma=spec.index_gamma,
-            slack=spec.slack,
             rebuild_churn_ratio=spec.rebuild_churn_ratio,
-            assume_static_queries=True,
         )
 
     def run_round(
@@ -288,7 +281,6 @@ class TilePipeline:
         removed: set[int] = set()
         new_keys: list[int] = []
         new_seen: set[int] = set()
-        moved: dict[int, tuple[float, float]] = {}
         for op in message.ops:
             kind, key = op[0], op[1]
             if kind == "insert":
@@ -304,15 +296,6 @@ class TilePipeline:
                     removed.add(key)
                 else:
                     return False
-            elif kind == "move":
-                if key in new_seen:
-                    continue  # the arrival object carries final coords
-                if key not in self._task_ids:
-                    return False
-                # Journal coords are authoritative (the serial delta
-                # cache's semantics): the stored object must follow,
-                # or a later re-prime rebuilds from stale positions.
-                moved[key] = (op[2], op[3])
             else:
                 return False
         arriving: list[Task] = []
@@ -332,14 +315,6 @@ class TilePipeline:
         if removed:
             self.tasks = [t for t in self.tasks if t.id not in removed]
             self._task_ids -= removed
-        if moved:
-            for position, task in enumerate(self.tasks):
-                coords = moved.get(task.id)
-                if coords is not None:
-                    point = Point(*coords)
-                    self.tasks[position] = replace(
-                        task, location=point, box=Box.from_point(point)
-                    )
         if arriving:
             self.tasks.extend(arriving)
             self._task_ids.update(t.id for t in arriving)
@@ -376,34 +351,22 @@ class TileChurnSplitter:
     Routing is by grid cell against the grow-only
     :class:`~repro.geo.tiles.TileZones` membership: an insert fans out
     to every tile whose zone contains the entity's cell, a remove to
-    the tiles of its *last known* cell, and a move decomposes per
-    tile — zone-keeping tiles see the move, zone-losing tiles a
-    synthetic remove (the incremental drop half of the border
-    crossing), and zone-*gaining* tiles are flagged for a re-prime
-    (the rejoin half: a gained entity would splice into the middle of
-    the tile's task list, which the append-only list discipline
-    forbids).  Each gaining crossing is counted as a border rejoin.
+    the tiles of its *last known* cell.
     """
 
     def __init__(self, zones: TileZones) -> None:
         self._zones = zones
         self._grid = zones.grid
         self._cell_of: dict[int, int] = {}
-        self.border_rejoins_total = 0
 
     def reset(self, keys: np.ndarray, cells: np.ndarray) -> None:
         """Rebuild the key→cell map after a full parent refresh."""
         self._cell_of = dict(zip(keys.tolist(), cells.tolist()))
 
-    def split(
-        self, ops: list
-    ) -> tuple[dict[int, list], set[int], list[int]] | None:
-        """One round's ops → (ops per tile, tiles to refresh, rejoin
-        tiles — one entry per border crossing).  ``None`` means the
-        feed contradicts the known population: refresh everything."""
+    def split(self, ops: list) -> dict[int, list] | None:
+        """One round's ops → ops per tile.  ``None`` means the feed
+        contradicts the known population: refresh everything."""
         per_tile: dict[int, list] = {}
-        refresh: set[int] = set()
-        rejoin_tiles: list[int] = []
         for op in ops:
             kind, key, x, y = op
             if kind == "insert":
@@ -419,68 +382,38 @@ class TileChurnSplitter:
                     return None
                 for tile in self._zones.tiles_of_cell(cell).tolist():
                     per_tile.setdefault(tile, []).append(op)
-            elif kind == "move":
-                old = self._cell_of.get(key)
-                if old is None:
-                    return None
-                cell = int(self._grid.cell_of(Point(x, y)))
-                self._cell_of[key] = cell
-                if cell == old:
-                    for tile in self._zones.tiles_of_cell(cell).tolist():
-                        per_tile.setdefault(tile, []).append(op)
-                    continue
-                both = self._zones.tiles_of_cells(np.array([old, cell]))
-                old_mask, new_mask = both[:, 0], both[:, 1]
-                for tile in np.flatnonzero(old_mask & new_mask).tolist():
-                    per_tile.setdefault(tile, []).append(op)
-                for tile in np.flatnonzero(old_mask & ~new_mask).tolist():
-                    per_tile.setdefault(tile, []).append(("remove", key, x, y))
-                gained = np.flatnonzero(new_mask & ~old_mask)
-                if gained.size:
-                    refresh.update(gained.tolist())
-                    rejoin_tiles.extend(gained.tolist())
-        self.border_rejoins_total += len(rejoin_tiles)
-        return per_tile, refresh, rejoin_tiles
+            else:
+                return None
+        return per_tile
 
 
 def _net_task_ops(
     ops: list, known: set[int]
-) -> tuple[set[int], dict[int, tuple[float, float]], dict[int, tuple[float, float]]] | None:
+) -> tuple[set[int], dict[int, tuple[float, float]]] | None:
     """Net one round's raw ops against the known population.
 
-    Returns ``(removed keys, net-new key → final coords, moved key →
-    final coords)`` with the delta builder's replay semantics (insert
-    of a known key is a contradiction, remove nets a same-round
-    insert away, a move of a net-new key just updates its coords), or
-    ``None`` when the feed contradicts ``known``.
+    Returns ``(removed keys, net-new key → coords)`` with the delta
+    builder's replay semantics (insert of a known key is a
+    contradiction, remove nets a same-round insert away), or ``None``
+    when the feed contradicts ``known``.
     """
     removed: set[int] = set()
     new: dict[int, tuple[float, float]] = {}
-    moved: dict[int, tuple[float, float]] = {}
     for kind, key, x, y in ops:
         if kind == "insert":
             if key in new or (key in known and key not in removed):
                 return None
             new[key] = (x, y)
-            moved.pop(key, None)
         elif kind == "remove":
             if key in new:
                 del new[key]
             elif key in known and key not in removed:
                 removed.add(key)
-                moved.pop(key, None)
-            else:
-                return None
-        elif kind == "move":
-            if key in new:
-                new[key] = (x, y)
-            elif key in known and key not in removed:
-                moved[key] = (x, y)
             else:
                 return None
         else:
             return None
-    return removed, new, moved
+    return removed, new
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +464,285 @@ class InlineTileRunner:
 
 
 # ---------------------------------------------------------------------------
+# The global reconcile pass: merge, couple, price, assemble
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _ShardResult:
+    """One tile's predicted-family index pairs, in global coordinates.
+
+    The expensive delta-method pricing of the predicted families is
+    *deferred*, like in the serial sparse builder, because the
+    reservation filter (a global decision) usually discards most of
+    them — survivors are priced afterwards, in parallel chunks.
+    """
+
+    pw_ct: tuple = (_EMPTY_IDX, _EMPTY_IDX)
+    cw_pt: tuple = (_EMPTY_IDX, _EMPTY_IDX)
+    pw_pt: tuple = (_EMPTY_IDX, _EMPTY_IDX)
+
+
+def _merge_rowmajor(parts: list[tuple]) -> tuple:
+    """Merge disjoint per-tile triplets into canonical row-major order.
+
+    Each part is ``(rows, cols, *aligned_columns)``; the ``(row, col)``
+    keys are globally unique (each pair has exactly one owning tile),
+    so one lexsort restores exactly the order the serial builder's
+    single-pass scan would have emitted.  A single part is already in
+    that order (tiles emit row-major) and passes through untouched.
+    """
+    parts = [p for p in parts if p[0].size]
+    if not parts:
+        return ()
+    if len(parts) == 1:
+        return parts[0]
+    merged = tuple(np.concatenate([p[i] for p in parts]) for i in range(len(parts[0])))
+    order = np.lexsort((merged[1], merged[0]))
+    return tuple(column[order] for column in merged)
+
+
+#: Survivor count below which reconcile pricing runs inline — the
+#: dispatch overhead would exceed the kernel time.
+_PRICE_DISPATCH_MIN = 8192
+
+
+@dataclass(frozen=True)
+class _PriceChunk:
+    """One aligned slice of surviving pairs to price."""
+
+    w_iv: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    t_iv: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _price_chunk(chunk: _PriceChunk):
+    return distance_stats_aligned(chunk.w_iv, chunk.t_iv)
+
+
+def _price_survivors(
+    executor: Executor | None,
+    num_chunks: int,
+    jobs: list[tuple],
+) -> list[tuple]:
+    """Price every family's surviving pairs, chunked across workers.
+
+    ``jobs`` holds ``(w_intervals, t_intervals, rows, cols)`` per
+    family, each with at least one pair.  The delta-method kernels are elementwise, so any chunking
+    of the aligned pair arrays produces bit-identical columns; chunks
+    of *all* families dispatch in one ``executor.map`` so no family
+    serializes behind another.  Small jobs price inline.
+    """
+    plans: list[list[tuple[int, _PriceChunk]]] = []
+    payloads: list[_PriceChunk] = []
+    for w_intervals, t_intervals, rows, cols in jobs:
+        if executor is None or rows.size < _PRICE_DISPATCH_MIN or num_chunks < 2:
+            plans.append([(-1, _PriceChunk(
+                tuple(a[rows] for a in w_intervals),
+                tuple(a[cols] for a in t_intervals),
+            ))])
+            continue
+        chunk_plan: list[tuple[int, _PriceChunk]] = []
+        for chunk_rows in np.array_split(np.arange(rows.size), num_chunks):
+            if chunk_rows.size == 0:
+                continue
+            r = rows[chunk_rows]
+            c = cols[chunk_rows]
+            chunk_plan.append((len(payloads), _PriceChunk(
+                tuple(a[r] for a in w_intervals),
+                tuple(a[c] for a in t_intervals),
+            )))
+            payloads.append(chunk_plan[-1][1])
+        plans.append(chunk_plan)
+    priced = list(executor.map(_price_chunk, payloads)) if payloads else []
+    results: list[tuple] = []
+    for plan in plans:
+        if plan[0][0] == -1:
+            results.append(_price_chunk(plan[0][1]))
+        else:
+            parts = [priced[index] for index, _ in plan]
+            results.append(
+                tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
+            )
+    return results
+
+
+@dataclass
+class _ReconcileContext:
+    """Everything the global reconcile pass needs beyond the tile
+    emissions: the round's entity lists, the coupling flags and the
+    interval columns the survivor pricing reads."""
+
+    current_workers: Sequence[Worker]
+    current_tasks: Sequence[Task]
+    predicted_workers: Sequence[Worker]
+    predicted_tasks: Sequence[Task]
+    quality_model: QualityModel
+    unit_cost: float
+    now: float
+    discount_by_existence: bool
+    reservation_filter: bool
+    include_future_future_pairs: bool
+    t_intervals: tuple | None = None
+    pw_intervals: tuple | None = None
+    cw_intervals: tuple | None = None
+    pt_intervals: tuple | None = None
+
+
+def _reconcile(
+    results: list[_ShardResult],
+    cc_parts: list[tuple],
+    ctx: _ReconcileContext,
+    executor: Executor | None,
+    num_chunks: int,
+    local: SparseBuildStats,
+) -> tuple[ProblemInstance, tuple]:
+    """Merge the disjoint tile triplets, couple, price, emit.
+
+    ``cc_parts`` holds each tile's current×current part as ``(rows,
+    cols, dist, quality, *extras)``.  The *extra* aligned columns (the
+    row-origin plumbing) are merged through the same single lexsort
+    and handed back as the second return value, in the emitted cc
+    order.
+
+    Everything here genuinely couples tiles: the Section III-B sample
+    statistics accumulate over all current pairs in canonical order,
+    existence and the reservation filter re-price border candidates
+    against global competition, and the surviving predicted pairs are
+    priced in parallel chunks.  Identical accumulation inputs in
+    identical order make every downstream float match the serial
+    builders exactly.
+    """
+    n, m, k, l = (
+        len(ctx.current_workers), len(ctx.current_tasks),
+        len(ctx.predicted_workers), len(ctx.predicted_tasks),
+    )
+    unit_cost = ctx.unit_cost
+    prior = ctx.quality_model.prior()
+    pools: list[PairPool] = []
+
+    merged = _merge_rowmajor(cc_parts)
+    if merged:
+        cc_rows, cc_cols, cc_dist, cc_quality = merged[:4]
+        cc_extras = tuple(merged[4:])
+    else:
+        cc_rows = cc_cols = _EMPTY_IDX
+        cc_dist = cc_quality = _EMPTY_F
+        cc_extras = ()
+    if cc_rows.size:
+        cost_cc = unit_cost * cc_dist
+        zeros = np.zeros_like(cc_dist)
+        pools.append(
+            _triplet_pool(
+                cc_rows,
+                cc_cols,
+                worker_offset=0,
+                task_offset=0,
+                cost=(cost_cc, zeros, cost_cc, cost_cc),
+                quality=(cc_quality, zeros, cc_quality, cc_quality),
+                existence=np.ones_like(cc_dist),
+                is_current=True,
+            )
+        )
+        local.emitted += int(cc_rows.size)
+
+    # Global coupling statistics: identical accumulation inputs in
+    # identical order, so every downstream float matches the serial
+    # build exactly.
+    stats_cc = quality_sample_stats(cc_rows, cc_cols, cc_quality, n, m, prior)
+    exist_task = np.minimum(stats_cc.task_count / max(n, 1), 1.0)
+    exist_worker = np.minimum(stats_cc.worker_count / max(m, 1), 1.0)
+
+    def _merged_family(select) -> tuple[np.ndarray, np.ndarray]:
+        parts = [pair for pair in (select(r) for r in results) if pair[0].size]
+        merged = _merge_rowmajor(parts)
+        if not merged:
+            return _EMPTY_IDX, _EMPTY_IDX
+        return merged
+
+    # Each family: apply the global coupling (existence, quality
+    # estimates, discount, reservation filter) on the merged index
+    # pairs, then queue the survivors for the joint pricing pass —
+    # exactly the pairs (and values) the serial builder prices.
+    pending: list[dict] = []
+
+    def _couple(rows, cols, side, index, existence, w_intervals, t_intervals,
+                worker_offset, task_offset) -> None:
+        quality, keep = _predicted_family_coupling(
+            stats_cc, side, index, existence,
+            ctx.discount_by_existence, ctx.reservation_filter,
+        )
+        if keep is not None:
+            rows, cols = rows[keep], cols[keep]
+            quality = tuple(a[keep] for a in quality)
+            existence = existence[keep]
+        if rows.size:
+            pending.append(dict(
+                rows=rows, cols=cols, quality=quality, existence=existence,
+                w_intervals=w_intervals, t_intervals=t_intervals,
+                worker_offset=worker_offset, task_offset=task_offset,
+            ))
+
+    # ---- predicted workers x current tasks --------------------------------
+    if k and m:
+        rows, cols = _merged_family(lambda r: r.pw_ct)
+        if rows.size:
+            _couple(rows, cols, "task", cols, exist_task[cols],
+                    ctx.pw_intervals, ctx.t_intervals, n, 0)
+
+    # ---- current workers x predicted tasks --------------------------------
+    if n and l:
+        rows, cols = _merged_family(lambda r: r.cw_pt)
+        if rows.size:
+            _couple(rows, cols, "worker", rows, exist_worker[rows],
+                    ctx.cw_intervals, ctx.pt_intervals, 0, m)
+
+    # ---- predicted workers x predicted tasks -------------------------------
+    if k and l and ctx.include_future_future_pairs:
+        rows, cols = _merged_family(lambda r: r.pw_pt)
+        if rows.size:
+            existence_value = min(stats_cc.total_valid / max(n * m, 1), 1.0)
+            _couple(rows, cols, "global", rows, np.full(rows.size, existence_value),
+                    ctx.pw_intervals, ctx.pt_intervals, n, m)
+
+    # ---- price the survivors, emit in family order ------------------------
+    priced = _price_survivors(
+        executor,
+        num_chunks,
+        [(job["w_intervals"], job["t_intervals"], job["rows"], job["cols"])
+         for job in pending],
+    )
+    for job, (d_mean, d_var, d_lb, d_ub) in zip(pending, priced):
+        pools.append(
+            _triplet_pool(
+                job["rows"],
+                job["cols"],
+                worker_offset=job["worker_offset"],
+                task_offset=job["task_offset"],
+                cost=(
+                    unit_cost * d_mean,
+                    unit_cost**2 * d_var,
+                    unit_cost * d_lb,
+                    unit_cost * d_ub,
+                ),
+                quality=job["quality"],
+                existence=job["existence"],
+                is_current=False,
+            )
+        )
+        local.emitted += int(job["rows"].size)
+
+    instance = ProblemInstance(
+        workers=list(ctx.current_workers) + list(ctx.predicted_workers),
+        tasks=list(ctx.current_tasks) + list(ctx.predicted_tasks),
+        num_current_workers=n,
+        num_current_tasks=m,
+        pool=PairPool.concatenate(pools),
+        now=ctx.now,
+    )
+    return instance, cc_extras
+
+
+# ---------------------------------------------------------------------------
 # FusedRoundBuilder: the parent-side orchestrator
 # ---------------------------------------------------------------------------
 
@@ -539,8 +751,7 @@ class FusedRoundBuilder:
     """Round builder with persistent per-tile state, fused end to end.
 
     Same contract (and bit-identical output) as
-    :func:`~repro.streaming.sharding.build_problem_sharded` and the
-    serial :class:`~repro.model.delta.DeltaPoolBuilder` on the same
+    :func:`~repro.model.sparse.build_problem_sparse` on the same
     arguments — but steady-state cost O(churn + valid pairs) per
     round, across every backend.  Construct once per stream with the
     engine's maintained task index (the builder subscribes to its
@@ -564,19 +775,12 @@ class FusedRoundBuilder:
         discount_by_existence: bool = True,
         reservation_filter: bool = True,
         include_future_future_pairs: bool = True,
-        exact_predicted_quality: bool = False,
         index_gamma: int | None = None,
-        slack: float = 0.0,
         rebuild_churn_ratio: float = 0.5,
-        margin_floor: float = 0.0,
         stats: SparseBuildStats | None = None,
     ) -> None:
-        if slack > 0.0 and tiles.num_tiles > 1:
-            raise ValueError(
-                "per-tile delta pools do not support motion slack: a "
-                "slack-drifting anchor has no single owning tile (run "
-                "one tile, or slack=0)"
-            )
+        if unit_cost < 0.0:
+            raise ValueError(f"unit cost must be non-negative, got {unit_cost}")
         self._quality_model = quality_model
         self._unit_cost = float(unit_cost)
         self._tiles = tiles
@@ -585,22 +789,15 @@ class FusedRoundBuilder:
         self._discount = discount_by_existence
         self._reservation = reservation_filter
         self._future_future = include_future_future_pairs
-        self._exact_predicted = exact_predicted_quality
-        self._margin_floor = float(margin_floor)
         self._stats = stats
         self._executor = executor
         self._zones = TileZones(tiles, self._grid)
         self._splitter = TileChurnSplitter(self._zones)
         spec = PipelineSpec(
             quality_model=quality_model,
-            unit_cost=unit_cost,
             index_gamma=index_gamma or task_index.grid.gamma,
-            slack=float(slack),
             rebuild_churn_ratio=rebuild_churn_ratio,
-            discount_by_existence=discount_by_existence,
-            reservation_filter=reservation_filter,
             include_future_future_pairs=include_future_future_pairs,
-            exact_predicted_quality=exact_predicted_quality,
         )
         self._spec = spec
         if runner_factory is not None:
@@ -688,8 +885,6 @@ class FusedRoundBuilder:
             aggregate.cols_joined += tile_stats.cols_joined
             aggregate.pairs_cached += tile_stats.pairs_cached
             aggregate.revalidated += tile_stats.revalidated
-            aggregate.moved_within_slack += tile_stats.moved_within_slack
-            aggregate.rejoined_for_motion += tile_stats.rejoined_for_motion
         return aggregate
 
     def close(self) -> None:
@@ -770,14 +965,15 @@ class FusedRoundBuilder:
     ) -> ProblemInstance:
         """One round's problem, repaired per tile from persistent state.
 
-        ``churn`` plays the same double role as in
-        :meth:`DeltaPoolBuilder.build`: it carries the engine's
-        trusted worker-churn hints in, and is annotated with the
-        round's ``row_origin``/``prev_pool_rows`` on the way out (a
-        record is annotated on :attr:`last_churn` even when the caller
-        passes none).  ``tile_phases`` and ``pool_events`` receive
-        per-tile timings and pool lifecycle events for the observer,
-        appended in place like the sharded builder's ``tile_phases``.
+        ``churn`` plays a double role: it carries the engine's trusted
+        worker-churn hints in (see :meth:`DeltaPoolBuilder.repair`),
+        and is annotated with the round's ``row_origin``/
+        ``prev_pool_rows`` on the way out (a record is annotated on
+        :attr:`last_churn` even when the caller passes none).
+        ``tile_phases`` receives ``(tile, seconds)`` per tile build plus
+        a final ``(-1, seconds)`` for the reconcile pass, and
+        ``pool_events`` one ``(tile, "repair" | "prime")`` entry per
+        tile — both appended in place for the observer.
         """
         validate_predicted_flags(predicted_workers, predicted_tasks)
         n, m = len(current_workers), len(current_tasks)
@@ -796,19 +992,13 @@ class FusedRoundBuilder:
 
         # ---- split the journal + repair the parent mirror -----------------
         per_tile_ops: dict[int, list] = {}
-        refresh_tiles: set[int] = set()
-        rejoin_tiles: list[int] = []
         w_arrivals_by_tile: dict[int, list[Worker]] = {}
         w_removed_by_tile: dict[int, list[int]] = {}
         new_task_objs: dict[int, Task] = {}
         if not full_refresh:
-            split_out = self._splitter.split(ops)
+            per_tile_ops = self._splitter.split(ops)
             net = _net_task_ops(ops, self._t_key_set)
-            if split_out is None or net is None:
-                full_refresh = True
-            else:
-                per_tile_ops, move_refresh, rejoin_tiles = split_out
-                refresh_tiles |= move_refresh
+            full_refresh = per_tile_ops is None or net is None
         if not full_refresh:
             worker_hints = (
                 (churn.worker_arrivals, churn.worker_removed_ids)
@@ -828,7 +1018,6 @@ class FusedRoundBuilder:
             self._refresh_mirror(current_workers, current_tasks)
             self._splitter.reset(self._t_ids, self._t_cells)
             per_tile_ops = {}
-            rejoin_tiles = []
             w_arrivals_by_tile = {}
             w_removed_by_tile = {}
             new_task_objs = {}
@@ -838,7 +1027,7 @@ class FusedRoundBuilder:
         pt_cols = predicted_task_columns(predicted_tasks)
         build_pt_blocks = bool(l and (n or (k and self._future_future)))
         margin_ct = self._margin_ct(n, m, k, now, pw_cols)
-        refresh_tiles.update(self._zones.ensure(margin_ct))
+        refresh_tiles = set(self._zones.ensure(margin_ct))
         if full_refresh:
             refresh_tiles = set(range(num_tiles))
 
@@ -936,7 +1125,7 @@ class FusedRoundBuilder:
                     (tile, "repair" if outcome.incremental else "prime")
                 )
             wmap, tmap, pmap = w_pos[tile], t_pos[tile], pw_pos[tile]
-            result = _ShardResult(build_seconds=emission.build_seconds)
+            result = _ShardResult()
             if emission.cc_rows is not None and emission.cc_rows.size:
                 rows_g = wmap[emission.cc_rows]
                 cols_g = tmap[emission.cc_cols]
@@ -956,10 +1145,8 @@ class FusedRoundBuilder:
             if ff_rows is not None and ff_rows.size:
                 result.pw_pt = (pmap[ff_rows], ff_cols)
             results.append(result)
-        if pool_events is not None:
-            pool_events.extend((tile, "border_rejoin") for tile in rejoin_tiles)
 
-        # ---- phase 2: the global reconcile pass ---------------------------
+        # ---- the global reconcile pass ------------------------------------
         reconcile_started = monotonic()
         ctx = _ReconcileContext(
             current_workers=current_workers,
@@ -972,7 +1159,6 @@ class FusedRoundBuilder:
             discount_by_existence=self._discount,
             reservation_filter=self._reservation,
             include_future_future_pairs=self._future_future,
-            exact_predicted_quality=self._exact_predicted,
             t_intervals=(self._tx, self._tx, self._ty, self._ty) if m else None,
             pw_intervals=pw_cols.intervals if pw_cols is not None else None,
             cw_intervals=(self._wx, self._wx, self._wy, self._wy)
@@ -983,7 +1169,7 @@ class FusedRoundBuilder:
             else None,
         )
         instance, extras = _reconcile(
-            results, cc_parts, True, ctx, self._executor, num_tiles, local
+            results, cc_parts, ctx, self._executor, num_tiles, local
         )
         if extras:
             origin_merged, tag_merged = extras
@@ -1082,13 +1268,11 @@ class FusedRoundBuilder:
     ) -> bool:
         """O(churn) repair of the task columns from the netted journal.
 
-        Journal coordinates are authoritative for cells and anchors
-        (the same semantics as the serial delta builder's cache), so a
-        mover's cell tracks the index even when its entity object is
-        stale; deadlines and arrivals come from the tail objects,
-        whose ids are verified against the net-new keys.
+        Journal coordinates are authoritative for cells; deadlines and
+        arrivals come from the tail objects, whose ids are verified
+        against the net-new keys.
         """
-        removed, new, moved = net
+        removed, new = net
         if removed:
             gone = np.fromiter(removed, dtype=np.int64, count=len(removed))
             drop = np.isin(self._t_ids, gone)
@@ -1100,13 +1284,6 @@ class FusedRoundBuilder:
             self._tdl, self._tarr = self._tdl[keep], self._tarr[keep]
             self._t_cells = self._t_cells[keep]
             self._t_key_set -= removed
-        for key, (x, y) in moved.items():
-            at = np.flatnonzero(self._t_ids == key)
-            if at.size != 1:
-                return False
-            self._tx[at[0]] = x
-            self._ty[at[0]] = y
-            self._t_cells[at[0]] = int(self._grid.cell_of(Point(x, y)))
         if new:
             tail = list(current_tasks[len(current_tasks) - len(new):])
             if [t.id for t in tail] != list(new.keys()):
@@ -1180,9 +1357,13 @@ class FusedRoundBuilder:
         self, n: int, m: int, k: int, now: float,
         pw_cols: PredictedWorkerColumns | None,
     ) -> float:
-        """One reachable radius for the current-task side, the same
-        formula as ``build_problem_sharded`` (current entities are
-        degenerate here, so the task-reach term is exactly zero)."""
+        """One reachable radius for the current-task side: every task a
+        tile-owned query entity can validly pair with lies within it of
+        the tile (current tasks are degenerate, so no task-reach term).
+        A valid pair satisfies ``d_lb <= horizon * velocity`` with
+        ``horizon <= deadline_max - now``, and a predicted worker's
+        point distance exceeds ``d_lb`` by at most its kernel reach;
+        the slack mirrors ``_RADIUS_SLACK``."""
         radii: list[float] = []
         if m:
             deadline_max = float(self._tdl.max())
@@ -1195,7 +1376,7 @@ class FusedRoundBuilder:
                 )
                 radii.append(float((pw_cols.vel * horizon + pw_cols.reach).max()))
         radius = max(radii, default=0.0)
-        return radius * (1.0 + _RADIUS_SLACK) + _RADIUS_SLACK + self._margin_floor
+        return radius * (1.0 + _RADIUS_SLACK) + _RADIUS_SLACK
 
     def _expectations(
         self, tile: int, wmap: np.ndarray, tmap: np.ndarray

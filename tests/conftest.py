@@ -54,18 +54,21 @@ class ChurnWorld:
     """A scriptable stream of entity lifecycle events.
 
     The shared substrate of the adversarial churn corpus: the delta
-    differential (``test_model_delta``) and the selection-state
-    differential (``test_selection_state``) both drive one of these
-    through the same :class:`AdversarialScenario` scripts, so the two
+    differential (``test_model_delta``), the selection-state
+    differential (``test_selection_state``) and the per-tile pipeline
+    differential (``test_round_pipeline``) all drive one of these
+    through the same :class:`AdversarialScenario` scripts, so the
     incremental layers — pool maintenance and selection repair — face
     the exact same worst-case event streams.
+
+    Entities never move in place: a relocation retires the entity and
+    re-arrives it under a fresh id at the new point, which is how the
+    streaming engine models movement (a released worker rejoins at its
+    task's location under a new id).
     """
 
-    def __init__(
-        self, rng: np.random.Generator, slack: float, index_gamma: int = 16
-    ):
+    def __init__(self, rng: np.random.Generator, index_gamma: int = 16):
         self.rng = rng
-        self.slack = slack
         self.index = SpatialIndex(GridIndex(index_gamma))
         self.workers: list[Worker] = []
         self.tasks: list[Task] = []
@@ -98,10 +101,12 @@ class ChurnWorld:
             self.tasks.append(task)
             self.index.insert(task.id, task.location)
 
-    def remove_workers(self, count: int) -> None:
+    def remove_workers(self, count: int) -> list[int]:
+        removed = []
         for _ in range(min(count, len(self.workers))):
             position = int(self.rng.integers(len(self.workers)))
-            self.workers.pop(position)
+            removed.append(self.workers.pop(position).id)
+        return removed
 
     def remove_tasks(self, count: int) -> None:
         for _ in range(min(count, len(self.tasks))):
@@ -109,29 +114,39 @@ class ChurnWorld:
             task = self.tasks.pop(position)
             self.index.remove(task.id)
 
+    def _displaced(self, location: Point, scale: float) -> Point:
+        step = self.rng.uniform(-scale, scale, 2)
+        return Point(_clip01(location.x + step[0]), _clip01(location.y + step[1]))
+
     def move_tasks(self, count: int, scale: float) -> None:
+        """Relocate random tasks: each re-arrives under a fresh id up to
+        ``scale`` away (same deadline), appended at the list tail."""
         for _ in range(min(count, len(self.tasks))):
             position = int(self.rng.integers(len(self.tasks)))
-            task = self.tasks[position]
-            step = self.rng.uniform(-scale, scale, 2)
-            point = Point(
-                _clip01(task.location.x + step[0]), _clip01(task.location.y + step[1])
+            task = self.tasks.pop(position)
+            self.index.remove(task.id)
+            point = self._displaced(task.location, scale)
+            moved = replace(
+                task, id=self._new_id(), location=point, box=Box.from_point(point)
             )
-            moved = replace(task, location=point, box=Box.from_point(point))
-            self.tasks[position] = moved
-            self.index.move(moved.id, point)
+            self.tasks.append(moved)
+            self.index.insert(moved.id, point)
 
     def move_workers(self, count: int, scale: float) -> None:
+        """Relocate random workers: each re-arrives under a fresh id up
+        to ``scale`` away, arriving now, appended at the list tail."""
         for _ in range(min(count, len(self.workers))):
             position = int(self.rng.integers(len(self.workers)))
-            worker = self.workers[position]
-            step = self.rng.uniform(-scale, scale, 2)
-            point = Point(
-                _clip01(worker.location.x + step[0]),
-                _clip01(worker.location.y + step[1]),
-            )
-            self.workers[position] = replace(
-                worker, location=point, box=Box.from_point(point)
+            worker = self.workers.pop(position)
+            point = self._displaced(worker.location, scale)
+            self.workers.append(
+                replace(
+                    worker,
+                    id=self._new_id(),
+                    location=point,
+                    box=Box.from_point(point),
+                    arrival=self.now,
+                )
             )
 
     def predicted(self, use_prediction: bool):
@@ -166,17 +181,18 @@ class AdversarialScenario:
     drive: Callable[[ChurnWorld, int], None]
 
 
-def _slack_boundary_oscillator(world: ChurnWorld, i: int) -> None:
-    # Entities jitter just inside the motion-slack radius on even
-    # rounds and jump just past it on odd rounds, so cached join
-    # results oscillate between reusable and stale every round.
+def _relocation_oscillator(world: ChurnWorld, i: int) -> None:
+    # Entities relocate (retire + re-arrive under a fresh id) by short
+    # hops that mostly stay in their grid cell on even rounds and by
+    # long jumps across cell and tile borders on odd rounds, so every
+    # round splices rows and columns out of the middle and back in at
+    # the tail, and per-tile pools see entities leave and enter their
+    # zones.
     world.now += 0.3
     if i == 0:
         world.arrive_workers(10)
         world.arrive_tasks(12)
-    inside = world.slack * 0.9
-    outside = world.slack * 1.8 + 0.03
-    scale = inside if i % 2 == 0 else outside
+    scale = 0.02 if i % 2 == 0 else 0.35
     world.move_tasks(6, scale)
     world.move_workers(4, scale)
     world.arrive_tasks(1)
@@ -200,9 +216,9 @@ def _mass_expiry_cliff(world: ChurnWorld, i: int) -> None:
 
 
 def _churn_storm(world: ChurnWorld, i: int) -> None:
-    # Half the population is replaced every round while the rest moves
-    # past the slack boundary: survivors, dead rows and fresh rows are
-    # all large simultaneously.
+    # Half the population is replaced every round while a few more
+    # tasks relocate: survivors, dead rows and fresh rows are all large
+    # simultaneously.
     world.now += 0.4
     if i == 0:
         world.arrive_workers(12)
@@ -212,7 +228,7 @@ def _churn_storm(world: ChurnWorld, i: int) -> None:
     world.arrive_tasks(len(world.tasks) // 2 + 3)
     world.remove_workers(len(world.workers) // 2)
     world.arrive_workers(len(world.workers) // 2 + 2)
-    world.move_tasks(3, world.slack * 3.0 + 0.05)
+    world.move_tasks(3, 0.15)
 
 
 def _burst_then_quiet(world: ChurnWorld, i: int) -> None:
@@ -229,10 +245,10 @@ def _burst_then_quiet(world: ChurnWorld, i: int) -> None:
 #: every entry must drive only the ChurnWorld protocol.
 ADVERSARIAL_CHURN_CORPUS = (
     AdversarialScenario(
-        "slack_boundary_oscillator",
-        "motion oscillating across the slack radius every round",
+        "relocation_oscillator",
+        "relocations alternating in-cell hops and cross-tile jumps",
         6,
-        _slack_boundary_oscillator,
+        _relocation_oscillator,
     ),
     AdversarialScenario(
         "mass_expiry_cliff",
@@ -242,7 +258,7 @@ ADVERSARIAL_CHURN_CORPUS = (
     ),
     AdversarialScenario(
         "churn_storm",
-        "half the population replaced every round, survivors moving",
+        "half the population replaced every round, a few relocating",
         5,
         _churn_storm,
     ),

@@ -256,45 +256,17 @@ class TestStreamCommand:
         ) == 2
         assert "sparse builder" in capsys.readouterr().err
 
-    def test_stream_shards_reject_delta_slack(self, capsys):
-        """--shards + --delta + positive --delta-slack is unsupported
-        (per-tile pools have no motion slack) and must error, not
-        silently drop the incremental flags."""
+    def test_stream_shards_reject_no_delta(self, capsys):
+        """The sharded engine runs the fused delta pipeline only:
+        --shards with --no-delta is an unsupported combination and
+        must error, not silently fall back."""
         assert main(
             [
-                "stream", "--shards", "2", "--delta-slack", "0.05",
+                "stream", "--shards", "2", "--no-delta",
                 "--workers", "10", "--tasks", "10",
             ]
         ) == 2
-        assert "motion slack" in capsys.readouterr().err
-
-    def test_stream_sharded_no_delta_uses_fresh_builds(self, capsys, tmp_path):
-        """The sharded engine honors --no-delta (legacy fresh path)
-        and the slack combination becomes legal again."""
-        import json
-
-        path = tmp_path / "fresh.json"
-        assert main(
-            [
-                "stream", "--scenario", "bursty", "--workers", "40",
-                "--tasks", "40", "--instances", "2", "--shards", "2",
-                "--backend", "serial", "--no-delta", "--delta-slack", "0.05",
-                "--json", str(path),
-            ]
-        ) == 0
-        capsys.readouterr()
-        summary = json.loads(path.read_text())
-        assert summary["builder"] == "sparse"
-
-    def test_stream_sharded_delta_slack_zero_allowed(self, capsys):
-        assert main(
-            [
-                "stream", "--scenario", "bursty", "--workers", "30",
-                "--tasks", "30", "--instances", "2", "--shards", "2",
-                "--backend", "serial", "--delta-slack", "0.0",
-            ]
-        ) == 0
-        capsys.readouterr()
+        assert "delta builder" in capsys.readouterr().err
 
     def test_stream_dense_mode(self, capsys):
         assert main(

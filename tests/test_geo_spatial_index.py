@@ -127,49 +127,22 @@ class TestQueries:
 
 
 class TestVersionAndJournal:
-    """Mutation versioning and subscriber change logs."""
-
-    def test_version_bumps_on_every_mutation(self):
-        index = SpatialIndex(4)
-        assert index.version == 0
-        index.insert(1, Point(0.2, 0.2))
-        index.insert(2, Point(0.8, 0.8))
-        assert index.version == 2
-        index.move(1, Point(0.25, 0.2))
-        assert index.version == 3
-        index.remove(2)
-        assert index.version == 4
-
-    def test_move_relocates_across_cells(self):
-        index = SpatialIndex(4)
-        index.insert(7, Point(0.1, 0.1))
-        index.move(7, Point(0.9, 0.9))
-        assert index.location(7) == Point(0.9, 0.9)
-        assert index.query_radius(Point(0.9, 0.9), 0.05).tolist() == [7]
-        assert index.query_radius(Point(0.1, 0.1), 0.05).tolist() == []
-
-    def test_move_within_cell_updates_coordinates(self):
-        index = SpatialIndex(2)
-        index.insert(3, Point(0.1, 0.1))
-        index.move(3, Point(0.2, 0.15))
-        assert index.location(3) == Point(0.2, 0.15)
-
-    def test_move_missing_key_raises(self):
-        with pytest.raises(KeyError):
-            SpatialIndex(4).move(1, Point(0.5, 0.5))
+    """Subscriber change logs."""
 
     def test_journal_records_ops_in_order(self):
         index = SpatialIndex(4)
         index.insert(1, Point(0.2, 0.2))  # before subscribe: unseen
         log = index.subscribe()
         index.insert(2, Point(0.6, 0.6))
-        index.move(2, Point(0.7, 0.7))
+        index.remove(2)
+        index.insert(2, Point(0.7, 0.7))
         index.remove(1)
         ops, overflowed = log.drain()
         assert not overflowed
         assert ops == [
             ("insert", 2, 0.6, 0.6),
-            ("move", 2, 0.7, 0.7),
+            ("remove", 2, 0.6, 0.6),
+            ("insert", 2, 0.7, 0.7),
             ("remove", 1, 0.2, 0.2),
         ]
         assert log.drain() == ([], False)

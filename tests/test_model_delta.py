@@ -1,33 +1,35 @@
 """Differential tests: incremental round-over-round pool maintenance.
 
-Random event sequences — arrivals, expiries, assignments, and motion
-including slack-boundary crossings — must leave the
-:class:`~repro.model.delta.DeltaPoolBuilder` emitting pools
-bit-identical to a fresh :func:`~repro.model.sparse.
-build_problem_sparse` build every round, for both prediction legs,
-with trusted churn hints and with the builder deriving the diff
-itself.  The fallback triggers (clock regression, journal overflow,
-churn ratio, list/journal disagreement) are exercised separately: the
-builder must stay *total* — exact output, merely repaired less often.
+The serial engine maintains its candidate pool through the fused round
+pipeline's K=1 case — one :class:`~repro.streaming.pipeline.
+TilePipeline` around a :class:`~repro.model.delta.DeltaPoolBuilder`,
+plus the global reconcile pass — so that is what these tests drive:
+:class:`~repro.streaming.pipeline.FusedRoundBuilder` over
+``TileGrid(1, 1)``.  Random event sequences — arrivals, expiries,
+assignments and relocations (a retire plus a re-arrival under a fresh
+id) — must leave it emitting pools bit-identical to a fresh
+:func:`~repro.model.sparse.build_problem_sparse` build every round,
+for both prediction legs, with trusted churn hints and with the
+builder deriving the diff itself.  The fallback triggers (clock
+regression, journal overflow, churn ratio, list/journal disagreement,
+explicit invalidation) are exercised separately: the builder must stay
+*total* — exact output, merely repaired less often.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo.box import Box
 from repro.geo.grid import GridIndex
-from repro.geo.point import Point
 from repro.geo.spatial_index import SpatialIndex
-from repro.model.delta import DeltaPoolBuilder
-from repro.model.entities import Task, Worker
+from repro.geo.tiles import TileGrid
+from repro.model.delta import ChurnRecord
 from repro.model.sparse import build_problem_sparse
-from repro.testing import make_predicted_tasks, make_predicted_workers
+from repro.streaming.pipeline import FusedRoundBuilder
+from repro.testing import make_predicted_workers
 from repro.workloads.quality import HashQualityModel
 
 _POOL_COLUMNS = (
@@ -46,8 +48,7 @@ _POOL_COLUMNS = (
 )
 
 #: Fine enough that cell-granularity gather padding (half a cell side,
-#: 1/32) cannot silently absorb a missing slack term in a join radius —
-#: the tested slacks go up to 0.1.
+#: 1/32) cannot silently absorb a missing term in a join radius.
 _GAMMA = 16
 _UNIT_COST = 10.0
 
@@ -60,121 +61,28 @@ def _assert_pools_identical(expected, actual):
         )
 
 
-def _clip01(value: float) -> float:
-    return float(min(max(value, 0.0), 1.0))
+def _make_builder(world, qm, **kwargs) -> FusedRoundBuilder:
+    return FusedRoundBuilder(
+        qm, _UNIT_COST, TileGrid(1, 1), world.index, index_gamma=_GAMMA, **kwargs
+    )
 
 
-class _World:
-    """A random stream of entity lifecycle events driven by one rng."""
-
-    def __init__(self, rng: np.random.Generator, slack: float):
-        self.rng = rng
-        self.slack = slack
-        self.index = SpatialIndex(GridIndex(_GAMMA))
-        self.workers: list[Worker] = []
-        self.tasks: list[Task] = []
-        self.now = 0.0
-        self._next_id = 0
-
-    def _new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
-    def arrive_workers(self, count: int) -> None:
-        for _ in range(count):
-            self.workers.append(
-                Worker(
-                    id=self._new_id(),
-                    location=Point(*self.rng.uniform(0.0, 1.0, 2)),
-                    velocity=float(self.rng.uniform(0.05, 0.4)),
-                    arrival=self.now,
-                )
-            )
-
-    def arrive_tasks(self, count: int) -> None:
-        for _ in range(count):
-            task = Task(
-                id=self._new_id(),
-                location=Point(*self.rng.uniform(0.0, 1.0, 2)),
-                deadline=self.now + float(self.rng.uniform(0.3, 3.0)),
-                arrival=self.now,
-            )
-            self.tasks.append(task)
-            self.index.insert(task.id, task.location)
-
-    def remove_workers(self, count: int) -> list[int]:
-        removed = []
-        for _ in range(min(count, len(self.workers))):
-            position = int(self.rng.integers(len(self.workers)))
-            removed.append(self.workers.pop(position).id)
-        return removed
-
-    def remove_tasks(self, count: int) -> None:
-        for _ in range(min(count, len(self.tasks))):
-            position = int(self.rng.integers(len(self.tasks)))
-            task = self.tasks.pop(position)
-            self.index.remove(task.id)
-
-    def move_tasks(self, count: int, scale: float) -> None:
-        """Displace random tasks; ``scale`` around the slack boundary
-        exercises both the keep-cached and the drop-and-rejoin path."""
-        for _ in range(min(count, len(self.tasks))):
-            position = int(self.rng.integers(len(self.tasks)))
-            task = self.tasks[position]
-            step = self.rng.uniform(-scale, scale, 2)
-            point = Point(
-                _clip01(task.location.x + step[0]), _clip01(task.location.y + step[1])
-            )
-            moved = replace(task, location=point, box=Box.from_point(point))
-            self.tasks[position] = moved
-            self.index.move(moved.id, point)
-
-    def move_workers(self, count: int, scale: float) -> None:
-        for _ in range(min(count, len(self.workers))):
-            position = int(self.rng.integers(len(self.workers)))
-            worker = self.workers[position]
-            step = self.rng.uniform(-scale, scale, 2)
-            point = Point(
-                _clip01(worker.location.x + step[0]),
-                _clip01(worker.location.y + step[1]),
-            )
-            self.workers[position] = replace(
-                worker, location=point, box=Box.from_point(point)
-            )
-
-    def random_round(self, allow_worker_motion: bool) -> None:
-        rng = self.rng
-        self.now += float(rng.uniform(0.0, 0.6))
-        self.arrive_workers(int(rng.integers(0, 5)))
-        self.arrive_tasks(int(rng.integers(0, 6)))
-        self.remove_workers(int(rng.integers(0, 3)))
-        self.remove_tasks(int(rng.integers(0, 3)))
-        if rng.random() < 0.7:
-            # Mix sub-slack jitter with boundary-crossing jumps.
-            self.move_tasks(int(rng.integers(0, 3)), self.slack * 0.8)
-            self.move_tasks(int(rng.integers(0, 2)), self.slack * 3.0 + 0.05)
-        if allow_worker_motion and rng.random() < 0.7:
-            self.move_workers(int(rng.integers(0, 3)), self.slack * 0.8)
-            self.move_workers(int(rng.integers(0, 2)), self.slack * 3.0 + 0.05)
-
-    def predicted(self, use_prediction: bool):
-        if not use_prediction:
-            return [], []
-        k = int(self.rng.integers(0, 5))
-        l = int(self.rng.integers(0, 5))
-        seed = int(self.rng.integers(0, 2**31))
-        prng = np.random.default_rng(seed)
-        return (
-            make_predicted_workers(
-                prng, k, arrival=self.now + 0.5, id_offset=5_000_000
-            ),
-            make_predicted_tasks(
-                prng, l, arrival=self.now + 0.5, id_offset=6_000_000
-            ),
-        )
+def _random_round(world) -> None:
+    rng = world.rng
+    world.now += float(rng.uniform(0.0, 0.6))
+    world.arrive_workers(int(rng.integers(0, 5)))
+    world.arrive_tasks(int(rng.integers(0, 6)))
+    world.remove_workers(int(rng.integers(0, 3)))
+    world.remove_tasks(int(rng.integers(0, 3)))
+    if rng.random() < 0.7:
+        # Mix in-cell hops with long cross-cell relocations.
+        world.move_tasks(int(rng.integers(0, 3)), 0.02)
+        world.move_tasks(int(rng.integers(0, 2)), 0.35)
+        world.move_workers(int(rng.integers(0, 3)), 0.02)
+        world.move_workers(int(rng.integers(0, 2)), 0.35)
 
 
-def _check_round(world: _World, builder: DeltaPoolBuilder, qm, use_prediction: bool):
+def _check_round(world, builder: FusedRoundBuilder, qm, use_prediction: bool):
     predicted_workers, predicted_tasks = world.predicted(use_prediction)
     fresh = build_problem_sparse(
         world.workers,
@@ -187,7 +95,7 @@ def _check_round(world: _World, builder: DeltaPoolBuilder, qm, use_prediction: b
         task_index=world.index if world.tasks else None,
         index_gamma=_GAMMA,
     )
-    maintained = builder.build(
+    maintained = builder.build_round(
         world.workers, world.tasks, predicted_workers, predicted_tasks, world.now
     )
     _assert_pools_identical(fresh, maintained)
@@ -196,35 +104,24 @@ def _check_round(world: _World, builder: DeltaPoolBuilder, qm, use_prediction: b
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     rounds=st.integers(min_value=2, max_value=8),
-    slack=st.sampled_from([0.0, 0.03, 0.1]),
     use_prediction=st.booleans(),
-    static_queries=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
 def test_delta_bit_identical_under_random_event_sequences(
-    seed, rounds, slack, use_prediction, static_queries
+    churn_world_cls, seed, rounds, use_prediction
 ):
-    """The core differential: every round of a random lifecycle/motion
-    stream emits a pool bit-identical to a fresh sparse build."""
+    """The core differential: every round of a random lifecycle and
+    relocation stream emits a pool bit-identical to a fresh sparse
+    build."""
     rng = np.random.default_rng(seed)
     qm = HashQualityModel((0.0, 1.0), seed=3)
-    world = _World(rng, slack=max(slack, 0.02))
+    world = churn_world_cls(rng, index_gamma=_GAMMA)
     world.arrive_workers(int(rng.integers(0, 12)))
     world.arrive_tasks(int(rng.integers(0, 12)))
-    # Static-query mode promises immutable workers, so motion only
-    # happens on the task side there.
-    allow_worker_motion = not static_queries
-    builder = DeltaPoolBuilder(
-        qm,
-        _UNIT_COST,
-        world.index,
-        index_gamma=_GAMMA,
-        slack=slack,
-        assume_static_queries=static_queries,
-    )
+    builder = _make_builder(world, qm)
     _check_round(world, builder, qm, use_prediction)
     for _ in range(rounds):
-        world.random_round(allow_worker_motion)
+        _random_round(world)
         _check_round(world, builder, qm, use_prediction)
     stats = builder.delta_stats
     assert stats.rounds == rounds + 1
@@ -239,23 +136,14 @@ def test_delta_bit_identical_under_random_event_sequences(
 def test_delta_adversarial_corpus(
     adversarial_scenario, churn_world_cls, seed, use_prediction
 ):
-    """The named worst-case churn scripts (slack-boundary oscillators,
+    """The named worst-case churn scripts (relocation oscillators,
     mass-expiry cliffs, ... — the conftest corpus) cannot break
     pool-maintenance bit-identity.  The same scripts are run against
     the selection-state repair in ``test_selection_state``."""
     rng = np.random.default_rng(seed)
     qm = HashQualityModel((0.0, 1.0), seed=3)
-    world = churn_world_cls(rng, slack=0.03, index_gamma=_GAMMA)
-    # The scripts move workers, so static-query mode (which promises
-    # immutable workers) must be off.
-    builder = DeltaPoolBuilder(
-        qm,
-        _UNIT_COST,
-        world.index,
-        index_gamma=_GAMMA,
-        slack=0.03,
-        assume_static_queries=False,
-    )
+    world = churn_world_cls(rng, index_gamma=_GAMMA)
+    builder = _make_builder(world, qm)
     for i in range(adversarial_scenario.num_rounds):
         adversarial_scenario.drive(world, i)
         _check_round(world, builder, qm, use_prediction)
@@ -265,16 +153,16 @@ def test_delta_adversarial_corpus(
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=15, deadline=None)
-def test_delta_trusted_hints_match_selfdiff(seed):
+def test_delta_trusted_hints_match_selfdiff(churn_world_cls, seed):
     """The engine-style trusted churn hints and the self-derived diff
     must repair to the same pool (both bit-identical to fresh)."""
     rng = np.random.default_rng(seed)
     qm = HashQualityModel((0.0, 1.0), seed=3)
-    world = _World(rng, slack=0.0)
+    world = churn_world_cls(rng, index_gamma=_GAMMA)
     world.arrive_workers(20)
     world.arrive_tasks(20)
-    builder = DeltaPoolBuilder(qm, _UNIT_COST, world.index, index_gamma=_GAMMA)
-    builder.build(world.workers, world.tasks, [], [], world.now)
+    builder = _make_builder(world, qm)
+    builder.build_round(world.workers, world.tasks, [], [], world.now)
 
     world.now += 0.4
     removed = world.remove_workers(2)
@@ -288,71 +176,30 @@ def test_delta_trusted_hints_match_selfdiff(seed):
         world.workers, world.tasks, [], [], qm, _UNIT_COST, world.now,
         task_index=world.index if world.tasks else None, index_gamma=_GAMMA,
     )
-    maintained = builder.build(
+    maintained = builder.build_round(
         world.workers, world.tasks, [], [], world.now,
-        worker_arrivals=arrivals, worker_removed_ids=removed,
+        churn=ChurnRecord(worker_arrivals=arrivals, worker_removed_ids=removed),
     )
     _assert_pools_identical(fresh, maintained)
     assert builder.delta_stats.incremental_rounds >= 1
-
-
-def test_stale_bucket_within_slack_keeps_predicted_family_exact():
-    """Regression: a task moved within the slack keeps its stale CSR
-    bucket, so the <w_hat, t> gather must inflate by the slack or a
-    predicted worker reaching the task's *current* position (but not
-    its bucket) silently loses a valid pair.  Fine grid on purpose —
-    cell padding must not absorb the missing term."""
-    gamma = 64
-    qm = HashQualityModel((0.0, 1.0), seed=3)
-    index = SpatialIndex(GridIndex(gamma))
-    task = Task(id=1, location=Point(0.60, 0.5), deadline=5.0, arrival=0.0)
-    decoy = Task(id=2, location=Point(0.10, 0.9), deadline=5.0, arrival=0.0)
-    workers = [Worker(id=3, location=Point(0.05, 0.05), velocity=0.01, arrival=0.0)]
-    tasks = [task, decoy]
-    for t in tasks:
-        index.insert(t.id, t.location)
-    builder = DeltaPoolBuilder(
-        qm, _UNIT_COST, index, index_gamma=gamma, slack=0.1
-    )
-    builder.build(workers, tasks, [], [], 0.0)
-    # Move within slack: bucket (anchor) stays at 0.60.
-    moved = replace(task, location=Point(0.52, 0.5), box=Box.from_point(Point(0.52, 0.5)))
-    tasks[0] = moved
-    index.move(moved.id, moved.location)
-    rng = np.random.default_rng(0)
-    for velocity in (0.030, 0.035, 0.040):
-        predicted = [
-            replace(
-                make_predicted_workers(rng, 1, half_width=0.02, arrival=1.5)[0],
-                location=Point(0.40, 0.5),
-                velocity=velocity,
-                box=Box.from_center(Point(0.40, 0.5), 0.02, 0.02).clipped(),
-            )
-        ]
-        fresh = build_problem_sparse(
-            workers, tasks, predicted, [], qm, _UNIT_COST, 1.0,
-            task_index=index, index_gamma=gamma,
-        )
-        maintained = builder.build(workers, tasks, predicted, [], 1.0)
-        _assert_pools_identical(fresh, maintained)
 
 
 class TestFallbackTriggers:
     """The repair path must yield to a full rebuild exactly when the
     incremental invariants no longer hold — and stay exact."""
 
-    def _fixture(self, seed=1):
+    def _fixture(self, churn_world_cls, seed=1, **kwargs):
         rng = np.random.default_rng(seed)
         qm = HashQualityModel((0.0, 1.0), seed=3)
-        world = _World(rng, slack=0.0)
+        world = churn_world_cls(rng, index_gamma=_GAMMA)
         world.arrive_workers(10)
         world.arrive_tasks(12)
-        builder = DeltaPoolBuilder(qm, _UNIT_COST, world.index, index_gamma=_GAMMA)
+        builder = _make_builder(world, qm, **kwargs)
         _check_round(world, builder, qm, False)
         return world, builder, qm
 
-    def test_clock_regression_reprimes(self):
-        world, builder, qm = self._fixture()
+    def test_clock_regression_reprimes(self, churn_world_cls):
+        world, builder, qm = self._fixture(churn_world_cls)
         world.now += 1.0
         _check_round(world, builder, qm, False)
         world.now -= 0.5
@@ -360,31 +207,22 @@ class TestFallbackTriggers:
         assert builder.delta_stats.primes == 2
         assert builder.delta_stats.rounds == 3
 
-    def test_journal_overflow_reprimes(self):
-        rng = np.random.default_rng(2)
-        qm = HashQualityModel((0.0, 1.0), seed=3)
-        world = _World(rng, slack=0.0)
-        world.arrive_tasks(5)
-        world.arrive_workers(5)
-        index = world.index
-        builder = DeltaPoolBuilder(qm, _UNIT_COST, index, index_gamma=_GAMMA)
+    def test_journal_overflow_reprimes(self, churn_world_cls):
+        world, builder, qm = self._fixture(churn_world_cls, seed=2)
         # Shrink the already-subscribed log so a burst overflows it.
         builder._log._capacity = 8
-        _check_round(world, builder, qm, False)
         world.now += 0.2
         world.arrive_tasks(10)  # 10 inserts > capacity 8
         _check_round(world, builder, qm, False)
         assert builder.delta_stats.primes == 2
 
-    def test_churn_ratio_reprimes(self):
+    def test_churn_ratio_reprimes(self, churn_world_cls):
         rng = np.random.default_rng(3)
         qm = HashQualityModel((0.0, 1.0), seed=3)
-        world = _World(rng, slack=0.0)
+        world = churn_world_cls(rng, index_gamma=_GAMMA)
         world.arrive_workers(4)
         world.arrive_tasks(4)
-        builder = DeltaPoolBuilder(
-            qm, _UNIT_COST, world.index, index_gamma=_GAMMA, rebuild_churn_ratio=0.25
-        )
+        builder = _make_builder(world, qm, rebuild_churn_ratio=0.25)
         _check_round(world, builder, qm, False)
         world.now += 0.2
         world.arrive_tasks(6)  # 6 / 8 cached >> 0.25
@@ -395,8 +233,8 @@ class TestFallbackTriggers:
         _check_round(world, builder, qm, False)
         assert builder.delta_stats.incremental_rounds == 1
 
-    def test_list_out_of_sync_with_journal_reprimes(self):
-        world, builder, qm = self._fixture()
+    def test_list_out_of_sync_with_journal_reprimes(self, churn_world_cls):
+        world, builder, qm = self._fixture(churn_world_cls)
         # Drop a task from the list but *not* from the index: the
         # repaired cache cannot mirror the lists, so the builder must
         # fall back to a prime built from the lists (and stay exact).
@@ -407,44 +245,42 @@ class TestFallbackTriggers:
             world.workers, world.tasks, *predicted, qm, _UNIT_COST, world.now,
             index_gamma=_GAMMA,
         )
-        maintained = builder.build(
+        maintained = builder.build_round(
             world.workers, world.tasks, *predicted, world.now
         )
         _assert_pools_identical(fresh, maintained)
         assert builder.delta_stats.primes == 2
         world.index.remove(orphan.id)
 
-    def test_invalidate_forces_prime(self):
-        world, builder, qm = self._fixture()
-        builder.invalidate()
+    def test_invalidate_forces_prime(self, churn_world_cls):
+        world, builder, qm = self._fixture(churn_world_cls)
+        # The tile's own delta builder (inline runner, tile 0).
+        builder._runner._pipelines[0].builder.invalidate()
         world.now += 0.1
         _check_round(world, builder, qm, False)
         assert builder.delta_stats.primes == 2
 
 
 class TestConstructorValidation:
-    def test_rejects_negative_slack(self):
-        qm = HashQualityModel((0.0, 1.0), seed=3)
-        with pytest.raises(ValueError, match="slack"):
-            DeltaPoolBuilder(qm, 1.0, SpatialIndex(GridIndex(4)), slack=-0.1)
-
     def test_rejects_bad_churn_ratio(self):
         qm = HashQualityModel((0.0, 1.0), seed=3)
         with pytest.raises(ValueError, match="rebuild_churn_ratio"):
-            DeltaPoolBuilder(
-                qm, 1.0, SpatialIndex(GridIndex(4)), rebuild_churn_ratio=0.0
+            FusedRoundBuilder(
+                qm, 1.0, TileGrid(1, 1), SpatialIndex(GridIndex(4)),
+                rebuild_churn_ratio=0.0,
             )
 
     def test_rejects_negative_unit_cost(self):
         qm = HashQualityModel((0.0, 1.0), seed=3)
         with pytest.raises(ValueError, match="unit cost"):
-            DeltaPoolBuilder(qm, -1.0, SpatialIndex(GridIndex(4)))
+            FusedRoundBuilder(qm, -1.0, TileGrid(1, 1), SpatialIndex(GridIndex(4)))
 
     def test_rejects_predicted_entity_in_cache(self):
         qm = HashQualityModel((0.0, 1.0), seed=3)
-        index = SpatialIndex(GridIndex(4))
-        builder = DeltaPoolBuilder(qm, 1.0, index)
+        builder = FusedRoundBuilder(
+            qm, 1.0, TileGrid(1, 1), SpatialIndex(GridIndex(4))
+        )
         rng = np.random.default_rng(0)
         predicted = make_predicted_workers(rng, 1)
         with pytest.raises(ValueError, match="predicted"):
-            builder.build(predicted, [], [], [], 0.0)
+            builder.build_round(predicted, [], [], [], 0.0)

@@ -99,7 +99,6 @@ class TestShardedBitIdentical:
             config = StreamConfig(
                 round_interval=0.5,
                 budget=20.0,
-                use_delta_builder=False,
                 enable_metrics=enable_metrics,
                 enable_tracing=enable_tracing,
             )

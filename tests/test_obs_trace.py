@@ -114,7 +114,6 @@ class TestObserverSpans:
         class Delta:
             primes = 1
             incremental_rounds = 0
-            rejoined_for_motion = 0
 
         class Build:
             price_seconds = 0.003
@@ -151,16 +150,16 @@ class TestObserverSpans:
         assert obs.metrics.histogram("stream_price_seconds").count == 1
 
     def test_tile_pool_events_land_on_shard_tracks(self):
-        """Per-tile delta lifecycle events (repair / prime /
-        border_rejoin) book tile-labelled counters and instants with
-        the same tid convention as the tile build spans."""
+        """Per-tile delta lifecycle events (repair / prime) book
+        tile-labelled counters and instants with the same tid
+        convention as the tile build spans."""
         obs = StreamObserver(MetricsRegistry(), TraceRecorder())
         timer = obs.begin_round(0, 0.0)
         # Zero durations keep the end-anchored tile spans inside this
         # (instant-length) synthetic round.
         obs.record_tile_phases([(0, 0.0), (1, 0.0), (-1, 0.0)])
         obs.record_tile_pool_events(
-            [(0, "repair"), (1, "prime"), (1, "border_rejoin"), (1, "repair")]
+            [(0, "repair"), (1, "prime"), (1, "repair")]
         )
         timer.finish()
         obs.end_round(timer)
@@ -178,12 +177,6 @@ class TestObserverSpans:
             metrics.counter("tile_delta_primes_total", labels={"tile": "1"}).value
             == 1.0
         )
-        assert (
-            metrics.counter(
-                "tile_border_rejoins_total", labels={"tile": "1"}
-            ).value
-            == 1.0
-        )
 
         trace = obs.trace.to_chrome_trace()
         assert validate_chrome_trace(trace) == []
@@ -195,7 +188,6 @@ class TestObserverSpans:
         assert {
             ("tile0.repair", 1),
             ("tile1.prime", 2),
-            ("tile1.border_rejoin", 2),
             ("tile1.repair", 2),
         } <= instants
         # Instants share the tile's track with its build span.
@@ -254,7 +246,6 @@ class TestObserverSpans:
         class Delta:
             primes = 1
             incremental_rounds = 0
-            rejoined_for_motion = 0
 
         d = Delta()
         for i in range(3):

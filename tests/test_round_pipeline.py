@@ -13,12 +13,10 @@ budget accounting, prediction errors.
 Hypothesis drives the workload shape (family, density, velocity,
 deadline tightness, seed) so the equivalence is enforced across the
 churn regimes the splitter has to route — arrivals, expiry waves,
-border crossings — not just one golden stream.
+relocations across tile borders — not just one golden stream.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,11 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MQAGreedy
-from repro.geo.box import Box
 from repro.model.entities import Task, Worker
 from repro.model.sparse import build_problem_sparse
 from repro.streaming import (
-    ShardedStreamingEngine,
     ShardingConfig,
     StreamConfig,
     prepared_sharded_engine,
@@ -180,25 +176,6 @@ class TestFusedSteadyState:
             engine.advance_to(1.0)
             assert engine.ipc_bytes_last_round == 0
 
-    def test_slack_rejected_on_multi_tile(self):
-        """Motion slack stays a serial-engine feature: per-tile pools
-        would disagree with the global slack cache, so the sharded
-        engine refuses the combination outright."""
-        workload = BurstyWorkload(
-            WorkloadParams(num_workers=20, num_tasks=20, num_instances=2),
-            seed=1,
-        )
-        with pytest.raises(ValueError, match="slack"):
-            prepared_sharded_engine(
-                workload,
-                MQAGreedy(),
-                config=StreamConfig(
-                    round_interval=0.5, budget=10.0, delta_slack=0.05
-                ),
-                sharding=ShardingConfig(num_shards=2),
-                seed=1,
-            )
-
 
 class TestChurnSplitter:
     """Unit coverage for the journal-splitting parent."""
@@ -213,31 +190,30 @@ class TestChurnSplitter:
     def test_insert_routes_to_zone_tiles(self):
         _, _, splitter = self._setup()
         splitter.reset(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        split = splitter.split([("insert", 7, 0.1, 0.1)])
-        assert split is not None
-        per_tile, refresh, rejoins = split
+        per_tile = splitter.split([("insert", 7, 0.1, 0.1)])
+        assert per_tile is not None
         assert list(per_tile.keys()) == [0]
-        assert not refresh and not rejoins
 
-    def test_cross_border_move_is_remove_plus_rejoin(self):
-        """An entity crossing the tile border leaves a synthetic
-        remove behind and puts the gaining tile on the refresh list —
-        the drop-and-rejoin edge mirroring slack crossings."""
+    def test_relocation_routes_remove_and_insert_by_cell(self):
+        """A relocation across the tile border is a remove of the old
+        id, routed to the tiles of its last known cell, plus an insert
+        of the fresh id, routed to the tiles of its new cell."""
         _, _, splitter = self._setup()
         splitter.reset(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert splitter.split([("insert", 3, 0.1, 0.1)]) is not None
-        split = splitter.split([("move", 3, 0.9, 0.1)])
-        assert split is not None
-        per_tile, refresh, rejoins = split
-        assert [op[0] for op in per_tile.get(0, [])] == ["remove"]
-        assert refresh == {1}
-        assert rejoins == [1]
-        assert splitter.border_rejoins_total == 1
+        per_tile = splitter.split(
+            [("remove", 3, 0.1, 0.1), ("insert", 4, 0.9, 0.1)]
+        )
+        assert per_tile is not None
+        assert per_tile == {
+            0: [("remove", 3, 0.1, 0.1)],
+            1: [("insert", 4, 0.9, 0.1)],
+        }
 
     def test_unknown_key_bails_out(self):
         _, _, splitter = self._setup()
         splitter.reset(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert splitter.split([("move", 99, 0.5, 0.5)]) is None
+        assert splitter.split([("remove", 99, 0.5, 0.5)]) is None
 
     def test_net_task_ops(self):
         known = {1}
@@ -246,37 +222,22 @@ class TestChurnSplitter:
                 ("insert", 2, 0.1, 0.1),
                 ("remove", 2, 0.1, 0.1),   # nets away
                 ("insert", 3, 0.2, 0.2),
-                ("move", 3, 0.3, 0.3),     # updates the net-new coords
                 ("remove", 1, 0.0, 0.0),
             ],
             known,
         )
         assert net is not None
-        removed, new, moved = net
+        removed, new = net
         assert removed == {1}
-        assert new == {3: (0.3, 0.3)}
-        assert 2 not in new and not moved
+        assert new == {3: (0.2, 0.2)}
 
     def test_insert_of_known_key_is_contradiction(self):
         assert _net_task_ops([("insert", 1, 0.0, 0.0)], {1}) is None
 
 
-def _static_worker_world(cls):
-    """The engine never moves a worker mid-stream (positions are fixed
-    at arrival), so the corpus's worker motion becomes what the engine
-    would actually emit: a departure plus a fresh arrival."""
-
-    class _World(cls):
-        def move_workers(self, count, scale):
-            self.remove_workers(count)
-            self.arrive_workers(count)
-
-    return _World
-
-
 class TestFusedAdversarialCorpus:
-    """PR 6's named worst-case churn scripts, now against per-tile
-    pools: every round of every scenario must emit a merged pool
+    """The named worst-case churn scripts, against per-tile pools:
+    every round of every scenario must emit a merged pool
     bit-identical to a from-scratch sparse build."""
 
     @pytest.mark.parametrize("num_tiles", [1, 4])
@@ -291,9 +252,7 @@ class TestFusedAdversarialCorpus:
     ):
         rng = np.random.default_rng(seed)
         qm = HashQualityModel((0.0, 1.0), seed=3)
-        world = _static_worker_world(churn_world_cls)(
-            rng, slack=0.03, index_gamma=_GAMMA
-        )
+        world = churn_world_cls(rng, index_gamma=_GAMMA)
         builder = FusedRoundBuilder(
             qm, _UNIT_COST, TileGrid.from_shard_count(num_tiles), world.index
         )
@@ -312,13 +271,14 @@ class TestFusedAdversarialCorpus:
         assert builder.delta_stats.rounds > 0
 
     def test_border_oscillation_rejoins_bit_identical(self, churn_world_cls):
-        """Tasks ping-ponging across the tile border every round: the
-        gaining tile re-primes (the drop-and-rejoin edge), the losing
-        tile repairs incrementally, and the merged pool never drifts
+        """Tasks ping-ponging across the tile border every round, each
+        hop a retire plus a re-arrival under a fresh id: the losing
+        tile drops the old id, the gaining tile appends the new one,
+        both repair incrementally, and the merged pool never drifts
         from the fresh build."""
         rng = np.random.default_rng(7)
         qm = HashQualityModel((0.0, 1.0), seed=3)
-        world = churn_world_cls(rng, slack=0.0, index_gamma=_GAMMA)
+        world = churn_world_cls(rng, index_gamma=_GAMMA)
         builder = FusedRoundBuilder(
             qm, _UNIT_COST, TileGrid(2, 1), world.index
         )
@@ -331,7 +291,16 @@ class TestFusedAdversarialCorpus:
                     velocity=0.02, arrival=0.0,
                 )
             )
-        movers = []
+        # Stationary tasks keep each tile's churn under the rebuild
+        # ratio, so the hops are served by incremental repair.
+        for x in np.linspace(0.05, 0.95, 12):
+            task = Task(
+                id=world._new_id(), location=Point(float(x), 0.45),
+                deadline=2.0, arrival=world.now,
+            )
+            world.tasks.append(task)
+            world.index.insert(task.id, task.location)
+        movers = set()
         for x in (0.3, 0.32, 0.68):
             task = Task(
                 id=world._new_id(), location=Point(x, 0.5),
@@ -339,7 +308,7 @@ class TestFusedAdversarialCorpus:
             )
             world.tasks.append(task)
             world.index.insert(task.id, task.location)
-            movers.append(task.id)
+            movers.add(task.id)
 
         def check():
             fresh = build_problem_sparse(
@@ -355,32 +324,29 @@ class TestFusedAdversarialCorpus:
         check()
         for _ in range(5):
             world.now += 0.1
-            for position, task in enumerate(world.tasks):
-                if task.id not in movers:
-                    continue
+            hopping = [task for task in world.tasks if task.id in movers]
+            world.tasks = [task for task in world.tasks if task.id not in movers]
+            movers = set()
+            for task in hopping:
+                world.index.remove(task.id)
                 x = task.location.x
-                new_x = x + 0.38 if x < 0.5 else x - 0.38
-                point = Point(new_x, task.location.y)
-                moved = replace(task, location=point, box=Box.from_point(point))
-                world.tasks[position] = moved
-                world.index.move(moved.id, point)
+                hopped = Task(
+                    id=world._new_id(),
+                    location=Point(x + 0.38 if x < 0.5 else x - 0.38, 0.5),
+                    deadline=task.deadline,
+                    arrival=task.arrival,
+                )
+                world.tasks.append(hopped)
+                world.index.insert(hopped.id, hopped.location)
+                movers.add(hopped.id)
             check()
-        assert builder._splitter.border_rejoins_total > 0
+        stats = builder.delta_stats
+        assert stats.incremental_rounds > 0
+        assert stats.primes + stats.incremental_rounds == stats.rounds
 
 
 class TestFusedBuilderDirect:
     """FusedRoundBuilder driven directly against a spatial index."""
-
-    def test_slack_multi_tile_rejected(self):
-        index = SpatialIndex(8)
-        with pytest.raises(ValueError, match="slack"):
-            FusedRoundBuilder(
-                HashQualityModel((1.0, 2.0), seed=0),
-                0.1,
-                TileGrid(2, 2),
-                index,
-                slack=0.1,
-            )
 
     def test_retry_protocol_surfaces_poisoned_tiles(self):
         """A tile that rejects its own refresh payload is a bug, not

@@ -15,9 +15,7 @@ from four sides:
   rounds, churn overflows fall back to cold builds, and the
   ``triplet_min_rows`` floor gates engagement exactly at the boundary;
 - the streaming engine reproduces its cold self with warm selection
-  on, for the greedy, divide-and-conquer and Hungarian assigners, and
-  :class:`~repro.streaming.sharding.TileSelectionStates` keys one
-  independent state per tile.
+  on, for the greedy, divide-and-conquer and Hungarian assigners.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from repro.core.triplet_select import (
     SelectionState,
     _merge_sorted_positions,
 )
-from repro.model.delta import DeltaPoolBuilder
+from repro.geo.tiles import TileGrid
 from repro.streaming import StreamConfig, run_stream
-from repro.streaming.sharding import TileSelectionStates
+from repro.streaming.pipeline import FusedRoundBuilder
 from repro.testing import make_problem
 from repro.workloads import BurstyWorkload, WorkloadParams
 from repro.workloads.quality import HashQualityModel
@@ -106,27 +104,21 @@ class TestMergeSortedPositions:
 
 
 # ---------------------------------------------------------------------------
-# warm == cold differentials (direct drive through DeltaPoolBuilder)
+# warm == cold differentials (direct drive through the K=1 fused builder)
 # ---------------------------------------------------------------------------
 
 
 def _make_builder(world):
     qm = HashQualityModel((0.0, 1.0), seed=3)
-    builder = DeltaPoolBuilder(
-        qm,
-        _UNIT_COST,
-        world.index,
-        index_gamma=_GAMMA,
-        slack=world.slack,
-        assume_static_queries=False,
+    return FusedRoundBuilder(
+        qm, _UNIT_COST, TileGrid(1, 1), world.index, index_gamma=_GAMMA
     )
-    return builder
 
 
 def _check_round(state, builder, world, use_prediction, trusted, config=_CFG):
     """Build one round, run warm and cold selection, compare exactly."""
     predicted_workers, predicted_tasks = world.predicted(use_prediction)
-    instance = builder.build(
+    instance = builder.build_round(
         world.workers, world.tasks, predicted_workers, predicted_tasks, world.now
     )
     pool = instance.pool
@@ -148,11 +140,11 @@ def _check_round(state, builder, world, use_prediction, trusted, config=_CFG):
 def test_warm_matches_cold_under_random_churn(
     churn_world_cls, seed, use_prediction, trusted
 ):
-    """Hypothesis core: random lifecycle/motion streams, trusted and
+    """Hypothesis core: random lifecycle/relocation streams, trusted and
     self-diff origins, both prediction legs — every engaged round's
     warm selection equals the cold solve."""
     rng = np.random.default_rng(seed)
-    world = churn_world_cls(rng, slack=0.03, index_gamma=_GAMMA)
+    world = churn_world_cls(rng, index_gamma=_GAMMA)
     world.arrive_workers(12)
     world.arrive_tasks(14)
     builder = _make_builder(world)
@@ -179,10 +171,10 @@ def test_warm_matches_cold_under_random_churn(
 def test_warm_matches_cold_on_adversarial_corpus(
     adversarial_scenario, churn_world_cls, seed, trusted
 ):
-    """The same named worst-case scripts the delta builder faces
+    """The same named worst-case scripts the pool builder faces
     (``test_model_delta``) cannot make a repaired selection diverge."""
     rng = np.random.default_rng(seed)
-    world = churn_world_cls(rng, slack=0.03, index_gamma=_GAMMA)
+    world = churn_world_cls(rng, index_gamma=_GAMMA)
     builder = _make_builder(world)
     state = SelectionState()
     for i in range(adversarial_scenario.num_rounds):
@@ -198,7 +190,7 @@ def test_repair_path_actually_serves(churn_world_cls):
     every round, which would pass every differential while delivering
     no amortization."""
     rng = np.random.default_rng(7)
-    world = churn_world_cls(rng, slack=0.05, index_gamma=_GAMMA)
+    world = churn_world_cls(rng, index_gamma=_GAMMA)
     world.arrive_workers(20)
     world.arrive_tasks(24)
     builder = _make_builder(world)
@@ -225,7 +217,7 @@ def test_carry_composes_across_declined_rounds(churn_world_cls):
     the declined round composes into the carry, and the next engaged
     round still repairs."""
     rng = np.random.default_rng(11)
-    world = churn_world_cls(rng, slack=0.05, index_gamma=_GAMMA)
+    world = churn_world_cls(rng, index_gamma=_GAMMA)
     world.arrive_workers(18)
     world.arrive_tasks(20)
     builder = _make_builder(world)
@@ -260,7 +252,7 @@ def test_mass_churn_falls_back_to_cold_build(churn_world_cls):
     repair economics: the state must take the total fallback (a cold
     structural build), still bit-identically."""
     rng = np.random.default_rng(13)
-    world = churn_world_cls(rng, slack=0.05, index_gamma=_GAMMA)
+    world = churn_world_cls(rng, index_gamma=_GAMMA)
     world.arrive_workers(16)
     world.arrive_tasks(20)
     builder = _make_builder(world)
@@ -276,7 +268,7 @@ def test_mass_churn_falls_back_to_cold_build(churn_world_cls):
 
 def test_invalidate_forces_cold_prime(churn_world_cls):
     rng = np.random.default_rng(17)
-    world = churn_world_cls(rng, slack=0.05, index_gamma=_GAMMA)
+    world = churn_world_cls(rng, index_gamma=_GAMMA)
     world.arrive_workers(14)
     world.arrive_tasks(16)
     builder = _make_builder(world)
@@ -388,48 +380,3 @@ class TestEngineWarmEqualsCold:
         assert warm.total_quality == cold.total_quality
         assert warm.total_cost == cold.total_cost
         assert warm.assignments == cold.assignments
-
-
-class TestTileSelectionStates:
-    def test_states_keyed_per_tile(self):
-        tiles = TileSelectionStates(num_tiles=4)
-        a, b = tiles.state_for(0), tiles.state_for(3)
-        assert a is not b
-        assert tiles.state_for(0) is a  # lazy but persistent
-        assert tiles.global_state not in (a, b)
-        assert tiles.num_tiles == 4
-
-    def test_tile_range_validated(self):
-        tiles = TileSelectionStates(num_tiles=2)
-        with pytest.raises(ValueError, match="tile"):
-            tiles.state_for(2)
-        with pytest.raises(ValueError, match="tile"):
-            tiles.state_for(-1)
-        with pytest.raises(ValueError, match="num_tiles"):
-            TileSelectionStates(num_tiles=0)
-
-    def test_per_tile_states_repair_independently(self, churn_world_cls):
-        """Two tiles' sub-streams repair against their own history."""
-        rng = np.random.default_rng(23)
-        worlds = [
-            churn_world_cls(np.random.default_rng(s), slack=0.05, index_gamma=_GAMMA)
-            for s in (31, 37)
-        ]
-        builders = []
-        for world in worlds:
-            world.arrive_workers(16)
-            world.arrive_tasks(18)
-            builders.append(_make_builder(world))
-        tiles = TileSelectionStates(num_tiles=2)
-        for _ in range(4):
-            for tile, (world, builder) in enumerate(zip(worlds, builders)):
-                _check_round(
-                    tiles.state_for(tile), builder, world, False, True
-                )
-                world.now += 0.05
-                world.arrive_tasks(1)
-        del rng
-        for tile in (0, 1):
-            stats = tiles.state_for(tile).stats
-            assert stats.rounds == 4
-            assert stats.repaired > 0

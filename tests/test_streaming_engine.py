@@ -428,7 +428,5 @@ class TestDeltaBuilderEngineIntegration:
         )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="delta_slack"):
-            StreamConfig(delta_slack=-0.1)
         with pytest.raises(ValueError, match="delta_rebuild_ratio"):
             StreamConfig(delta_rebuild_ratio=1.5)

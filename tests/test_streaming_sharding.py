@@ -2,7 +2,8 @@
 
 Two layers of bit-identity are enforced:
 
-1. **Pool level** — :func:`build_problem_sharded` emits a pool
+1. **Pool level** — the fused per-tile builder
+   (:class:`~repro.streaming.pipeline.FusedRoundBuilder`) emits a pool
    row-for-row, bit-for-bit identical to ``build_problem_sparse`` (and
    therefore to the dense ``build_problem``) for every K, every flag
    combination, and arbitrary entity sets (hypothesis).
@@ -13,12 +14,14 @@ Two layers of bit-identity are enforced:
    K in {1, 2, 4}, across all three backends.
 
 The conflict-free merge relies on unique ownership (every query entity
-has exactly one owning tile) plus the border margin covering one
+has exactly one owning tile) plus the tile zones covering one
 reachable radius; the margin sufficiency test drives velocities and
 deadlines to the edges to probe exactly that.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,17 +30,18 @@ from hypothesis import strategies as st
 
 from repro.core import MQADivideConquer, MQAGreedy, RandomAssigner
 from repro.geo import TileGrid
+from repro.geo.spatial_index import SpatialIndex
 from repro.model.sparse import SparseBuildStats, build_problem_sparse
 from repro.streaming import (
     ShardedStreamingEngine,
     ShardingConfig,
     StreamConfig,
-    build_problem_sharded,
     prepared_engine,
     prepared_sharded_engine,
     run_sharded_stream,
     run_stream,
 )
+from repro.streaming.pipeline import FusedRoundBuilder
 from repro.testing import (
     make_predicted_tasks,
     make_predicted_workers,
@@ -63,8 +67,27 @@ _SCENARIO_PARAMS = WorkloadParams(
 )
 
 
+def _fused_build(
+    workers, tasks, predicted_workers, predicted_tasks, quality_model, tiles,
+    executor=None, stats=None, **flags,
+):
+    """One round of the fused per-tile builder over a fresh task index."""
+    index = SpatialIndex(16)
+    for task in tasks:
+        index.insert(task.id, task.location)
+    builder = FusedRoundBuilder(
+        quality_model, 10.0, tiles, index, executor=executor, stats=stats, **flags
+    )
+    try:
+        return builder.build_round(
+            workers, tasks, predicted_workers, predicted_tasks, 0.0
+        )
+    finally:
+        builder.close()
+
+
 class TestShardedPoolEquivalence:
-    """build_problem_sharded == build_problem_sparse, bit for bit."""
+    """FusedRoundBuilder == build_problem_sparse, bit for bit."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -72,7 +95,7 @@ class TestShardedPoolEquivalence:
         m=st.integers(min_value=0, max_value=24),
         k=st.integers(min_value=0, max_value=8),
         l=st.integers(min_value=0, max_value=8),
-        num_shards=st.integers(min_value=1, max_value=6),
+        num_shards=st.sampled_from([1, 2, 4, 6, 9]),
         velocity=st.floats(min_value=0.02, max_value=0.6),
         deadline_offset=st.floats(min_value=0.1, max_value=2.5),
         discount=st.booleans(),
@@ -109,16 +132,15 @@ class TestShardedPoolEquivalence:
             workers, tasks, predicted_workers, predicted_tasks,
             quality_model, 10.0, 0.0, **kwargs,
         )
-        sharded = build_problem_sharded(
-            workers, tasks, predicted_workers, predicted_tasks,
-            quality_model, 10.0, 0.0,
-            tiles=TileGrid.from_shard_count(num_shards), **kwargs,
+        fused = _fused_build(
+            workers, tasks, predicted_workers, predicted_tasks, quality_model,
+            TileGrid.from_shard_count(num_shards), **kwargs,
         )
-        assert_pools_identical(sparse, sharded)
+        assert_pools_identical(sparse, fused)
 
     def test_candidate_and_emitted_counters_match_serial(self):
         """candidates/emitted/dense_equivalent are partition-invariant
-        (gathered/queries legitimately differ per shard layout)."""
+        (gathered/queries legitimately differ per tile layout)."""
         rng = np.random.default_rng(4)
         workers = make_workers(rng, 150, velocity=0.08)
         tasks = make_tasks(rng, 150, deadline_offset=0.8)
@@ -127,18 +149,18 @@ class TestShardedPoolEquivalence:
         build_problem_sparse(
             workers, tasks, [], [], quality_model, 10.0, 0.0, stats=serial_stats
         )
-        sharded_stats = SparseBuildStats()
-        build_problem_sharded(
-            workers, tasks, [], [], quality_model, 10.0, 0.0,
-            tiles=TileGrid.from_shard_count(4), stats=sharded_stats,
+        fused_stats = SparseBuildStats()
+        _fused_build(
+            workers, tasks, [], [], quality_model, TileGrid.from_shard_count(4),
+            stats=fused_stats,
         )
-        assert sharded_stats.candidates == serial_stats.candidates
-        assert sharded_stats.emitted == serial_stats.emitted
-        assert sharded_stats.dense_equivalent == serial_stats.dense_equivalent
+        assert fused_stats.candidates == serial_stats.candidates
+        assert fused_stats.emitted == serial_stats.emitted
+        assert fused_stats.dense_equivalent == serial_stats.dense_equivalent
 
     def test_margin_sufficiency_under_extreme_reach(self):
         """Fast workers with long deadlines reach across several tiles;
-        the auto margin must still cover every valid pair."""
+        the exact per-round margin must still cover every valid pair."""
         rng = np.random.default_rng(9)
         workers = make_workers(rng, 60, velocity=0.9)
         tasks = make_tasks(rng, 60, deadline_offset=2.0)
@@ -150,74 +172,19 @@ class TestShardedPoolEquivalence:
             quality_model, 10.0, 0.0,
         )
         for num_shards in (2, 4, 6, 9):
-            sharded = build_problem_sharded(
+            fused = _fused_build(
                 workers, tasks, predicted_workers, predicted_tasks,
-                quality_model, 10.0, 0.0,
-                tiles=TileGrid.from_shard_count(num_shards),
+                quality_model, TileGrid.from_shard_count(num_shards),
             )
-            assert_pools_identical(sparse, sharded)
-
-    def test_margin_floor_only_widens(self):
-        """An explicit margin floor changes work routing, never output."""
-        rng = np.random.default_rng(12)
-        workers = make_workers(rng, 80, velocity=0.1)
-        tasks = make_tasks(rng, 80, deadline_offset=0.7)
-        quality_model = HashQualityModel((1.0, 2.0), seed=12)
-        sparse = build_problem_sparse(workers, tasks, [], [], quality_model, 10.0, 0.0)
-        for floor in (0.0, 0.15, 1.0):
-            sharded = build_problem_sharded(
-                workers, tasks, [], [], quality_model, 10.0, 0.0,
-                tiles=TileGrid(2, 2), margin_floor=floor,
-            )
-            assert_pools_identical(sparse, sharded)
-
-    def test_exact_predicted_quality_mode(self):
-        rng = np.random.default_rng(21)
-        workers = make_workers(rng, 40, velocity=0.2)
-        tasks = make_tasks(rng, 40, deadline_offset=1.0)
-        predicted_workers = make_predicted_workers(rng, 10)
-        predicted_tasks = make_predicted_tasks(rng, 10)
-        quality_model = HashQualityModel((1.0, 2.0), seed=21)
-        sparse = build_problem_sparse(
-            workers, tasks, predicted_workers, predicted_tasks,
-            quality_model, 10.0, 0.0, exact_predicted_quality=True,
-        )
-        sharded = build_problem_sharded(
-            workers, tasks, predicted_workers, predicted_tasks,
-            quality_model, 10.0, 0.0,
-            tiles=TileGrid(2, 2), exact_predicted_quality=True,
-        )
-        assert_pools_identical(sparse, sharded)
-
-    def test_compact_targets_identical(self):
-        """The process backend's compacted per-shard payloads (local
-        column ids + col_map translation) change nothing in the pool."""
-        rng = np.random.default_rng(52)
-        workers = make_workers(rng, 70, velocity=0.15)
-        tasks = make_tasks(rng, 70, deadline_offset=0.9)
-        predicted_workers = make_predicted_workers(rng, 18)
-        predicted_tasks = make_predicted_tasks(rng, 18)
-        quality_model = HashQualityModel((1.0, 2.0), seed=52)
-        sparse = build_problem_sparse(
-            workers, tasks, predicted_workers, predicted_tasks,
-            quality_model, 10.0, 0.0,
-        )
-        for num_shards in (1, 4):
-            sharded = build_problem_sharded(
-                workers, tasks, predicted_workers, predicted_tasks,
-                quality_model, 10.0, 0.0,
-                tiles=TileGrid.from_shard_count(num_shards), compact_targets=True,
-            )
-            assert_pools_identical(sparse, sharded)
+            assert_pools_identical(sparse, fused)
 
     def test_chunked_survivor_pricing_is_identical(self, monkeypatch):
-        """Force the phase-2 chunked pricing dispatch (normally armed
-        only above the survivor threshold) and check bit-identity."""
-        from concurrent.futures import ThreadPoolExecutor
+        """Force the reconcile pass's chunked pricing dispatch
+        (normally armed only above the survivor threshold) and check
+        bit-identity."""
+        import repro.streaming.pipeline as pipeline_mod
 
-        import repro.streaming.sharding as sharding_mod
-
-        monkeypatch.setattr(sharding_mod, "_PRICE_DISPATCH_MIN", 1)
+        monkeypatch.setattr(pipeline_mod, "_PRICE_DISPATCH_MIN", 1)
         rng = np.random.default_rng(44)
         workers = make_workers(rng, 60, velocity=0.2)
         tasks = make_tasks(rng, 60, deadline_offset=1.0)
@@ -229,16 +196,15 @@ class TestShardedPoolEquivalence:
             quality_model, 10.0, 0.0,
         )
         with ThreadPoolExecutor(max_workers=4) as executor:
-            sharded = build_problem_sharded(
+            fused = _fused_build(
                 workers, tasks, predicted_workers, predicted_tasks,
-                quality_model, 10.0, 0.0,
-                tiles=TileGrid(2, 2), executor=executor,
+                quality_model, TileGrid(2, 2), executor=executor,
             )
-        assert_pools_identical(sparse, sharded)
+        assert_pools_identical(sparse, fused)
 
     def test_matrix_only_quality_model_falls_back_globally(self):
-        """Models without the by-ids hook still work (quality priced in
-        the reconciliation pass instead of the shards)."""
+        """Models without the by-ids hook still work (each tile scores
+        its new pairs through the model's pair/matrix hooks)."""
 
         class MatrixOnlyModel:
             def __init__(self, inner):
@@ -258,11 +224,10 @@ class TestShardedPoolEquivalence:
         tasks = make_tasks(rng, 50, deadline_offset=0.9)
         inner = HashQualityModel((1.0, 2.0), seed=31)
         sparse = build_problem_sparse(workers, tasks, [], [], inner, 10.0, 0.0)
-        sharded = build_problem_sharded(
-            workers, tasks, [], [], MatrixOnlyModel(inner), 10.0, 0.0,
-            tiles=TileGrid(2, 2),
+        fused = _fused_build(
+            workers, tasks, [], [], MatrixOnlyModel(inner), TileGrid(2, 2)
         )
-        assert_pools_identical(sparse, sharded)
+        assert_pools_identical(sparse, fused)
 
 
 class TestShardedEngineEquivalence:
@@ -351,23 +316,48 @@ class TestShardedEngineEquivalence:
         )
         assert_results_identical(serial, sharded)
 
+    def test_fine_cadence_citywide_matches_serial(self):
+        """Quarter-instance rounds on the citywide scenario with
+        prediction on: many low-churn rounds in a row, served by the
+        per-tile repair path, still reproduce the serial engine."""
+        params = WorkloadParams(
+            num_workers=260, num_tasks=260, num_instances=4,
+            velocity_range=(0.04, 0.07), deadline_range=(1.0, 2.0),
+        )
+        workload = CitywideMultiHotspotWorkload(params, seed=5)
+        config = StreamConfig(round_interval=0.25, budget=8.0, use_prediction=True)
+        serial_engine, _ = prepared_engine(
+            workload, MQAGreedy(), config=config, seed=5
+        )
+        serial_engine.advance_to(float(workload.num_instances))
+        workload = CitywideMultiHotspotWorkload(params, seed=5)
+        sharded_engine, _ = prepared_sharded_engine(
+            workload, MQAGreedy(), config=config,
+            sharding=ShardingConfig(num_shards=4, backend="serial"), seed=5,
+        )
+        with sharded_engine:
+            sharded_engine.advance_to(float(workload.num_instances))
+        assert_results_identical(serial_engine.result(), sharded_engine.result())
+
 
 class TestShardedEngineApi:
     def test_dense_builder_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedStreamingEngine(
-                MQAGreedy(),
-                HashQualityModel((1.0, 2.0)),
-                config=StreamConfig(use_sparse_builder=False),
-            )
+        """The sharded engine runs the fused delta pipeline only; the
+        reference builders belong to the serial engine."""
+        for config in (
+            StreamConfig(use_sparse_builder=False),
+            StreamConfig(use_delta_builder=False),
+        ):
+            with pytest.raises(ValueError, match="fused delta pipeline"):
+                ShardedStreamingEngine(
+                    MQAGreedy(), HashQualityModel((1.0, 2.0)), config=config
+                )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ShardingConfig(num_shards=0)
         with pytest.raises(ValueError):
             ShardingConfig(backend="gpu")
-        with pytest.raises(ValueError):
-            ShardingConfig(margin=-0.5)
         with pytest.raises(ValueError):
             ShardingConfig(max_workers=0)
 
@@ -414,54 +404,3 @@ class TestShardedEngineApi:
         )
         assert engine.tiles.num_tiles == 6
         assert engine.sharding.backend == "serial"
-
-
-class TestTileSliceCache:
-    """The engine-owned slice cache must be invisible in results and
-    actually hit on churn-free rounds."""
-
-    def test_cache_hits_on_churn_free_rounds(self):
-        workload = CitywideMultiHotspotWorkload(
-            WorkloadParams(
-                num_workers=300, num_tasks=300, num_instances=4,
-                velocity_range=(0.04, 0.07), deadline_range=(1.5, 2.5),
-            ),
-            seed=9,
-        )
-        # use_delta_builder=False: the slice cache serves the legacy
-        # fresh-build path; the fused pipeline keeps per-tile state in
-        # its own pools and never touches it.
-        config = StreamConfig(
-            round_interval=0.25, budget=0.0, use_prediction=False,
-            use_delta_builder=False,
-        )
-        engine, _ = prepared_sharded_engine(
-            workload, MQAGreedy(), config=config,
-            sharding=ShardingConfig(num_shards=4, backend="serial"), seed=9,
-        )
-        with engine:
-            engine.advance_to(float(workload.num_instances))
-        # budget 0 -> no assignments -> 3 of every 4 rounds leave the
-        # task index untouched, so snapshot and slices must be reused.
-        assert engine.slice_cache.csr_hits > 0
-        assert engine.slice_cache.slice_hits > 0
-
-    def test_cached_rounds_reproduce_serial_engine(self):
-        params = WorkloadParams(
-            num_workers=260, num_tasks=260, num_instances=4,
-            velocity_range=(0.04, 0.07), deadline_range=(1.0, 2.0),
-        )
-        workload = CitywideMultiHotspotWorkload(params, seed=5)
-        config = StreamConfig(round_interval=0.25, budget=8.0, use_prediction=True)
-        serial_engine, _ = prepared_engine(
-            workload, MQAGreedy(), config=config, seed=5
-        )
-        serial_engine.advance_to(float(workload.num_instances))
-        workload = CitywideMultiHotspotWorkload(params, seed=5)
-        sharded_engine, _ = prepared_sharded_engine(
-            workload, MQAGreedy(), config=config,
-            sharding=ShardingConfig(num_shards=4, backend="serial"), seed=5,
-        )
-        with sharded_engine:
-            sharded_engine.advance_to(float(workload.num_instances))
-        assert_results_identical(serial_engine.result(), sharded_engine.result())
