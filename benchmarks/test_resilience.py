@@ -31,7 +31,7 @@ from repro.faults import FaultPlan
 from repro.streaming import (
     ShardingConfig,
     StreamConfig,
-    prepared_sharded_engine,
+    prepared_engine,
     state_digest,
 )
 from repro.workloads import BurstyWorkload, WorkloadParams
@@ -58,7 +58,7 @@ def _workload(size, instances, seed=17):
 
 def _run(size, instances, faults=None, round_deadline_s=0.5, seed=17):
     """One process-backend stream; returns digest + supervision facts."""
-    engine, _ = prepared_sharded_engine(
+    engine, _ = prepared_engine(
         _workload(size, instances, seed),
         MQAGreedy(),
         config=StreamConfig(round_interval=0.5, budget=30.0),

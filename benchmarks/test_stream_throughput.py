@@ -41,9 +41,11 @@ from repro.core.baselines import HungarianAssigner
 from repro.streaming import (
     ShardingConfig,
     StreamConfig,
+    StreamingEngine,
+    load_workload,
     prepared_engine,
-    prepared_sharded_engine,
 )
+from repro.testing import ReferenceEngine
 from repro.workloads import (
     BurstyWorkload,
     CitywideMultiHotspotWorkload,
@@ -90,15 +92,32 @@ def _make_workload(params: WorkloadParams) -> BurstyWorkload:
     return BurstyWorkload(params, seed=SEED, burst_period=4, burst_multiplier=8.0)
 
 
+def _prepared(
+    workload, config: StreamConfig, builder: str = "fused", warm_select: bool = True
+) -> StreamingEngine:
+    """The production engine loaded with ``workload`` — or, for a
+    reference leg, the :class:`ReferenceEngine` it is compared against."""
+    if builder == "fused" and warm_select:
+        return prepared_engine(workload, MQAGreedy(), config=config, seed=SEED)[0]
+    engine = ReferenceEngine(
+        MQAGreedy(),
+        workload.quality_model,
+        config=config,
+        seed=SEED,
+        end_time=float(workload.num_instances),
+        builder=builder,
+        warm_select=warm_select,
+    )
+    load_workload(engine, workload)
+    return engine
+
+
 def _run(params: WorkloadParams, use_sparse: bool, use_prediction: bool) -> dict:
     workload = _make_workload(params)
     config = StreamConfig(
-        round_interval=0.5,
-        budget=60.0,
-        use_prediction=use_prediction,
-        use_sparse_builder=use_sparse,
+        round_interval=0.5, budget=60.0, use_prediction=use_prediction
     )
-    engine, _ = prepared_engine(workload, MQAGreedy(), config=config, seed=SEED)
+    engine = _prepared(workload, config, builder="fused" if use_sparse else "dense")
     started = time.perf_counter()
     engine.advance_to(float(workload.num_instances))
     wall = time.perf_counter() - started
@@ -307,21 +326,13 @@ def _make_citywide(params: WorkloadParams) -> CitywideMultiHotspotWorkload:
 
 def _run_citywide(params: WorkloadParams, sharding: ShardingConfig | None) -> dict:
     workload = _make_citywide(params)
-    if sharding is None:
-        engine, _ = prepared_engine(
-            workload, MQAGreedy(), config=SHARD_CONFIG, seed=SEED
-        )
-    else:
-        engine, _ = prepared_sharded_engine(
-            workload, MQAGreedy(), config=SHARD_CONFIG, sharding=sharding, seed=SEED
-        )
+    engine, _ = prepared_engine(
+        workload, MQAGreedy(), config=SHARD_CONFIG, seed=SEED, sharding=sharding
+    )
     started = time.perf_counter()
-    try:
+    with engine:
         engine.advance_to(float(workload.num_instances))
-        ipc_total = int(getattr(engine, "ipc_bytes_total", 0))
-    finally:
-        if sharding is not None:
-            engine.close()
+        ipc_total = engine.ipc_bytes_total
     wall = time.perf_counter() - started
     result = engine.result()
     latencies = [i.cpu_seconds for i in result.instances]
@@ -519,8 +530,8 @@ def _run_delta_leg(params: WorkloadParams, use_delta: bool, config_kwargs: dict)
     workload = BurstyWorkload(
         params, seed=SEED, burst_period=10, burst_multiplier=4.0, burst_offset=3
     )
-    config = StreamConfig(use_delta_builder=use_delta, **config_kwargs)
-    engine, _ = prepared_engine(workload, MQAGreedy(), config=config, seed=SEED)
+    config = StreamConfig(**config_kwargs)
+    engine = _prepared(workload, config, builder="fused" if use_delta else "sparse")
     started = time.perf_counter()
     engine.advance_to(float(workload.num_instances))
     wall = time.perf_counter() - started
@@ -724,10 +735,8 @@ def _run_warm_select_leg(
     workload = BurstyWorkload(
         params, seed=SEED, burst_period=10, burst_multiplier=4.0, burst_offset=3
     )
-    config = StreamConfig(
-        use_delta_builder=True, use_warm_select=warm, **config_kwargs
-    )
-    engine, _ = prepared_engine(workload, MQAGreedy(), config=config, seed=SEED)
+    config = StreamConfig(**config_kwargs)
+    engine = _prepared(workload, config, warm_select=warm)
     started = time.perf_counter()
     engine.advance_to(float(workload.num_instances))
     wall = time.perf_counter() - started
@@ -902,8 +911,6 @@ def _run_health_leg(enable_metrics: bool) -> dict:
         burst_offset=3,
     )
     config = StreamConfig(
-        use_delta_builder=True,
-        use_warm_select=True,
         enable_metrics=enable_metrics,
         **dict(DELTA_CONFIG_KWARGS, index_gamma=24),
     )

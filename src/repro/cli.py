@@ -132,50 +132,17 @@ def _build_stream_parser() -> argparse.ArgumentParser:
         "--no-prediction", action="store_true", help="disable grid prediction"
     )
     parser.add_argument(
-        "--dense",
-        action="store_true",
-        help="use the dense pair builder instead of the spatial index",
-    )
-    parser.add_argument(
-        "--delta",
-        dest="delta",
-        action="store_true",
-        default=True,
-        help="maintain the candidate pool incrementally across rounds (default)",
-    )
-    parser.add_argument(
-        "--no-delta",
-        dest="delta",
-        action="store_false",
-        help="rebuild the candidate pool from scratch every round "
-        "(unsharded engine only)",
-    )
-    parser.add_argument(
-        "--warm-select",
-        dest="warm_select",
-        action="store_true",
-        default=True,
-        help="persist selection state across rounds and repair it from "
-        "churn (default)",
-    )
-    parser.add_argument(
-        "--no-warm-select",
-        dest="warm_select",
-        action="store_false",
-        help="re-derive the selection structures from scratch every round",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
-        default=0,
+        default=1,
         metavar="K",
-        help="partition the grid into K spatial shards (0 = unsharded engine)",
+        help="partition the grid into K spatial shards (default 1)",
     )
     parser.add_argument(
         "--backend",
         choices=("process", "thread", "serial"),
-        default="thread",
-        help="shard execution backend (with --shards; default thread)",
+        default="serial",
+        help="shard execution backend (default serial)",
     )
     parser.add_argument(
         "--hotspots",
@@ -235,59 +202,35 @@ def _stream_workload(args):
 def _run_stream_command(argv: list[str]) -> int:
     args = _build_stream_parser().parse_args(argv)
     from repro.core import MQADivideConquer, MQAGreedy, RandomAssigner
-    from repro.streaming import (
-        ShardingConfig,
-        StreamConfig,
-        prepared_engine,
-        prepared_sharded_engine,
-    )
+    from repro.streaming import ShardingConfig, StreamConfig, prepared_engine
 
     assigner = {
         "greedy": MQAGreedy,
         "dc": MQADivideConquer,
         "random": RandomAssigner,
     }[args.algorithm]()
-    if args.shards < 0:
-        print("--shards must be >= 0", file=sys.stderr)
-        return 2
-    if args.shards and args.dense:
-        print("--shards requires the sparse builder (drop --dense)", file=sys.stderr)
-        return 2
-    if args.shards and not args.delta:
-        print("--shards requires the delta builder (drop --no-delta)", file=sys.stderr)
-        return 2
     if args.hotspots < 1:
         print("--hotspots must be >= 1", file=sys.stderr)
         return 2
-    workload = _stream_workload(args)
-    config = StreamConfig(
-        round_interval=args.round_interval,
-        budget=args.budget,
-        unit_cost=args.unit_cost,
-        use_prediction=not args.no_prediction,
-        use_sparse_builder=not args.dense,
-        use_delta_builder=args.delta,
-        use_warm_select=args.warm_select,
-        enable_tracing=args.trace_out is not None,
-    )
-    if args.shards:
-        engine, events_in = prepared_sharded_engine(
-            workload,
-            assigner,
-            config=config,
-            sharding=ShardingConfig(num_shards=args.shards, backend=args.backend),
-            seed=args.seed,
-        )
-    else:
-        engine, events_in = prepared_engine(
-            workload, assigner, config=config, seed=args.seed
-        )
-    started = monotonic()
     try:
+        config = StreamConfig(
+            round_interval=args.round_interval,
+            budget=args.budget,
+            unit_cost=args.unit_cost,
+            use_prediction=not args.no_prediction,
+            enable_tracing=args.trace_out is not None,
+        )
+        sharding = ShardingConfig(num_shards=args.shards, backend=args.backend)
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    workload = _stream_workload(args)
+    engine, events_in = prepared_engine(
+        workload, assigner, config=config, seed=args.seed, sharding=sharding
+    )
+    started = monotonic()
+    with engine:
         engine.advance_to(float(workload.num_instances))
-    finally:
-        if args.shards:
-            engine.close()
     wall = monotonic() - started
     result = engine.result()
 
@@ -312,17 +255,13 @@ def _run_stream_command(argv: list[str]) -> int:
         "scenario": args.scenario,
         "algorithm": args.algorithm,
         "round_interval": args.round_interval,
-        "builder": (
-            "dense" if args.dense else ("delta" if args.delta else "sparse")
-        ),
         "mean_build_ms": _mean_ms("build", "build_seconds"),
         "mean_assign_ms": assign_ms / rounds_count,
         "mean_select_ms": _mean_ms("select", "select_seconds"),
         "mean_finalize_ms": _mean_ms("finalize", "finalize_seconds"),
         "phase_latencies": phases,
-        "warm_select_enabled": args.warm_select,
         "shards": args.shards,
-        "backend": args.backend if args.shards else "none",
+        "backend": args.backend,
         "events_in": events_in,
         "events_processed": engine.events_processed,
         "rounds": engine.rounds_run,
@@ -335,11 +274,9 @@ def _run_stream_command(argv: list[str]) -> int:
         "candidate_pairs_examined": engine.build_stats.candidates,
         "dense_pairs_equivalent": engine.build_stats.dense_equivalent,
     }
-    layout = (
-        f"{args.shards} shards ({summary['backend']})" if args.shards else "unsharded"
-    )
     print(
-        f"{args.scenario} / {args.algorithm} / {summary['builder']} / {layout}: "
+        f"{args.scenario} / {args.algorithm} / "
+        f"{args.shards} shard{'s' if args.shards != 1 else ''} ({args.backend}): "
         f"{summary['rounds']} rounds, {summary['events_processed']} events"
     )
     print(
@@ -373,22 +310,21 @@ def _run_stream_command(argv: list[str]) -> int:
         if reconcile and reconcile[0].count:
             parts.append(f"reconcile: {1000.0 * reconcile[0].mean:.2f}")
         print(f"  tile build mean ms: {'  '.join(parts)}")
-    select_stats = getattr(engine, "select_stats", None)
-    if select_stats is not None:
-        summary["warm_select"] = {
-            "rounds": select_stats.rounds,
-            "primes": select_stats.primes,
-            "repaired": select_stats.repaired,
-            "declined": select_stats.declined,
-            "guard_fallbacks": select_stats.guard_fallbacks,
-            "churn_fallbacks": select_stats.churn_fallbacks,
-        }
-        print(
-            f"  warm selection: {select_stats.repaired} repaired rounds, "
-            f"{select_stats.primes} cold primes, "
-            f"{select_stats.churn_fallbacks} churn fallbacks"
-        )
-    delta_stats = getattr(engine, "delta_stats", None)
+    select_stats = engine.select_stats
+    summary["warm_select"] = {
+        "rounds": select_stats.rounds,
+        "primes": select_stats.primes,
+        "repaired": select_stats.repaired,
+        "declined": select_stats.declined,
+        "guard_fallbacks": select_stats.guard_fallbacks,
+        "churn_fallbacks": select_stats.churn_fallbacks,
+    }
+    print(
+        f"  warm selection: {select_stats.repaired} repaired rounds, "
+        f"{select_stats.primes} cold primes, "
+        f"{select_stats.churn_fallbacks} churn fallbacks"
+    )
+    delta_stats = engine.delta_stats
     if delta_stats is not None:
         summary["delta"] = {
             "primes": delta_stats.primes,
@@ -402,17 +338,16 @@ def _run_stream_command(argv: list[str]) -> int:
             f"rounds, {delta_stats.primes} full rebuilds, "
             f"{delta_stats.pairs_cached} pairs cached"
         )
-    if not args.dense:
-        ratio = (
-            summary["dense_pairs_equivalent"] / summary["candidate_pairs_examined"]
-            if summary["candidate_pairs_examined"]
-            else float("inf")
-        )
-        print(
-            f"  candidate pairs {summary['candidate_pairs_examined']} "
-            f"(dense would touch {summary['dense_pairs_equivalent']}, "
-            f"{ratio:.1f}x fewer)"
-        )
+    ratio = (
+        summary["dense_pairs_equivalent"] / summary["candidate_pairs_examined"]
+        if summary["candidate_pairs_examined"]
+        else float("inf")
+    )
+    print(
+        f"  candidate pairs {summary['candidate_pairs_examined']} "
+        f"(dense would touch {summary['dense_pairs_equivalent']}, "
+        f"{ratio:.1f}x fewer)"
+    )
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(summary, indent=2), encoding="utf-8")
@@ -531,7 +466,11 @@ def _run_serve_command(argv: list[str] | None) -> int:
     )
     from repro.streaming.events import WorkerArrival
 
-    config = StreamConfig(round_interval=args.round_interval)
+    try:
+        config = StreamConfig(round_interval=args.round_interval)
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
 
     def tenant_factory(seed):
         workload = _stream_workload(argparse.Namespace(**{**vars(args), "seed": seed}))

@@ -659,7 +659,7 @@ class SelectionState:
     - **trusted**: a :class:`~repro.model.delta.ChurnRecord` whose
       ``row_origin`` maps each new pool row to the previous round's
       row.  The fused round pipeline (``repro.streaming.pipeline``,
-      the serial *and* sharded engines' default build path) composes
+      the streaming engine's build path for every tiling) composes
       it from the per-tile builders' emission-local origins — each
       tile's entity lists are monotone subsequences of the global
       ones, so the merged pool's rank order embeds every tile's, and
@@ -667,8 +667,8 @@ class SelectionState:
       have produced;
     - **self-diff**: current-current rows are matched by packed
       ``(worker_id, task_id)`` identity against the previous round's,
-      which needs no builder cooperation (the ``--no-delta`` fresh
-      path uses this mode).
+      which needs no builder cooperation (the fresh reference
+      builders of ``repro.testing.ReferenceEngine`` use this mode).
 
     Either way every matched row's order-determining columns are
     verified against the cached copies and mismatches are demoted to

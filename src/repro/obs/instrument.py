@@ -142,7 +142,7 @@ class StreamObserver:
         self._active = timer
         return timer
 
-    # -- shard tiles (called mid-build by the sharded engine) ---------------
+    # -- shard tiles (called mid-build by the engine) -----------------------
 
     def record_tile_phases(self, entries: list[tuple[int, float]]) -> None:
         """Book per-tile build phases: ``(tile, seconds)``, tile ``-1``

@@ -4,8 +4,9 @@ A second execution layer beside the batch framework loop
 (:mod:`repro.simulation`): entity lifecycles are events on a
 continuous timeline, assignment happens in configurable micro-batch
 rounds, and candidate pairs are generated output-sensitively through
-the spatial index (:mod:`repro.geo.spatial_index` feeding
-:func:`repro.model.sparse.build_problem_sparse`).
+the spatial index into one fused per-tile build pipeline
+(:mod:`repro.streaming.pipeline`), run inline or across ``K`` spatial
+shards (:class:`ShardingConfig`).
 
 With instance-aligned rounds the streaming engine reproduces the batch
 engine's results exactly — the two layers are differentially tested
@@ -22,7 +23,7 @@ from repro.streaming.events import (
     WorkerArrival,
     WorkerRelease,
 )
-from repro.streaming.engine import StreamConfig, StreamingEngine
+from repro.streaming.engine import ShardingConfig, StreamConfig, StreamingEngine
 from repro.streaming.adapters import (
     load_workload,
     prepared_engine,
@@ -43,12 +44,6 @@ from repro.streaming.server import (
     StreamServer,
     TenantSpec,
 )
-from repro.streaming.sharding import (
-    ShardedStreamingEngine,
-    ShardingConfig,
-    prepared_sharded_engine,
-    run_sharded_stream,
-)
 
 __all__ = [
     "Event",
@@ -58,6 +53,7 @@ __all__ = [
     "TaskExpiry",
     "WorkerRelease",
     "StreamConfig",
+    "ShardingConfig",
     "StreamingEngine",
     "workload_events",
     "load_workload",
@@ -74,8 +70,4 @@ __all__ = [
     "ServerConfig",
     "StreamServer",
     "TenantSpec",
-    "ShardingConfig",
-    "ShardedStreamingEngine",
-    "prepared_sharded_engine",
-    "run_sharded_stream",
 ]

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from repro.core.base import Assigner
 from repro.prediction.predictors import CountPredictor
 from repro.simulation.metrics import SimulationResult
-from repro.streaming.engine import StreamConfig, StreamingEngine
+from repro.streaming.engine import ShardingConfig, StreamConfig, StreamingEngine
 from repro.streaming.events import Event, TaskArrival, WorkerArrival
 from repro.workloads.base import Workload
 
@@ -47,6 +47,7 @@ def prepared_engine(
     config: StreamConfig | None = None,
     predictor: CountPredictor | None = None,
     seed: int = 0,
+    sharding: ShardingConfig | None = None,
 ) -> tuple[StreamingEngine, int]:
     """An engine loaded with a workload's events, not yet advanced.
 
@@ -55,7 +56,9 @@ def prepared_engine(
     rounds coincide exactly with the batch engine's ``R`` instances.
     Callers that only need the result can use :func:`run_stream`; the
     CLI and the throughput bench use this form to time the advance and
-    read the engine's counters.
+    read the engine's counters.  Callers own the engine and should
+    ``close()`` it (or use it as a context manager) when a parallel
+    ``sharding`` backend is in play.
     """
     engine = StreamingEngine(
         assigner,
@@ -64,6 +67,7 @@ def prepared_engine(
         predictor=predictor,
         seed=seed,
         end_time=float(workload.num_instances),
+        sharding=sharding,
     )
     return engine, load_workload(engine, workload)
 
@@ -74,10 +78,13 @@ def run_stream(
     config: StreamConfig | None = None,
     predictor: CountPredictor | None = None,
     seed: int = 0,
+    sharding: ShardingConfig | None = None,
 ) -> SimulationResult:
     """Run a workload through the streaming engine, start to finish."""
     engine, _ = prepared_engine(
-        workload, assigner, config=config, predictor=predictor, seed=seed
+        workload, assigner, config=config, predictor=predictor, seed=seed,
+        sharding=sharding,
     )
-    engine.advance_to(float(workload.num_instances))
-    return engine.result()
+    with engine:
+        engine.advance_to(float(workload.num_instances))
+        return engine.result()

@@ -5,8 +5,19 @@ world into discrete time instances, this engine consumes an *event
 stream* (arrivals, expiries, worker releases) and runs assignment
 rounds on a configurable micro-batch cadence: events are applied in
 timestamp order between rounds, and each round prices and assigns only
-the entities alive at that moment, generating candidate pairs through
-the sparse, spatial-index-backed builder.
+the entities alive at that moment.
+
+Every round builds its candidate pool through one fused pipeline
+(:class:`~repro.streaming.pipeline.FusedRoundBuilder`): the unit square
+is cut into ``K`` spatial tiles (:class:`ShardingConfig`), each tile
+keeps a persistent delta pool over its zone, and a global reconcile
+pass merges the tiles back into the canonical pool — bit-for-bit the
+pool :func:`~repro.model.sparse.build_problem_sparse` would emit.  The
+default ``K = 1`` runs that pipeline inline on one tile; larger ``K``
+fan the tiles over a thread pool or pre-forked shared-memory workers
+(:mod:`repro.streaming.shm`).  Events, prediction RNG draws and
+selection never depend on ``K``, so every tiling reproduces the
+default run exactly (``tests/test_streaming_sharding.py``).
 
 Equivalence contract: with ``round_interval = 1.0`` and a workload
 adapter stamping arrivals at integer instances, the engine reproduces
@@ -21,6 +32,8 @@ batch loop; the differential suite in
 
 from __future__ import annotations
 
+import pickle
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +43,11 @@ from repro.core.triplet_select import SelectionState
 from repro.geo.grid import GridIndex
 from repro.geo.point import euclidean_distance
 from repro.geo.spatial_index import SpatialIndex
+from repro.geo.tiles import TileGrid
 from repro.model.delta import ChurnRecord
 from repro.model.entities import Task, Worker
-from repro.model.instance import build_problem
 from repro.model.quality import QualityModel
-from repro.model.sparse import SparseBuildStats, build_problem_sparse
+from repro.model.sparse import SparseBuildStats
 from repro.obs.instrument import StreamObserver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
@@ -60,8 +73,15 @@ from repro.streaming.events import (
     WorkerArrival,
     WorkerRelease,
 )
+from repro.streaming.pipeline import FusedRoundBuilder, InlineTileRunner
 
 _RELEASED_ID_BASE = _PREDICTED_ID_BASE * 2
+
+#: Churn fraction above which a tile's delta pool re-primes instead of
+#: repairing, and warm selection rebuilds its orders cold.
+_REBUILD_RATIO = 0.5
+
+_BACKENDS = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -75,30 +95,7 @@ class StreamConfig:
         round_interval: time between micro-batch assignment rounds.
             ``1.0`` aligns rounds with the batch engine's instances.
         budget: reward budget ``B`` granted per round.
-        use_sparse_builder: generate candidates through the spatial
-            index (``build_problem_sparse``) instead of the dense
-            matrix builder.  Both produce identical pools; the sparse
-            path is output-sensitive.
         index_gamma: grid resolution of the maintained task index.
-        use_delta_builder: maintain the current×current candidate pool
-            incrementally across rounds (the fused round pipeline,
-            :class:`~repro.streaming.pipeline.FusedRoundBuilder`)
-            instead of rebuilding it every round.  Emits bit-identical
-            pools; only the work per round changes.  Requires the
-            sparse builder; ``False`` selects the reference
-            ``build_problem_sparse`` the differentials compare against.
-        delta_rebuild_ratio: churn fraction above which the delta
-            builder re-primes instead of repairing (see
-            ``DeltaPoolBuilder.rebuild_churn_ratio``).
-        use_warm_select: persist selection state across rounds
-            (:class:`~repro.core.triplet_select.SelectionState`) so the
-            assign phase repairs its sorted orders from the round's
-            churn instead of rebuilding them.  Selections are
-            bit-identical to cold solves; only the work per round
-            changes.  Works with every builder — the delta builder
-            supplies a trusted row-origin map through the shared
-            :class:`~repro.model.delta.ChurnRecord`, other builders
-            fall back to self-diffing pair identities.
         enable_metrics: record per-round phase histograms, counters
             and gauges into the engine's :class:`~repro.obs.metrics.
             MetricsRegistry`.  Observability never touches data,
@@ -121,11 +118,7 @@ class StreamConfig:
     include_future_future_pairs: bool = True
     default_deadline_offset: float = 1.5
     default_velocity: float = 0.25
-    use_sparse_builder: bool = True
     index_gamma: int = 16
-    use_delta_builder: bool = True
-    delta_rebuild_ratio: float = 0.5
-    use_warm_select: bool = True
     enable_metrics: bool = True
     enable_tracing: bool = False
 
@@ -142,18 +135,13 @@ class StreamConfig:
             raise ValueError("window must be >= 1")
         if self.index_gamma < 1:
             raise ValueError("index_gamma must be >= 1")
-        if not 0.0 < self.delta_rebuild_ratio <= 1.0:
-            raise ValueError("delta_rebuild_ratio must be in (0, 1]")
 
     @classmethod
     def from_engine_config(
         cls,
         config: EngineConfig,
         round_interval: float = 1.0,
-        use_sparse_builder: bool = True,
         index_gamma: int = 16,
-        use_delta_builder: bool = True,
-        use_warm_select: bool = True,
     ) -> "StreamConfig":
         """Lift a batch :class:`EngineConfig` into streaming form."""
         if config.oracle_prediction:
@@ -173,11 +161,94 @@ class StreamConfig:
             include_future_future_pairs=config.include_future_future_pairs,
             default_deadline_offset=config.default_deadline_offset,
             default_velocity=config.default_velocity,
-            use_sparse_builder=use_sparse_builder,
             index_gamma=index_gamma,
-            use_delta_builder=use_delta_builder,
-            use_warm_select=use_warm_select,
         )
+
+
+@dataclass(frozen=True)
+class ShardingConfig:
+    """How the engine executes its round build across spatial tiles.
+
+    ``ShardingConfig()`` is the engine's default: one tile, built
+    inline.  Every tiling and backend emits the same pool, so the
+    choice changes speed, never results.
+
+    Attributes:
+        num_shards: number of spatial shards ``K``; factored into the
+            most-square ``nx x ny`` tiling.
+        backend: ``"serial"`` (in-process loop), ``"thread"`` (NumPy's
+            kernels release the GIL on large arrays, and tiles share
+            the arrays) or ``"process"`` (pre-forked shared-memory tile
+            workers, :mod:`repro.streaming.shm`).
+        max_workers: pool size for the parallel backends (default:
+            ``num_shards``).
+        round_deadline_s: process backend only — how long the parent
+            waits for one worker's round reply before declaring it
+            hung and respawning it; ``None`` restores the unsupervised
+            blocking read.
+        max_respawns: process backend only — total worker respawns
+            allowed before the engine degrades gracefully to the
+            inline serial path (the crash-loop budget).
+        respawn_backoff_s: initial respawn backoff; doubles per
+            respawn, capped at ``respawn_backoff_max_s``.
+        faults: an armed :class:`repro.faults.FaultInjector` threaded
+            into the process backend for deterministic chaos testing;
+            ``None`` (the default) injects nothing and costs nothing.
+    """
+
+    num_shards: int = 1
+    backend: str = "serial"
+    max_workers: int | None = None
+    round_deadline_s: float | None = 30.0
+    max_respawns: int = 3
+    respawn_backoff_s: float = 0.05
+    respawn_backoff_max_s: float = 1.0
+    faults: object | None = None
+
+    def __post_init__(self) -> None:
+        if self.num_shards < 1:
+            raise ValueError(f"num_shards must be positive, got {self.num_shards}")
+        if self.backend not in _BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; expected one of {_BACKENDS}"
+            )
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(f"max_workers must be positive, got {self.max_workers}")
+        if self.round_deadline_s is not None and self.round_deadline_s <= 0:
+            raise ValueError(
+                f"round_deadline_s must be positive or None, got "
+                f"{self.round_deadline_s}"
+            )
+        if self.max_respawns < 0:
+            raise ValueError(
+                f"max_respawns must be non-negative, got {self.max_respawns}"
+            )
+        if self.respawn_backoff_s < 0 or self.respawn_backoff_max_s < 0:
+            raise ValueError("respawn backoffs must be non-negative")
+
+
+class _LazyThreadPool:
+    """The thread backend's executor (shared by the tile runner and the
+    reconcile pass), started on first use.  Live threads cannot be
+    pickled, so :meth:`StreamingEngine.export_state` carries only the
+    pool size and a restored engine starts fresh threads on demand."""
+
+    def __init__(self, max_workers: int) -> None:
+        self._max_workers = max_workers
+        self._pool: ThreadPoolExecutor | None = None
+
+    def map(self, fn, *iterables):
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(self._max_workers, "repro-shard")
+        return self._pool.map(fn, *iterables)
+
+    def shutdown(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_pool": None}
 
 
 class StreamingEngine:
@@ -188,6 +259,12 @@ class StreamingEngine:
     timestamp: every due micro-batch round up to it is executed.  The
     engine never looks at future events — a round sees exactly the
     entities whose events were stamped at or before it.
+
+    ``sharding`` picks how the round build executes (default: one
+    tile, inline).  The build pipeline — and the thread backend's
+    pool or the process backend's workers — is created lazily on the
+    first round and owned by the engine; call :meth:`close` (or use
+    the engine as a context manager) to release it.
     """
 
     def __init__(
@@ -198,10 +275,13 @@ class StreamingEngine:
         predictor: CountPredictor | None = None,
         seed: int = 0,
         end_time: float | None = None,
+        sharding: ShardingConfig | None = None,
     ) -> None:
         self._assigner = assigner
         self._quality_model = quality_model
         self._config = config if config is not None else StreamConfig()
+        self._sharding = sharding if sharding is not None else ShardingConfig()
+        self._tiles = TileGrid.from_shard_count(self._sharding.num_shards)
         self._end_time = end_time
         self._rng = np.random.default_rng(seed)
 
@@ -231,24 +311,19 @@ class StreamingEngine:
         self._log: list[AssignmentRecord] = []
         self.events_processed = 0
         self.build_stats = SparseBuildStats()
-        # The delta path's fused round pipeline, created lazily on the
-        # first round so the journal subscription starts with it.
-        self._fused_builder = None
-        # Engine-side churn journal handed to the delta builder as
+        # The fused round pipeline, created lazily on the first round
+        # so the journal subscription starts with it.
+        self._fused_builder: FusedRoundBuilder | None = None
+        self._executor: _LazyThreadPool | None = None
+        self._closed = False
+        # Engine-side churn journal handed to the fused builder as
         # trusted hints: this round's worker arrivals (append order)
-        # and the ids assigned away since the previous build.  Only
-        # journaled while a delta-path build will consume it, so the
-        # list cannot grow unboundedly under the reference builders.
+        # and the ids assigned away since the previous build.
         self._round_worker_arrivals: list[Worker] = []
         self._removed_worker_ids: list[int] = []
-        self._journal_worker_churn = (
-            self._config.use_sparse_builder and self._config.use_delta_builder
-        )
-        # Persistent warm-start selection layer (None when disabled).
-        self._selection_state: SelectionState | None = (
-            SelectionState(repair_ratio=self._config.delta_rebuild_ratio)
-            if self._config.use_warm_select
-            else None
+        # Persistent warm-start selection layer.
+        self._selection_state: SelectionState | None = SelectionState(
+            repair_ratio=_REBUILD_RATIO
         )
         # Observability hub: the round loop always times its phases
         # through the observer's RoundTimer (one clock, one set of
@@ -266,6 +341,14 @@ class StreamingEngine:
         return self._config
 
     @property
+    def sharding(self) -> ShardingConfig:
+        return self._sharding
+
+    @property
+    def tiles(self) -> TileGrid:
+        return self._tiles
+
+    @property
     def worker_predictor(self) -> GridPredictor:
         return self._worker_predictor
 
@@ -276,7 +359,7 @@ class StreamingEngine:
     @property
     def delta_stats(self):
         """Counters of the incremental pool maintenance (``None``
-        before the first delta-path round, or when disabled).
+        before the first round).
 
         On the fused pipeline this is the per-tile aggregate —
         ``rounds`` counts tile-rounds, so the incremental rate reads
@@ -287,8 +370,7 @@ class StreamingEngine:
 
     @property
     def select_stats(self):
-        """Counters of the persistent selection layer (``None`` when
-        warm selection is disabled)."""
+        """Counters of the persistent selection layer."""
         if self._selection_state is None:
             return None
         return self._selection_state.stats
@@ -365,15 +447,45 @@ class StreamingEngine:
     # -- lifecycle / durability ---------------------------------------------
 
     def close(self) -> None:
-        """Release build-path resources (idempotent).
+        """Shut down the build backend (idempotent).
 
-        The serial engine's fused builder runs inline, so this is
-        cheap — it exists so every engine in the family shares one
-        lifecycle surface (the sharded engine's process backend *must*
-        be closed to stop its pinned workers).
+        The serial backend runs inline, so closing it is inert and
+        rounds keep working.  Further rounds on a closed thread or
+        process engine raise rather than silently degrading to
+        in-process execution; the process backend *must* be closed to
+        stop its pinned workers.
         """
         if self._fused_builder is not None:
             self._fused_builder.close()
+        if self._executor is not None:
+            self._executor.shutdown()
+        self._closed = True
+
+    @property
+    def degraded(self) -> bool:
+        """True once a broken process backend has been swapped for the
+        inline serial path (crash-loop budget exhausted)."""
+        return bool(
+            self._fused_builder is not None and self._fused_builder.degraded
+        )
+
+    @property
+    def ipc_bytes_last_round(self) -> int:
+        """Bytes exchanged with the round's build backend (0 for the
+        in-process backends, whose arrays are shared)."""
+        if self._fused_builder is None:
+            return 0
+        return self._fused_builder.ipc_bytes_last_round
+
+    @property
+    def ipc_bytes_total(self) -> int:
+        """Cumulative bytes exchanged with the build backend across
+        the run — the numerator of the bench's ``ipc_bytes_per_round``
+        (shared-memory array traffic is excluded by design; the pipe
+        carries only churn deltas and array descriptors)."""
+        if self._fused_builder is None:
+            return 0
+        return self._fused_builder.ipc_bytes_total
 
     def __enter__(self) -> "StreamingEngine":
         return self
@@ -391,14 +503,11 @@ class StreamingEngine:
         so :meth:`restore_state` + a replay of the operations issued
         after the export reaches bit-identical state to an engine
         that never stopped (the kill-and-replay differential suite
-        proves it).  Only in-process engines are exportable — a
-        process-backed sharded engine holds pinned workers and shared
-        memory that cannot be serialized.
+        proves it).  Only in-process backends are exportable — the
+        process backend holds pinned workers and shared memory that
+        cannot be serialized.  The thread backend's pool is left out
+        and restarts on the restored engine's first parallel round.
         """
-        import pickle
-
-        from repro.streaming.pipeline import InlineTileRunner
-
         runner = getattr(self._fused_builder, "_runner", None)
         if runner is not None and not isinstance(runner, InlineTileRunner):
             raise ValueError(
@@ -410,8 +519,6 @@ class StreamingEngine:
     @classmethod
     def restore_state(cls, blob: bytes) -> "StreamingEngine":
         """Rebuild an engine from an :meth:`export_state` blob."""
-        import pickle
-
         engine = pickle.loads(blob)
         if not isinstance(engine, StreamingEngine):
             raise ValueError(
@@ -557,78 +664,82 @@ class StreamingEngine:
     ):
         """Assemble the round's candidate-pair problem.
 
-        The single extension point of the round loop: subclasses that
-        generate candidates differently — notably the sharded engine,
-        which fans the build out over spatial shards — override this
-        and nothing else, so event handling, prediction RNG draws and
-        selection stay byte-for-byte shared with the serial engine.
+        One :class:`~repro.streaming.pipeline.FusedRoundBuilder` per
+        engine, created on the first round with the backend's runner —
+        inline for serial, the engine's thread pool for thread (shared
+        with the reconcile pass's parallel pricing), and the
+        shared-memory persistent worker pool for process.
 
         ``churn`` is the round's shared :class:`ChurnRecord`: the
         engine stamps its worker-churn journal on it beforehand, and
-        the fused delta pipeline annotates ``row_origin`` in place so
-        the selection layer can repair from a trusted origin map.  The
-        reference builders leave it unannotated — warm selection then
-        self-diffs.
+        the builder annotates ``row_origin`` in place so warm selection
+        repairs from a trusted origin map instead of self-diffing.
         """
-        config = self._config
-        if config.use_sparse_builder and config.use_delta_builder:
-            # The serial engine is literally the K=1 case of the fused
-            # sharded pipeline: one tile whose zone is the whole grid,
-            # run inline — same persistent delta pool, same reconcile
-            # pass, same origin-annotated churn for warm selection.
-            if self._fused_builder is None:
-                from repro.geo.tiles import TileGrid
-                from repro.streaming.pipeline import FusedRoundBuilder
-
-                self._fused_builder = FusedRoundBuilder(
-                    self._quality_model,
-                    config.unit_cost,
-                    TileGrid(1, 1),
-                    self._task_index,
-                    discount_by_existence=config.discount_by_existence,
-                    reservation_filter=config.reservation_filter,
-                    include_future_future_pairs=config.include_future_future_pairs,
-                    index_gamma=config.index_gamma,
-                    rebuild_churn_ratio=config.delta_rebuild_ratio,
-                    stats=self.build_stats,
-                )
-            problem = self._fused_builder.build_round(
-                self._available_workers,
-                self._available_tasks,
-                predicted_workers,
-                predicted_tasks,
-                now,
-                churn=churn,
+        if self._closed and self._sharding.backend != "serial":
+            raise RuntimeError(
+                f"engine is closed; its {self._sharding.backend!r} backend "
+                "is gone (create a new engine to keep streaming)"
             )
-            self._removed_worker_ids = []
-            return problem
-        if config.use_sparse_builder:
-            return build_problem_sparse(
-                self._available_workers,
-                self._available_tasks,
-                predicted_workers,
-                predicted_tasks,
-                self._quality_model,
-                config.unit_cost,
-                now,
-                discount_by_existence=config.discount_by_existence,
-                reservation_filter=config.reservation_filter,
-                include_future_future_pairs=config.include_future_future_pairs,
-                task_index=self._task_index if self._available_tasks else None,
-                index_gamma=config.index_gamma,
-                stats=self.build_stats,
-            )
-        return build_problem(
+        if self._fused_builder is None:
+            self._fused_builder = self._make_fused_builder()
+        wants = self._observer.wants_tile_phases
+        tile_phases: list[tuple[int, float]] | None = [] if wants else None
+        pool_events: list[tuple[int, str]] | None = [] if wants else None
+        problem = self._fused_builder.build_round(
             self._available_workers,
             self._available_tasks,
             predicted_workers,
             predicted_tasks,
+            now,
+            churn=churn,
+            tile_phases=tile_phases,
+            pool_events=pool_events,
+        )
+        self._removed_worker_ids = []
+        if tile_phases:
+            self._observer.record_tile_phases(tile_phases)
+        if pool_events:
+            self._observer.record_tile_pool_events(pool_events)
+        supervision = self._fused_builder.drain_supervision_events()
+        if supervision:
+            self._observer.record_supervision_events(supervision)
+        return problem
+
+    def _make_fused_builder(self) -> FusedRoundBuilder:
+        config = self._config
+        sharding = self._sharding
+        max_workers = sharding.max_workers or sharding.num_shards
+        runner_factory = None
+        if sharding.backend == "thread":
+            self._executor = _LazyThreadPool(max_workers)
+        elif sharding.backend == "process":
+            from repro.streaming.shm import ShmTileRunner
+
+            def runner_factory(spec, num_tiles):
+                return ShmTileRunner(
+                    spec,
+                    num_tiles,
+                    max_workers=max_workers,
+                    round_deadline_s=sharding.round_deadline_s,
+                    max_respawns=sharding.max_respawns,
+                    respawn_backoff_s=sharding.respawn_backoff_s,
+                    respawn_backoff_max_s=sharding.respawn_backoff_max_s,
+                    faults=sharding.faults,
+                )
+
+        return FusedRoundBuilder(
             self._quality_model,
             config.unit_cost,
-            now,
+            self._tiles,
+            self._task_index,
+            executor=self._executor,
+            runner_factory=runner_factory,
             discount_by_existence=config.discount_by_existence,
             reservation_filter=config.reservation_filter,
             include_future_future_pairs=config.include_future_future_pairs,
+            index_gamma=config.index_gamma,
+            rebuild_churn_ratio=_REBUILD_RATIO,
+            stats=self.build_stats,
         )
 
     def _run_round(self, now: float, round_index: int) -> None:
@@ -657,8 +768,7 @@ class StreamingEngine:
         )
         self._worker_predictor.observe_counts(actual_worker_counts)
         self._task_predictor.observe_counts(actual_task_counts)
-        if self._journal_worker_churn:
-            self._round_worker_arrivals = list(self._joined_workers)
+        self._round_worker_arrivals = list(self._joined_workers)
         self._joined_workers.clear()
         self._new_tasks.clear()
 
@@ -702,14 +812,10 @@ class StreamingEngine:
 
         # The round's shared churn record: engine-journaled worker
         # churn in, builder-proved row provenance out (annotated in
-        # place by the delta builder inside _build_problem).
+        # place by the fused builder inside _build_problem).
         churn = ChurnRecord(
-            worker_arrivals=(
-                self._round_worker_arrivals if self._journal_worker_churn else None
-            ),
-            worker_removed_ids=(
-                self._removed_worker_ids if self._journal_worker_churn else None
-            ),
+            worker_arrivals=self._round_worker_arrivals,
+            worker_removed_ids=self._removed_worker_ids,
         )
         timer.phase_start("build")
         problem = self._build_problem(now, predicted_workers, predicted_tasks, churn)
@@ -765,8 +871,7 @@ class StreamingEngine:
                 w for w in self._available_workers if w.id not in assigned_worker_ids
             ]
             self._available_worker_ids -= assigned_worker_ids
-            if self._journal_worker_churn:
-                self._removed_worker_ids.extend(assigned_worker_ids)
+            self._removed_worker_ids.extend(assigned_worker_ids)
         if assigned_task_ids:
             self._available_tasks = [
                 t for t in self._available_tasks if t.id not in assigned_task_ids

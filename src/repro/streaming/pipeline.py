@@ -3,8 +3,8 @@
 This module fuses the repo's two incremental layers — the
 :class:`~repro.model.delta.DeltaPoolBuilder` candidate cache and warm
 :class:`~repro.core.triplet_select.SelectionState` repair — into the
-sharded build path, so the serial engine is literally the K=1 case of
-the sharded engine instead of a parallel implementation:
+streaming engine's one build path, for every tiling ``K`` (the
+default engine is its K=1 case):
 
 - :class:`TilePipeline` owns one tile's persistent round state: the
   tile's entity lists, a :class:`DeltaPoolBuilder` in external-journal
@@ -425,7 +425,7 @@ class InlineTileRunner:
     """Runs tile pipelines in the parent process.
 
     ``executor=None`` runs the tiles sequentially (the serial
-    backend — and the K=1 serial engine); a thread pool runs them
+    backend, including the default K=1 engine); a thread pool runs them
     concurrently (the numpy kernels release the GIL).  The process
     backend lives in :mod:`repro.streaming.shm` behind the same
     interface, with the pipelines held by pre-forked workers.

@@ -1,9 +1,13 @@
-"""Public testing utilities: random entities and problem instances.
+"""Public testing utilities: random entities, problem instances and
+the reference streaming engine.
 
 Downstream projects (and this repository's own test/bench suites) need
 quick randomized workers, tasks, predicted samples, and ready-made
 problem instances.  Everything here is deterministic given the numpy
-``Generator`` / seed passed in.
+``Generator`` / seed passed in.  :class:`ReferenceEngine` runs the
+streaming round loop over the fresh oracle builders and cold
+selection, the references the production path is differentially
+tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ from repro.geo.box import Box
 from repro.geo.point import Point
 from repro.model.entities import Task, Worker
 from repro.model.instance import ProblemInstance, build_problem
+from repro.model.sparse import build_problem_sparse
+from repro.streaming.adapters import load_workload
+from repro.streaming.engine import StreamingEngine
 from repro.workloads.quality import HashQualityModel
 
 
@@ -137,3 +144,69 @@ def make_problem(
         now,
         reservation_filter=reservation_filter,
     )
+
+
+class ReferenceEngine(StreamingEngine):
+    """A :class:`StreamingEngine` over the reference code paths.
+
+    ``builder`` picks the round build: ``"fused"`` (the production
+    pipeline), ``"sparse"`` (a fresh
+    :func:`~repro.model.sparse.build_problem_sparse` every round) or
+    ``"dense"`` (the full ``W x T`` matrix
+    :func:`~repro.model.instance.build_problem`).  ``warm_select=False``
+    drops the persistent selection state, so every round selects cold.
+    Every combination emits the production engine's results bit for
+    bit; only the work per round differs.
+    """
+
+    def __init__(
+        self, *args, builder: str = "fused", warm_select: bool = True, **kwargs
+    ) -> None:
+        if builder not in ("fused", "sparse", "dense"):
+            raise ValueError(f"unknown reference builder {builder!r}")
+        super().__init__(*args, **kwargs)
+        self._reference_builder = builder
+        if not warm_select:
+            self._selection_state = None
+
+    @classmethod
+    def run(cls, workload, assigner, config=None, *, seed=0, **reference):
+        """An engine that has replayed ``workload`` start to finish;
+        ``reference`` takes ``builder`` and ``warm_select``."""
+        end_time = float(workload.num_instances)
+        engine = cls(
+            assigner, workload.quality_model, config=config, seed=seed,
+            end_time=end_time, **reference,
+        )
+        load_workload(engine, workload)
+        engine.advance_to(end_time)
+        return engine
+
+    def _build_problem(self, now, predicted_workers, predicted_tasks, churn=None):
+        if self._reference_builder == "fused":
+            return super()._build_problem(
+                now, predicted_workers, predicted_tasks, churn
+            )
+        self._removed_worker_ids = []
+        config = self.config
+        build, extra = build_problem, {}
+        if self._reference_builder == "sparse":
+            build = build_problem_sparse
+            extra = dict(
+                task_index=self._task_index if self._available_tasks else None,
+                index_gamma=config.index_gamma,
+                stats=self.build_stats,
+            )
+        return build(
+            self._available_workers,
+            self._available_tasks,
+            predicted_workers,
+            predicted_tasks,
+            self._quality_model,
+            config.unit_cost,
+            now,
+            discount_by_existence=config.discount_by_existence,
+            reservation_filter=config.reservation_filter,
+            include_future_future_pairs=config.include_future_future_pairs,
+            **extra,
+        )

@@ -193,8 +193,8 @@ class CitywideMultiHotspotWorkload(_GeneratedStream):
     Reachability radii are small relative to the pocket spacing, which
     makes the assignment problem *spatially decomposable*: pockets
     rarely interact, but each one generates a heavy local candidate
-    block.  This is the scenario built to separate the sharded engine
-    from the serial one — a single engine round must grind through
+    block.  This is the scenario built to separate a K-shard engine
+    from the one-tile default — a single-tile round must grind through
     every pocket's candidates sequentially, while grid-partitioned
     shards price the pockets concurrently and only the thin border
     reconciliation runs globally.  (The bursty/drifting scenarios

@@ -1,5 +1,7 @@
 """Tests for repro.cli."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -47,28 +49,10 @@ class TestStreamCommand:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "bursty / greedy / delta" in out
+        assert "bursty / greedy / 1 shard (serial)" in out
         assert "events/s" in out
         assert "delta maintenance:" in out
         assert "candidate pairs" in out
-
-    def test_stream_no_delta(self, capsys):
-        assert main(
-            [
-                "stream",
-                "--scenario", "bursty",
-                "--workers", "60",
-                "--tasks", "60",
-                "--instances", "4",
-                "--round-interval", "0.5",
-                "--budget", "20",
-                "--seed", "3",
-                "--no-delta",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "bursty / greedy / sparse" in out
-        assert "delta maintenance:" not in out
 
     def test_stream_warm_select_default_on(self, capsys):
         assert main(
@@ -86,55 +70,6 @@ class TestStreamCommand:
         out = capsys.readouterr().out
         assert "warm selection:" in out
         assert "select" in out and "finalize" in out
-
-    def test_stream_no_warm_select(self, capsys):
-        assert main(
-            [
-                "stream",
-                "--scenario", "bursty",
-                "--workers", "60",
-                "--tasks", "60",
-                "--instances", "4",
-                "--round-interval", "0.5",
-                "--budget", "20",
-                "--seed", "3",
-                "--no-warm-select",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "warm selection:" not in out
-
-    def test_stream_warm_select_delta_matrix(self, capsys, tmp_path):
-        """All four delta x warm-select legs agree on assignment totals."""
-        import json
-
-        totals = {}
-        for delta in ("--delta", "--no-delta"):
-            for warm in ("--warm-select", "--no-warm-select"):
-                path = tmp_path / f"{delta[2:]}_{warm[2:]}.json"
-                assert main(
-                    [
-                        "stream",
-                        "--scenario", "bursty",
-                        "--workers", "50",
-                        "--tasks", "50",
-                        "--instances", "3",
-                        "--budget", "20",
-                        "--seed", "3",
-                        delta, warm,
-                        "--json", str(path),
-                    ]
-                ) == 0
-                summary = json.loads(path.read_text())
-                assert summary["warm_select_enabled"] == (warm == "--warm-select")
-                assert ("warm_select" in summary) == (warm == "--warm-select")
-                totals[(delta, warm)] = (
-                    summary["assignments"],
-                    summary["total_quality"],
-                    summary["total_cost"],
-                )
-        capsys.readouterr()
-        assert len(set(totals.values())) == 1, totals
 
     def test_stream_json_output(self, capsys, tmp_path):
         import json
@@ -221,14 +156,12 @@ class TestStreamCommand:
             ]
         ) == 0
         out = capsys.readouterr().out
-        # The sharded path runs the fused delta pipeline by default,
-        # and the label must say so (it used to silently read sparse).
-        assert "citywide / greedy / delta / 4 shards (serial)" in out
+        assert "citywide / greedy / 4 shards (serial)" in out
         assert "tile build mean ms:" in out
+        assert "delta maintenance:" in out
         summary = json.loads(path.read_text())
         assert summary["shards"] == 4
         assert summary["backend"] == "serial"
-        assert summary["builder"] == "delta"
 
     def test_stream_sharded_matches_unsharded(self, capsys, tmp_path):
         import json
@@ -250,36 +183,38 @@ class TestStreamCommand:
         assert b["total_quality"] == a["total_quality"]
         assert b["total_cost"] == a["total_cost"]
 
-    def test_stream_shards_reject_dense(self, capsys):
-        assert main(
-            ["stream", "--shards", "2", "--dense", "--workers", "10", "--tasks", "10"]
-        ) == 2
-        assert "sparse builder" in capsys.readouterr().err
+    def test_stream_one_serial_shard_matches_default(self, capsys):
+        """``--shards 1 --backend serial`` spells out the default run."""
+        common = [
+            "stream", "--scenario", "bursty", "--workers", "60",
+            "--tasks", "60", "--instances", "3", "--seed", "4",
+        ]
 
-    def test_stream_shards_reject_no_delta(self, capsys):
-        """The sharded engine runs the fused delta pipeline only:
-        --shards with --no-delta is an unsupported combination and
-        must error, not silently fall back."""
-        assert main(
-            [
-                "stream", "--shards", "2", "--no-delta",
-                "--workers", "10", "--tasks", "10",
-            ]
-        ) == 2
-        assert "delta builder" in capsys.readouterr().err
+        def totals(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "assignments" in line]
 
-    def test_stream_dense_mode(self, capsys):
-        assert main(
-            [
-                "stream",
-                "--scenario", "synthetic",
-                "--workers", "40",
-                "--tasks", "40",
-                "--instances", "3",
-                "--dense",
-                "--no-prediction",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "dense" in out
-        assert "candidate pairs" not in out
+        default = totals(common)
+        assert default
+        assert totals(common + ["--shards", "1", "--backend", "serial"]) == default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stream", "--round-interval", "0"],
+        ["stream", "--budget", "-1"],
+        ["stream", "--shards", "0"],
+        ["stream", "--shards", "-2"],
+        ["serve", "--round-interval", "0"],
+    ],
+    ids=["stream-interval", "stream-budget", "stream-shards-0", "stream-shards-neg",
+         "serve-interval"],
+)
+def test_config_errors_exit_2(argv, capsys):
+    """Invalid engine configuration prints one line and exits 2."""
+    assert main(argv + ["--workers", "10", "--tasks", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "invalid configuration:" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,6 +1,6 @@
 """Differential tests: incremental round-over-round pool maintenance.
 
-The serial engine maintains its candidate pool through the fused round
+The default engine maintains its candidate pool through the fused round
 pipeline's K=1 case — one :class:`~repro.streaming.pipeline.
 TilePipeline` around a :class:`~repro.model.delta.DeltaPoolBuilder`,
 plus the global reconcile pass — so that is what these tests drive:

@@ -5,7 +5,7 @@ both on, or both off — same assignments (ids, order, quality, cost),
 same prediction errors, same pool accounting.  The observer only
 *reads* what the round loop measured; these tests are the fence that
 keeps it that way across greedy/D&C/Hungarian, both prediction legs,
-and the serial + sharded engines.
+and the default and K = 4 shard layouts.
 
 The trace-schema leg additionally validates that an instrumented run
 emits a loadable Chrome trace: round spans disjoint, phase spans
@@ -22,7 +22,7 @@ from repro.obs.export import registry_snapshot, validate_metrics_snapshot
 from repro.obs.trace import validate_chrome_trace
 from repro.streaming.adapters import prepared_engine
 from repro.streaming.engine import StreamConfig
-from repro.streaming.sharding import ShardingConfig, prepared_sharded_engine
+from repro.streaming.engine import ShardingConfig
 from repro.workloads import BurstyWorkload, SyntheticWorkload, WorkloadParams
 
 
@@ -103,7 +103,7 @@ class TestShardedBitIdentical:
                 enable_tracing=enable_tracing,
             )
             workload = _workload()
-            engine, _ = prepared_sharded_engine(
+            engine, _ = prepared_engine(
                 workload,
                 MQAGreedy(),
                 config=config,

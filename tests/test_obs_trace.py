@@ -212,7 +212,7 @@ class TestObserverSpans:
         from repro.streaming import (
             ShardingConfig,
             StreamConfig,
-            prepared_sharded_engine,
+            prepared_engine,
         )
         from repro.workloads import BurstyWorkload, WorkloadParams
 
@@ -220,7 +220,7 @@ class TestObserverSpans:
             WorkloadParams(num_workers=50, num_tasks=50, num_instances=2),
             seed=11,
         )
-        engine, _ = prepared_sharded_engine(
+        engine, _ = prepared_engine(
             workload,
             MQAGreedy(),
             config=StreamConfig(

@@ -1,14 +1,14 @@
 """Differential proof for the fused round pipeline.
 
-The fusion refactor makes the serial engine the K=1 case of the
-sharded engine: both run their delta candidate pools and warm
+The streaming engine runs its delta candidate pools and warm
 selection through per-tile :class:`~repro.streaming.pipeline.
-TilePipeline` state, the sharded one adding a churn-splitting parent
-and (for the process backend) a shared-memory exchange.  The proof
-obligation is *bit identity*: for K ∈ {1, 2, 4} × {serial, thread,
-process} on both prediction legs, the sharded stream must reproduce
-the serial delta-path stream exactly — assignments, quality, costs,
-budget accounting, prediction errors.
+TilePipeline` state at every tiling — the default engine is the K=1
+case; larger K add a churn-splitting parent and (for the process
+backend) a shared-memory exchange.  The proof obligation is *bit
+identity*: for K ∈ {1, 2, 4} × {serial, thread, process} on both
+prediction legs, the K-tile stream must reproduce the default stream
+exactly — assignments, quality, costs, budget accounting, prediction
+errors.
 
 Hypothesis drives the workload shape (family, density, velocity,
 deadline tightness, seed) so the equivalence is enforced across the
@@ -29,8 +29,7 @@ from repro.model.sparse import build_problem_sparse
 from repro.streaming import (
     ShardingConfig,
     StreamConfig,
-    prepared_sharded_engine,
-    run_sharded_stream,
+    prepared_engine,
     run_stream,
 )
 from repro.streaming.pipeline import (
@@ -82,7 +81,7 @@ def _serial_baseline(key):
 
 
 class TestFusedBitIdentity:
-    """Sharded fused streams == serial delta stream, bit for bit."""
+    """K-tile streams == the default one-tile stream, bit for bit."""
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
@@ -102,7 +101,7 @@ class TestFusedBitIdentity:
         key = (family, seed, size, round(velocity, 6), round(deadline, 6),
                use_prediction)
         serial = _serial_baseline(key)
-        sharded = run_sharded_stream(
+        sharded = run_stream(
             _workload(*key[:5]),
             MQAGreedy(),
             config=StreamConfig(
@@ -128,7 +127,7 @@ class TestFusedSteadyState:
             ),
             seed=13,
         )
-        engine, _ = prepared_sharded_engine(
+        engine, _ = prepared_engine(
             workload,
             MQAGreedy(),
             config=StreamConfig(round_interval=0.5, budget=40.0),

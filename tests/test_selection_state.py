@@ -32,9 +32,9 @@ from repro.core.triplet_select import (
     _merge_sorted_positions,
 )
 from repro.geo.tiles import TileGrid
-from repro.streaming import StreamConfig, run_stream
+from repro.streaming import StreamConfig
 from repro.streaming.pipeline import FusedRoundBuilder
-from repro.testing import make_problem
+from repro.testing import ReferenceEngine, make_problem
 from repro.workloads import BurstyWorkload, WorkloadParams
 from repro.workloads.quality import HashQualityModel
 
@@ -364,18 +364,19 @@ class TestEngineWarmEqualsCold:
             WorkloadParams(num_workers=110, num_tasks=110, num_instances=4),
             seed=9,
         )
-        results = {}
-        for warm in (False, True):
-            config = StreamConfig(
-                round_interval=0.5,
-                budget=25.0,
-                use_delta_builder=True,
-                use_warm_select=warm,
+        engines = {
+            warm: ReferenceEngine.run(
+                workload,
+                make_assigner(),
+                StreamConfig(round_interval=0.5, budget=25.0),
+                warm_select=warm,
+                seed=9,
             )
-            results[warm] = run_stream(
-                workload, make_assigner(), config=config, seed=9
-            )
-        cold, warm = results[False], results[True]
+            for warm in (False, True)
+        }
+        assert engines[False].select_stats is None
+        assert engines[True].select_stats is not None
+        cold, warm = engines[False].result(), engines[True].result()
         assert warm.total_assigned == cold.total_assigned
         assert warm.total_quality == cold.total_quality
         assert warm.total_cost == cold.total_cost

@@ -19,6 +19,7 @@ from repro.streaming import (
     workload_events,
 )
 from repro.simulation import EngineConfig
+from repro.testing import ReferenceEngine
 from repro.workloads import DriftingHotspotWorkload, SyntheticWorkload, WorkloadParams
 from repro.workloads.quality import HashQualityModel
 
@@ -150,14 +151,13 @@ class TestStreamingEngineBehavior:
             config=StreamConfig(round_interval=0.5, budget=20.0),
             seed=13,
         )
-        dense = run_stream(
+        dense = ReferenceEngine.run(
             workload,
             MQAGreedy(),
-            config=StreamConfig(
-                round_interval=0.5, budget=20.0, use_sparse_builder=False
-            ),
+            StreamConfig(round_interval=0.5, budget=20.0),
+            builder="dense",
             seed=13,
-        )
+        ).result()
         assert sparse.assignments == dense.assignments
         assert [i.num_pairs for i in sparse.instances] == [
             i.num_pairs for i in dense.instances
@@ -370,8 +370,8 @@ class TestStreamingScenariosEndToEnd:
 
 
 class TestDeltaBuilderEngineIntegration:
-    """The delta-maintained build path is the serial engine's default;
-    it must reproduce the full-rebuild engine exactly and repair (not
+    """The delta-maintained build path is the engine's only one; it
+    must reproduce the full-rebuild reference exactly and repair (not
     rebuild) the steady-state rounds."""
 
     def _run(self, use_delta: bool, use_prediction: bool = True):
@@ -380,18 +380,15 @@ class TestDeltaBuilderEngineIntegration:
             seed=11,
         )
         config = StreamConfig(
-            round_interval=0.5,
-            budget=25.0,
-            use_prediction=use_prediction,
-            use_delta_builder=use_delta,
+            round_interval=0.5, budget=25.0, use_prediction=use_prediction
         )
-        engine = StreamingEngine(
-            MQAGreedy(), workload.quality_model, config=config, seed=11,
-            end_time=float(workload.num_instances),
+        return ReferenceEngine.run(
+            workload,
+            MQAGreedy(),
+            config,
+            builder="fused" if use_delta else "sparse",
+            seed=11,
         )
-        load_workload(engine, workload)
-        engine.advance_to(float(workload.num_instances))
-        return engine
 
     @pytest.mark.parametrize("use_prediction", [True, False])
     def test_delta_reproduces_full_rebuild(self, use_prediction):
@@ -428,5 +425,18 @@ class TestDeltaBuilderEngineIntegration:
         )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="delta_rebuild_ratio"):
-            StreamConfig(delta_rebuild_ratio=1.5)
+        from repro.geo import TileGrid
+        from repro.geo.grid import GridIndex
+        from repro.geo.spatial_index import SpatialIndex
+        from repro.streaming.pipeline import FusedRoundBuilder
+
+        with pytest.raises(ValueError, match="rebuild_churn_ratio"):
+            FusedRoundBuilder(
+                _quality_model(),
+                10.0,
+                TileGrid(1, 1),
+                SpatialIndex(GridIndex(16)),
+                rebuild_churn_ratio=1.5,
+            )
+        with pytest.raises(ValueError, match="reference builder"):
+            ReferenceEngine(MQAGreedy(), _quality_model(), builder="matrix")

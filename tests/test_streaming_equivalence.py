@@ -25,6 +25,7 @@ from repro.model.sparse import SparseBuildStats, build_problem_sparse
 from repro.simulation import EngineConfig, SimulationEngine
 from repro.streaming import StreamConfig, run_stream
 from repro.testing import (
+    ReferenceEngine,
     make_predicted_tasks,
     make_predicted_workers,
     make_tasks,
@@ -141,14 +142,13 @@ class TestStreamingReproducesBatch:
         )
         engine_config = EngineConfig(budget=25.0)
         batch = SimulationEngine(workload, MQAGreedy(), engine_config, seed=3).run()
-        stream = run_stream(
+        stream = ReferenceEngine.run(
             workload,
             MQAGreedy(),
-            config=StreamConfig.from_engine_config(
-                engine_config, use_sparse_builder=False
-            ),
+            StreamConfig.from_engine_config(engine_config),
+            builder="dense",
             seed=3,
-        )
+        ).result()
         assert_results_identical(batch, stream)
 
 

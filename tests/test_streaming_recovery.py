@@ -305,6 +305,73 @@ class TestJournaledService:
         second.close()
         reference.close()
 
+    def test_thread_backend_recovers_bit_identical(self, tmp_path):
+        """A K = 2 thread-backed engine checkpoints (its live thread
+        pool stays out of the blob and restarts on demand) and replays
+        to the uninterrupted run's state."""
+        from repro.core import MQAGreedy
+        from repro.streaming import (
+            ShardingConfig,
+            StreamConfig,
+            StreamingEngine,
+            StreamingService,
+        )
+
+        ns = self._schedule()
+
+        def make_service():
+            return StreamingService.from_engine(
+                StreamingEngine(
+                    MQAGreedy(),
+                    ns["quality_model"],
+                    config=StreamConfig(round_interval=0.5),
+                    seed=21,
+                    sharding=ShardingConfig(num_shards=2, backend="thread"),
+                )
+            )
+
+        cut = len(ns["ops"]) // 2
+        first = JournaledService.open(
+            make_service, tmp_path, checkpoint_every=3, fsync=False
+        )
+        for op in ns["ops"][:cut]:
+            ns["apply_op"](first, op)
+        assert CheckpointWriter.load_latest(tmp_path) is not None
+        first.close(checkpoint=False)  # stop without a final checkpoint
+
+        second = JournaledService.open(
+            make_service, tmp_path, checkpoint_every=3, fsync=False
+        )
+        assert second.ops_applied == cut
+        for op in ns["ops"][cut:]:
+            ns["apply_op"](second, op)
+
+        reference = make_service()
+        for op in ns["ops"]:
+            ns["apply_op"](reference, op)
+        assert state_digest(second.engine) == state_digest(reference.engine)
+        second.close()
+        reference.close()
+
+    def test_process_backend_is_not_exportable(self):
+        from repro.core import MQAGreedy
+        from repro.streaming import ShardingConfig, StreamConfig, prepared_engine
+        from repro.workloads import BurstyWorkload, WorkloadParams
+
+        workload = BurstyWorkload(
+            WorkloadParams(num_workers=20, num_tasks=20, num_instances=2), seed=3
+        )
+        engine, _ = prepared_engine(
+            workload,
+            MQAGreedy(),
+            config=StreamConfig(round_interval=0.5),
+            sharding=ShardingConfig(num_shards=2, backend="process"),
+        )
+        with engine:
+            engine.advance_to(0.5)
+            with pytest.raises(ValueError, match="in-process build backends"):
+                engine.export_state()
+
     def test_close_checkpoints_so_reopen_skips_replay(self, tmp_path):
         ns = self._schedule()
         svc = JournaledService.open(

@@ -1,4 +1,4 @@
-"""Differential suite: sharded streaming == serial streaming, exactly.
+"""Differential suite: a K-shard engine == the default engine, exactly.
 
 Two layers of bit-identity are enforced:
 
@@ -7,11 +7,12 @@ Two layers of bit-identity are enforced:
    row-for-row, bit-for-bit identical to ``build_problem_sparse`` (and
    therefore to the dense ``build_problem``) for every K, every flag
    combination, and arbitrary entity sets (hypothesis).
-2. **Engine level** — :class:`ShardedStreamingEngine` reproduces the
-   serial :class:`StreamingEngine`'s :class:`SimulationResult` exactly
-   (assignments, quality/cost accounting, prediction errors) on the
-   seeded bursty and drifting-hotspot scenarios, both prediction legs,
-   K in {1, 2, 4}, across all three backends.
+2. **Engine level** — a :class:`StreamingEngine` built with any
+   :class:`ShardingConfig` reproduces the default engine's
+   :class:`SimulationResult` exactly (assignments, quality/cost
+   accounting, prediction errors) on the seeded bursty and
+   drifting-hotspot scenarios, both prediction legs, K in {1, 2, 4},
+   across all three backends.
 
 The conflict-free merge relies on unique ownership (every query entity
 has exactly one owning tile) plus the tile zones covering one
@@ -33,12 +34,10 @@ from repro.geo import TileGrid
 from repro.geo.spatial_index import SpatialIndex
 from repro.model.sparse import SparseBuildStats, build_problem_sparse
 from repro.streaming import (
-    ShardedStreamingEngine,
     ShardingConfig,
     StreamConfig,
+    StreamingEngine,
     prepared_engine,
-    prepared_sharded_engine,
-    run_sharded_stream,
     run_stream,
 )
 from repro.streaming.pipeline import FusedRoundBuilder
@@ -231,7 +230,7 @@ class TestShardedPoolEquivalence:
 
 
 class TestShardedEngineEquivalence:
-    """Sharded engine rounds == serial engine rounds, exactly."""
+    """K-shard engine rounds == default engine rounds, exactly."""
 
     @pytest.mark.parametrize("make_workload", [BurstyWorkload, DriftingHotspotWorkload])
     @pytest.mark.parametrize("use_prediction", [True, False])
@@ -241,30 +240,30 @@ class TestShardedEngineEquivalence:
         config = StreamConfig(
             round_interval=0.5, budget=50.0, use_prediction=use_prediction
         )
-        serial = run_stream(workload, MQAGreedy(), config=config, seed=29)
-        sharded = run_sharded_stream(
+        default = run_stream(workload, MQAGreedy(), config=config, seed=29)
+        sharded = run_stream(
             workload,
             MQAGreedy(),
             config=config,
             sharding=ShardingConfig(num_shards=num_shards, backend="serial"),
             seed=29,
         )
-        assert serial.total_assigned > 0
-        assert_results_identical(serial, sharded)
+        assert default.total_assigned > 0
+        assert_results_identical(default, sharded)
 
     def test_citywide_scenario_equivalence(self):
         workload = CitywideMultiHotspotWorkload(_SCENARIO_PARAMS, seed=17)
         config = StreamConfig(round_interval=0.5, budget=50.0)
-        serial = run_stream(workload, MQAGreedy(), config=config, seed=17)
-        sharded = run_sharded_stream(
+        default = run_stream(workload, MQAGreedy(), config=config, seed=17)
+        sharded = run_stream(
             workload,
             MQAGreedy(),
             config=config,
             sharding=ShardingConfig(num_shards=4, backend="serial"),
             seed=17,
         )
-        assert serial.total_assigned > 0
-        assert_results_identical(serial, sharded)
+        assert default.total_assigned > 0
+        assert_results_identical(default, sharded)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_backends_match(self, backend):
@@ -280,15 +279,15 @@ class TestShardedEngineEquivalence:
             seed=5,
         )
         config = StreamConfig(round_interval=0.5, budget=40.0)
-        serial = run_stream(workload, MQAGreedy(), config=config, seed=5)
-        sharded = run_sharded_stream(
+        default = run_stream(workload, MQAGreedy(), config=config, seed=5)
+        sharded = run_stream(
             workload,
             MQAGreedy(),
             config=config,
             sharding=ShardingConfig(num_shards=4, backend=backend),
             seed=5,
         )
-        assert_results_identical(serial, sharded)
+        assert_results_identical(default, sharded)
 
     @pytest.mark.parametrize(
         "make_assigner", [MQADivideConquer, RandomAssigner]
@@ -306,54 +305,43 @@ class TestShardedEngineEquivalence:
             seed=37,
         )
         config = StreamConfig(round_interval=1.0, budget=40.0)
-        serial = run_stream(workload, make_assigner(), config=config, seed=37)
-        sharded = run_sharded_stream(
+        default = run_stream(workload, make_assigner(), config=config, seed=37)
+        sharded = run_stream(
             workload,
             make_assigner(),
             config=config,
             sharding=ShardingConfig(num_shards=2, backend="serial"),
             seed=37,
         )
-        assert_results_identical(serial, sharded)
+        assert_results_identical(default, sharded)
 
     def test_fine_cadence_citywide_matches_serial(self):
         """Quarter-instance rounds on the citywide scenario with
         prediction on: many low-churn rounds in a row, served by the
-        per-tile repair path, still reproduce the serial engine."""
+        per-tile repair path, still reproduce the default engine."""
         params = WorkloadParams(
             num_workers=260, num_tasks=260, num_instances=4,
             velocity_range=(0.04, 0.07), deadline_range=(1.0, 2.0),
         )
         workload = CitywideMultiHotspotWorkload(params, seed=5)
         config = StreamConfig(round_interval=0.25, budget=8.0, use_prediction=True)
-        serial_engine, _ = prepared_engine(
+        default_engine, _ = prepared_engine(
             workload, MQAGreedy(), config=config, seed=5
         )
-        serial_engine.advance_to(float(workload.num_instances))
+        default_engine.advance_to(float(workload.num_instances))
         workload = CitywideMultiHotspotWorkload(params, seed=5)
-        sharded_engine, _ = prepared_sharded_engine(
+        sharded_engine, _ = prepared_engine(
             workload, MQAGreedy(), config=config,
             sharding=ShardingConfig(num_shards=4, backend="serial"), seed=5,
         )
         with sharded_engine:
             sharded_engine.advance_to(float(workload.num_instances))
-        assert_results_identical(serial_engine.result(), sharded_engine.result())
+        assert_results_identical(default_engine.result(), sharded_engine.result())
 
 
 class TestShardedEngineApi:
-    def test_dense_builder_rejected(self):
-        """The sharded engine runs the fused delta pipeline only; the
-        reference builders belong to the serial engine."""
-        for config in (
-            StreamConfig(use_sparse_builder=False),
-            StreamConfig(use_delta_builder=False),
-        ):
-            with pytest.raises(ValueError, match="fused delta pipeline"):
-                ShardedStreamingEngine(
-                    MQAGreedy(), HashQualityModel((1.0, 2.0)), config=config
-                )
-
     def test_config_validation(self):
+        assert ShardingConfig() == ShardingConfig(num_shards=1, backend="serial")
         with pytest.raises(ValueError):
             ShardingConfig(num_shards=0)
         with pytest.raises(ValueError):
@@ -362,7 +350,7 @@ class TestShardedEngineApi:
             ShardingConfig(max_workers=0)
 
     def test_close_is_idempotent_and_context_manager(self):
-        engine = ShardedStreamingEngine(
+        engine = StreamingEngine(
             MQAGreedy(),
             HashQualityModel((1.0, 2.0)),
             sharding=ShardingConfig(num_shards=2, backend="thread"),
@@ -377,7 +365,7 @@ class TestShardedEngineApi:
         from repro.model.entities import Worker
         from repro.geo import Point
 
-        engine = ShardedStreamingEngine(
+        engine = StreamingEngine(
             MQAGreedy(),
             HashQualityModel((1.0, 2.0)),
             sharding=ShardingConfig(num_shards=2, backend="thread"),
@@ -387,20 +375,26 @@ class TestShardedEngineApi:
         with pytest.raises(RuntimeError, match="closed"):
             engine.advance_to(1.0)
         # The serial backend never had an executor; closing it is
-        # inert and rounds keep working.
-        serial_engine = ShardedStreamingEngine(
+        # inert and rounds keep working (the default engine included).
+        serial_engine = StreamingEngine(
             MQAGreedy(),
             HashQualityModel((1.0, 2.0)),
             sharding=ShardingConfig(num_shards=2, backend="serial"),
         )
         serial_engine.close()
         serial_engine.advance_to(1.0)
+        default_engine = StreamingEngine(MQAGreedy(), HashQualityModel((1.0, 2.0)))
+        default_engine.close()
+        default_engine.advance_to(1.0)
 
     def test_tiles_follow_shard_count(self):
-        engine = ShardedStreamingEngine(
+        engine = StreamingEngine(
             MQAGreedy(),
             HashQualityModel((1.0, 2.0)),
             sharding=ShardingConfig(num_shards=6, backend="serial"),
         )
         assert engine.tiles.num_tiles == 6
         assert engine.sharding.backend == "serial"
+        default = StreamingEngine(MQAGreedy(), HashQualityModel((1.0, 2.0)))
+        assert default.tiles.num_tiles == 1
+        assert default.sharding == ShardingConfig()

@@ -26,7 +26,7 @@ from repro.core import MQAGreedy
 from repro.streaming import (
     ShardingConfig,
     StreamConfig,
-    prepared_sharded_engine,
+    prepared_engine,
 )
 from repro.streaming.shm import SegmentRegistry, _ShmArena, _pack_arrays, _take
 from repro.workloads import BurstyWorkload, WorkloadParams
@@ -63,14 +63,14 @@ def _no_repro_segments() -> None:
 _PRELUDE = """
     from repro.core import MQAGreedy
     from repro.streaming import (
-        ShardingConfig, StreamConfig, prepared_sharded_engine,
+        ShardingConfig, StreamConfig, prepared_engine,
     )
     from repro.workloads import BurstyWorkload, WorkloadParams
 
     workload = BurstyWorkload(
         WorkloadParams(num_workers=60, num_tasks=60, num_instances=3), seed=3
     )
-    engine, _ = prepared_sharded_engine(
+    engine, _ = prepared_engine(
         workload,
         MQAGreedy(),
         config=StreamConfig(round_interval=0.5, budget=20.0),

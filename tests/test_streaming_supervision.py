@@ -35,7 +35,7 @@ from repro.faults import FaultPlan
 from repro.streaming import (
     ShardingConfig,
     StreamConfig,
-    prepared_sharded_engine,
+    prepared_engine,
     run_stream,
     state_digest,
 )
@@ -68,7 +68,7 @@ def _config(use_prediction, enable_metrics=False):
 def _run_process(use_prediction, sharding, seed=9):
     """Run the bursty stream on a process engine; returns
     (result, digest, engine-facts) with the engine closed."""
-    engine, _ = prepared_sharded_engine(
+    engine, _ = prepared_engine(
         _workload(seed), MQAGreedy(), config=_config(use_prediction),
         sharding=sharding, seed=seed,
     )
@@ -168,7 +168,7 @@ class TestChaosDifferential:
 
 class TestHungWorker:
     def test_sigstop_fires_deadline_and_respawns(self):
-        engine, _ = prepared_sharded_engine(
+        engine, _ = prepared_engine(
             _workload(), MQAGreedy(),
             config=_config(False, enable_metrics=True),
             sharding=_supervised(2), seed=9,
@@ -229,7 +229,7 @@ class TestCrashLoopDegradation:
         plan = FaultPlan.parse(
             "kill worker 0 at round 1\nkill worker 0 at round 2\n"
         )
-        engine, _ = prepared_sharded_engine(
+        engine, _ = prepared_engine(
             _workload(), MQAGreedy(), config=_config(False),
             sharding=_supervised(2, faults=plan.injector(), max_respawns=1),
             seed=9,
