@@ -1,18 +1,20 @@
 """Micro-benchmarks of the performance-critical components.
 
 These track the throughput of the individual building blocks —
-candidate-pool construction, the dominance skyline, the Hungarian
-solver, the grid predictor — so regressions show up independently of
-the end-to-end figure benches.
+candidate-pool construction, the dominance skyline, the Lemma 4.2
+probability prune, the Hungarian solver, the grid predictor — so
+regressions show up independently of the end-to-end figure benches.
 """
 
 import numpy as np
 
-from repro.core.pruning import dominance_skyline
+from repro.core.pruning import dominance_skyline, probability_prune
 from repro.geo.grid import GridIndex
 from repro.matching.hungarian import hungarian_max_weight
 from repro.model.instance import build_problem
+from repro.model.pairs import PairPool
 from repro.prediction.grid_predictor import GridPredictor
+from repro.uncertainty.vector import prob_greater_vec, prob_less_or_equal_vec
 from repro.workloads.quality import HashQualityModel
 
 from repro.testing import (
@@ -45,8 +47,6 @@ def test_bench_dominance_skyline(benchmark):
     """Skyline over 50K random pairs."""
     rng = np.random.default_rng(1)
     n = 50_000
-    from repro.model.pairs import PairPool
-
     cost = np.sort(rng.uniform(0, 5, size=(n, 2)), axis=1)
     quality = np.sort(rng.uniform(0, 3, size=(n, 2)), axis=1)
     pool = PairPool(
@@ -65,6 +65,38 @@ def test_bench_dominance_skyline(benchmark):
     )
     survivors = benchmark(lambda: dominance_skyline(pool, np.arange(n)))
     assert 0 < survivors.size <= n
+
+
+def test_bench_probability_prune(benchmark):
+    """Lemma 4.2 over one K = 64 selection window shaped like a served
+    round: equal stochastic quality means and stochastic costs, ten
+    clusters of five near-equal costs (200 lanes with |z| < 0.01)."""
+    rng = np.random.default_rng(4)
+    k = 64
+    base = np.concatenate([1.0 + 0.5 * np.repeat(np.arange(10), 5), 7.0 + 0.5 * np.arange(14)])
+    cost = base + rng.uniform(0.0, 1e-3, k)
+    cost_var = rng.uniform(0.5, 2.0, k)
+    quality = np.full(k, 1.5)
+    quality_var = np.full(k, 0.3)
+    zeros = np.zeros(k)
+    zi = np.zeros(k, dtype=np.int64)
+    pool = PairPool(
+        zi, zi, cost, cost_var, zeros, zeros,
+        quality, quality_var, zeros, zeros, zeros, np.zeros(k, dtype=bool),
+    )
+    gap = cost[:, None] - cost
+    near_zero = (gap != 0.0) & (gap * gap < 1e-4 * (cost_var[:, None] + cost_var))
+    assert near_zero.sum() == 200
+
+    rows = np.arange(k, dtype=np.int64)
+    survivors = benchmark(lambda: probability_prune(pool, rows))
+    # Eqs. 7-8 evaluated on every pair.
+    worse = (
+        prob_greater_vec(quality[:, None], quality_var[:, None], quality, quality_var) < 0.5
+    ) & (prob_less_or_equal_vec(cost[:, None], cost_var[:, None], cost, cost_var) < 0.5)
+    np.fill_diagonal(worse, False)
+    np.testing.assert_array_equal(survivors, rows[~worse.any(axis=1)])
+    assert survivors.tolist() == [int(np.argmin(cost))]
 
 
 def test_bench_hungarian(benchmark):

@@ -12,11 +12,14 @@ Increase-probability pruning (Lemma 4.2)
     prune ``<w_i, t_j>`` when, against some candidate,
     ``Pr{q_ij > q_ab} < 0.5`` and ``Pr{c_ij <= c_ab} < 0.5`` — the
     pair is probably worse on both dimensions.  We implement the
-    intent (see DESIGN.md).  For deterministic pairs this degenerates
-    to strict dominance, consistent with Lemma 4.1.
+    intent (see EXPERIMENTS.md); the mean-gap signs decide both
+    probabilities.  For deterministic pairs this degenerates to strict
+    dominance, consistent with Lemma 4.1.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,13 +27,7 @@ from repro.model.pairs import PairPool
 from repro.uncertainty.vector import prob_greater_vec, prob_less_or_equal_vec
 
 _VARIANCE_FLOOR = 1e-24
-#: Band half-width (in z units, squared against the combined variance)
-#: inside which the Lemma 4.2 probability comparisons are evaluated
-#: exactly; outside it the mean-gap sign decides.  The phi_vec
-#: threshold for 0.5 sits at |z| = 0.0101 (see selection._PHI_BAND);
-#: 1.6e-4 = (0.01265)^2 clears it with 25% headroom, far beyond the
-#: squared-form rounding error.
-_PRUNE_BAND_SQ = 1.6e-4
+_TINY = float(np.finfo(float).tiny)
 
 
 def dominance_skyline(
@@ -80,81 +77,68 @@ def dominance_skyline(
 def probability_prune(pool: PairPool, rows: np.ndarray) -> np.ndarray:
     """Rows of ``rows`` that survive Lemma 4.2 pruning.
 
-    Pairwise O(K^2); callers cap K (the greedy keeps at most
-    ``candidate_cap`` rows).  A row is pruned when *some* other row is
-    probably better on quality and probably no worse on cost.  Mutual
-    elimination cannot occur: ``Pr{q_i > q_j} < 0.5`` implies
-    ``Pr{q_j > q_i} > 0.5`` under the normal approximation (ties give
-    exactly 0.5, which does not prune).
+    Row ``i`` is pruned when some row ``j`` has ``Pr{q_i > q_j} < 0.5``
+    (Eq. 7) and ``Pr{c_i <= c_j} < 0.5`` (Eq. 8).  ``phi_vec`` crosses
+    0.5 exactly at z = 0 (below it for every z < 0, above it for every
+    z >= 0, -0.0 included), so the mean-gap signs decide: ``i`` loses
+    to ``j`` iff ``c_mean[j] < c_mean[i]`` and either
+    ``q_mean[j] > q_mean[i]``, or the quality means tie with
+    ``q_var[i] + q_var[j]`` above the variance floor.  Such a tie gives
+    ``Pr = 0.5 - 5e-10``, probably worse both ways; only the strict
+    cost order rules out mutual elimination.  Cost variance never
+    matters.  Windows where the signs may not decide (a mean that is
+    not finite, or a gap so small that ``gap / std`` underflows to a
+    signed zero) evaluate Eqs. 7-8 on every pair instead.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    size = rows.size
-    if size <= 1:
+    if rows.size <= 1:
         return rows
 
     q_mean = pool.quality_mean[rows]
     q_var = pool.quality_var[rows]
     c_mean = pool.cost_mean[rows]
     c_var = pool.cost_var[rows]
-
-    # Both probability comparisons against 0.5 are decided by the sign
-    # of the mean gap alone — for deterministic lanes exactly, and for
-    # stochastic lanes whenever |z| clears the phi_vec threshold band
-    # (|z| <= 0.01 needs the exact CDF; see selection._phi_threshold).
-    # Only the rare band lanes pay for the full Eqs. 7-8: the pruned
-    # set is bit-identical to evaluating the probabilities everywhere.
-    worse_q = _probably_less(q_mean, q_var, prob_greater_vec)
-    worse_c = _probably_less(-c_mean, c_var, prob_less_or_equal_vec, negated=True)
-    worse_both = worse_q & worse_c
-    np.fill_diagonal(worse_both, False)
-    pruned = worse_both.any(axis=1)
-    return rows[~pruned]
-
-
-def _probably_less(mean: np.ndarray, var: np.ndarray, prob_fn, negated: bool = False):
-    """Pairwise mask of ``prob_fn(value_i, value_j) < 0.5``.
-
-    ``prob_fn`` is ``prob_greater_vec`` (is ``i``'s value probably
-    larger?) or ``prob_less_or_equal_vec`` with negated means (is
-    ``i``'s value probably smaller?); in both conventions the result
-    drops below 0.5 exactly when ``mean_i < mean_j``, outside the
-    threshold band.  ``fl(1 - p) < 0.5  <=>  p > 0.5`` holds for every
-    float ``p`` in [0, 1] (Sterbenz), so the sign test is exact.
-    """
-    gap = mean[:, None] - mean[None, :]
-    combined = var[:, None] + var[None, :]
-    mask = gap < 0.0
-    stochastic = combined > _VARIANCE_FLOOR
-    # Exact-zero gaps are the common band case (predicted pairs share
-    # per-task/per-worker/global quality statistics): their probability
-    # is the constant phi_vec(-0.0) regardless of the variances, so the
-    # comparison outcome is a per-function constant.
-    if _zero_gap_outcome(prob_fn):
-        mask |= stochastic & (gap == 0.0)
-    # (when the zero-gap outcome is >= 0.5, ``gap < 0.0`` is already
-    # False on those lanes, so nothing to do)
-    band = stochastic & (gap != 0.0) & (gap * gap <= _PRUNE_BAND_SQ * combined)
-    lanes = np.nonzero(band)
-    if lanes[0].size:
-        i, j = lanes
-        if negated:
-            mask[i, j] = prob_fn(-mean[i], var[i], -mean[j], var[j]) < 0.5
-        else:
-            mask[i, j] = prob_fn(mean[i], var[i], mean[j], var[j]) < 0.5
-    return mask
-
-
-_zero_gap_outcomes: dict[object, bool] = {}
-
-
-def _zero_gap_outcome(prob_fn) -> bool:
-    """Whether ``prob_fn`` on a zero-gap stochastic pair is < 0.5."""
-    if prob_fn not in _zero_gap_outcomes:
-        one = np.ones(1)
-        _zero_gap_outcomes[prob_fn] = bool(
-            prob_fn(np.zeros(1), one, np.zeros(1), one)[0] < 0.5
+    by_quality = np.lexsort((q_var, q_mean))
+    by_cost = np.argsort(c_mean, kind="stable")
+    sorted_cost = c_mean[by_cost]
+    if not (_signs_decide(q_mean[by_quality], q_var) and _signs_decide(sorted_cost, c_var)):
+        worse = (prob_greater_vec(q_mean[:, None], q_var[:, None], q_mean, q_var) < 0.5) & (
+            prob_less_or_equal_vec(c_mean[:, None], c_var[:, None], c_mean, c_var) < 0.5
         )
-    return _zero_gap_outcomes[prob_fn]
+        np.fill_diagonal(worse, False)
+        return rows[~worse.any(axis=1)]
+
+    # A sweep in cost order, as in dominance_skyline.  Of the rows
+    # strictly cheaper than row i only the largest (q_mean, q_var)
+    # matters: it beats i's quality if any does, and on a quality tie
+    # it carries the largest variance, to which the tie test is monotone.
+    rank = np.empty(rows.size, dtype=np.int64)
+    rank[by_quality] = np.arange(rows.size)
+    best_rank = np.maximum.accumulate(rank[by_cost])
+    cheaper = np.searchsorted(sorted_cost, c_mean, side="left")
+    best = by_quality[best_rank[np.maximum(cheaper - 1, 0)]]
+    q_best = q_mean[best]
+    tie = (q_best == q_mean) & (q_var + q_var[best] > _VARIANCE_FLOOR)
+    return rows[~((cheaper > 0) & ((q_best > q_mean) | tie))]
+
+
+def _signs_decide(sorted_mean: np.ndarray, var: np.ndarray) -> bool:
+    """Whether mean-gap signs decide Eq. 7 or 8 on every pair.
+
+    The means must be finite (sorting puts NaN last), and no positive
+    gap, the smallest of which lies between sorted neighbours, may
+    underflow ``gap / sqrt(var_i + var_j)``.  ``2 * max(var)`` bounds
+    every combined variance, so gaps of at least
+    ``2 * tiny * sqrt(2 * max(var))`` divide to a normal float.
+    """
+    if not (math.isfinite(sorted_mean[0]) and math.isfinite(sorted_mean[-1])):
+        return False
+    top = 2.0 * float(var.max())
+    if top <= _VARIANCE_FLOOR:
+        return True  # every pair takes the deterministic indicator
+    cut = 2.0 * _TINY * math.sqrt(top)
+    step = sorted_mean[1:] - sorted_mean[:-1]
+    return math.isfinite(cut) and not ((step > 0.0) & (step < cut)).any()
 
 
 def cap_candidates(pool: PairPool, rows: np.ndarray, cap: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Tests for repro.core.pruning (Lemmas 4.1 and 4.2)."""
 
 import numpy as np
+import pytest
 
 from repro.core.pruning import cap_candidates, dominance_skyline, probability_prune
 from repro.model.pairs import PairPool
+from repro.uncertainty.vector import phi_vec, prob_greater_vec, prob_less_or_equal_vec
 
 
 def pool_from_rows(rows):
@@ -119,6 +121,113 @@ class TestProbabilityPrune:
     def test_singleton(self):
         pool = pool_from_rows([(1.0, 1.0, 1.0, 1.0)])
         assert probability_prune(pool, np.array([0])).tolist() == [0]
+
+    def test_stochastic_quality_tie_prunes_the_costlier_row(self):
+        # Equal quality means with a stochastic combined variance give
+        # Pr{q_i > q_j} = 0.5 - 5e-10 both ways; the cost order decides.
+        pool = pool_from_moments([1.0, 1.0], [0.3, 0.0], [2.0, 1.0], [0.0, 0.0])
+        assert probability_prune(pool, np.array([0, 1])).tolist() == [1]
+
+    def test_deterministic_quality_tie_prunes_nothing(self):
+        pool = pool_from_moments([1.0, 1.0], [0.0, 0.0], [2.0, 1.0], [0.5, 0.5])
+        assert probability_prune(pool, np.array([0, 1])).tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "q_mean, c_mean, expected",
+        [
+            # Cost gap 5e-324 over sqrt(4): -gap/std underflows to -0.0,
+            # so Pr{c_0 <= c_1} = phi(-0.0) > 0.5 and row 0 survives,
+            # although its cost mean is larger.
+            ([1.0, 1.0], [5e-324, 0.0], [0, 1]),
+            # Quality gap 5e-324: Pr{q_0 > q_1} = 1 - phi(-0.0) < 0.5,
+            # so row 0 is probably worse on both counts and is pruned,
+            # although its quality mean is larger.
+            ([5e-324, 0.0], [1.0, 0.0], [1]),
+        ],
+        ids=["cost-gap", "quality-gap"],
+    )
+    def test_subnormal_gap_follows_the_formulas(self, q_mean, c_mean, expected):
+        pool = pool_from_moments(q_mean, [2.0, 2.0], c_mean, [2.0, 2.0])
+        rows = np.array([0, 1])
+        assert probability_prune(pool, rows).tolist() == expected
+        assert direct_prune(pool, rows).tolist() == expected
+
+    def test_non_finite_moments_follow_the_formulas(self):
+        # Infinite or NaN moments leave the sign rule and are decided
+        # by Eqs. 7-8 on every pair.
+        rng = np.random.default_rng(3)
+        means = np.array([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan])
+        variances = np.array([0.0, 1.0, 1e308, np.inf, np.nan])
+        for trial in range(400):
+            n = int(rng.integers(2, 12))
+            # Every other window keeps the variances small and finite.
+            var_choices = variances[: 2 if trial % 2 else None]
+            pool = pool_from_moments(
+                rng.choice(means, n), rng.choice(var_choices, n),
+                rng.choice(means, n), rng.choice(var_choices, n),
+            )
+            rows = np.arange(n)
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.testing.assert_array_equal(
+                    probability_prune(pool, rows), direct_prune(pool, rows), err_msg=str(trial)
+                )
+
+
+def pool_from_moments(q_mean, q_var, c_mean, c_var):
+    """A pool from per-row quality and cost means and variances."""
+    n = len(q_mean)
+    zeros = np.zeros(n)
+    zi = np.zeros(n, dtype=np.int64)
+    return PairPool(
+        zi, zi, np.asarray(c_mean, dtype=float), np.asarray(c_var, dtype=float),
+        zeros, zeros, np.asarray(q_mean, dtype=float), np.asarray(q_var, dtype=float),
+        zeros, zeros, zeros, np.zeros(n, dtype=bool),
+    )
+
+
+def direct_prune(pool, rows):
+    """Lemma 4.2 with Eqs. 7-8 evaluated on every pair."""
+    q, qv = pool.quality_mean[rows], pool.quality_var[rows]
+    c, cv = pool.cost_mean[rows], pool.cost_var[rows]
+    worse = (prob_greater_vec(q[:, None], qv[:, None], q, qv) < 0.5) & (
+        prob_less_or_equal_vec(c[:, None], cv[:, None], c, cv) < 0.5
+    )
+    np.fill_diagonal(worse, False)
+    return rows[~worse.any(axis=1)]
+
+
+def _crossing_probes() -> np.ndarray:
+    """Every power of two from 2**-1074 to 2**3 with its 64 float
+    neighbours on each side, both signs, plus a 2e6-point grid on
+    [-0.05, 0.05] and both zeros."""
+    powers = np.ldexp(1.0, np.arange(-1074, 4))
+    probes = [powers]
+    up, down = powers, powers
+    for _ in range(64):
+        up = np.nextafter(up, np.inf)
+        down = np.nextafter(down, 0.0)
+        probes += [up, down]
+    z = np.concatenate(probes)
+    grid = np.linspace(-0.05, 0.05, 2_000_000)
+    return np.concatenate([z, -z, grid, [0.0, -0.0]])
+
+
+class TestPhiCrossing:
+    """The sign rule in ``probability_prune`` rests on ``phi_vec``
+    crossing 0.5 exactly at z = 0 (A&S 7.1.26 puts phi(0) at
+    0.5 + 5e-10 and phi(0-) at 0.5 - 5e-10)."""
+
+    def test_phi_is_below_half_exactly_for_negative_z(self):
+        z = _crossing_probes()
+        p = phi_vec(z)
+        np.testing.assert_array_equal(p < 0.5, z < 0.0)
+        np.testing.assert_array_equal(p > 0.5, z >= 0.0)
+        assert phi_vec(np.array([-0.0]))[0] > 0.5
+
+    def test_complement_flips_exactly(self):
+        # Eq. 7 compares 1 - phi against 0.5.
+        p = phi_vec(_crossing_probes())
+        np.testing.assert_array_equal(1.0 - p < 0.5, p > 0.5)
 
 
 class TestCapCandidates:

@@ -155,27 +155,52 @@ class TestPhiThresholdShortcuts:
             cost = rng.choice([0.0, 1.0], n) + rng.choice([0.0, 0.0, 0.01, 0.2], n)
             quality_var = rng.choice([0.0, 1e-10, 0.5, 2.0], n)
             cost_var = rng.choice([0.0, 1e-8, 1.0, 30.0], n)
-            zeros = np.zeros(n)
-            zi = np.zeros(n, dtype=np.int64)
-            zb = np.zeros(n, dtype=bool)
-            pool = PairPool(
-                zi, zi, cost, cost_var, zeros, zeros,
-                quality, quality_var, zeros, zeros, zeros, zb,
-            )
-            rows = np.arange(n, dtype=np.int64)
-            got = probability_prune(pool, rows)
-            quality_better = prob_greater_vec(
-                quality[:, None], quality_var[:, None],
-                quality[None, :], quality_var[None, :],
-            )
-            cost_better = prob_less_or_equal_vec(
-                cost[:, None], cost_var[:, None], cost[None, :], cost_var[None, :]
-            )
-            worse_both = (quality_better < 0.5) & (cost_better < 0.5)
-            np.fill_diagonal(worse_both, False)
-            np.testing.assert_array_equal(
-                got, rows[~worse_both.any(axis=1)], err_msg=str(trial)
-            )
+            _assert_prune_matches_direct(quality, quality_var, cost, cost_var, trial)
+
+    def test_probability_prune_matches_direct_formulas_near_ties(self):
+        """Tiny and zero mean gaps against tiny-to-huge variances: the
+        lanes where Eqs. 7-8 land closest to 0.5 (|z| down to 1e-18)."""
+        rng = np.random.default_rng(2)
+        gaps = np.array([0.0, 1e-15, 1e-9, 1e-3, 1.0])
+        variances = np.array([0.0, 1e-30, 1e-20, 1e-6, 1.0, 1e6])
+        near_zero = 0
+        for trial in range(2000):
+            n = int(rng.integers(2, 71))
+            quality = rng.choice([0.0, 0.5], n) + rng.choice([-1.0, 1.0], n) * rng.choice(gaps, n)
+            cost = rng.choice([0.0, 1.0], n) + rng.choice([-1.0, 1.0], n) * rng.choice(gaps, n)
+            quality_var = rng.choice(variances, n)
+            cost_var = rng.choice(variances, n)
+            _assert_prune_matches_direct(quality, quality_var, cost, cost_var, trial)
+            gap = cost[:, None] - cost
+            combined = cost_var[:, None] + cost_var
+            near_zero += int(((gap != 0.0) & (gap * gap <= 1.6e-4 * combined)).sum())
+        # The generator must actually reach the |z| <= 0.01265 region.
+        assert near_zero > 100_000
+
+
+def _assert_prune_matches_direct(quality, quality_var, cost, cost_var, trial):
+    """``probability_prune`` keeps exactly the rows Eqs. 7-8, evaluated
+    on every pair, leave unbeaten."""
+    n = quality.size
+    zeros = np.zeros(n)
+    zi = np.zeros(n, dtype=np.int64)
+    zb = np.zeros(n, dtype=bool)
+    pool = PairPool(
+        zi, zi, cost, cost_var, zeros, zeros,
+        quality, quality_var, zeros, zeros, zeros, zb,
+    )
+    rows = np.arange(n, dtype=np.int64)
+    got = probability_prune(pool, rows)
+    quality_better = prob_greater_vec(
+        quality[:, None], quality_var[:, None],
+        quality[None, :], quality_var[None, :],
+    )
+    cost_better = prob_less_or_equal_vec(
+        cost[:, None], cost_var[:, None], cost[None, :], cost_var[None, :]
+    )
+    worse_both = (quality_better < 0.5) & (cost_better < 0.5)
+    np.fill_diagonal(worse_both, False)
+    np.testing.assert_array_equal(got, rows[~worse_both.any(axis=1)], err_msg=str(trial))
 
 
 def test_engine_rejects_nothing_on_empty_rows():
