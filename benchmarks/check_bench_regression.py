@@ -13,7 +13,7 @@ The job fails when:
   ``speedup_at_500`` vs ``speedup_floor`` for the matching bench) —
   these are machine-independent and carry no tolerance, or
 - an observability ``health`` rate (delta incremental, warm-select
-  repair, Hungarian warm accept) falls below its recorded floor, or
+  repair) falls below its recorded floor, or
   the metrics-layer overhead ratio exceeds its recorded ceiling, or
 - a sharded variant's ``ipc_bytes_per_round`` exceeds the ceiling
   recorded in the baseline (round messages regressing from churn
@@ -192,7 +192,6 @@ def _check_warm_select_section(
 _HEALTH_RATE_FLOORS = (
     ("delta_incremental_rate", "delta_incremental_rate_floor"),
     ("warm_select_repair_rate", "warm_select_repair_rate_floor"),
-    ("hungarian_warm_accept_rate", "hungarian_warm_accept_rate_floor"),
 )
 
 
@@ -200,7 +199,7 @@ def _check_health_section(baseline: dict, fresh: dict) -> list[str]:
     """Guards for the observability ``health`` section.
 
     The cache-path service rates (delta incremental, warm-select
-    repair, Hungarian warm accept) must stay above the floors recorded
+    repair) must stay above the floors recorded
     in the baseline — a prime/fallback storm that still produces
     correct results would otherwise regress silently.  The metrics
     layer's per-round overhead ratio must stay under the recorded

@@ -37,7 +37,6 @@ import pytest
 
 from _bench_utils import merge_bench_json
 from repro.core import MQAGreedy
-from repro.core.baselines import HungarianAssigner
 from repro.streaming import (
     ShardingConfig,
     StreamConfig,
@@ -879,29 +878,17 @@ def test_warm_select_bench():
 #: ``BENCH_streaming.json`` and gated by check_bench_regression.py.
 #: The runs are seeded and bit-identical across machines, so the rates
 #: are machine-independent; the floors sit well below the measured
-#: values (delta 0.96, warm repair 0.68, Hungarian accept 1.0) to
+#: values (delta 0.96, warm repair 0.68) to
 #: absorb small scenario drift without letting a cache path silently
 #: collapse to its fallback.
 HEALTH_DELTA_INCREMENTAL_RATE_FLOOR = 0.85
 HEALTH_WARM_REPAIR_RATE_FLOOR = 0.5
-HEALTH_HUNGARIAN_ACCEPT_RATE_FLOOR = 0.5
 #: Ceiling on per-round cost of the enabled metrics path, expressed as
 #: a multiple of the scenario's median round.  The cost is measured in
 #: isolation (a micro-loop over the observer lifecycle) because the
 #: ~13 us signal drowns in scheduler noise on shared runners when
 #: measured as an A/B of two full engine runs.
 METRICS_OVERHEAD_RATIO_CEIL = 1.03
-
-#: Standing-pool scenario small enough for the O(n^3) Hungarian solver
-#: but persistent enough (long deadlines, slow drift) that its
-#: warm-start path gets real attempts to accept.
-HUNGARIAN_HEALTH_PARAMS = WorkloadParams(
-    num_workers=150,
-    num_tasks=150,
-    num_instances=8,
-    velocity_range=(0.0005, 0.001),
-    deadline_range=(40.0, 45.0),
-)
 
 
 def _run_health_leg(enable_metrics: bool) -> dict:
@@ -973,7 +960,6 @@ def _observer_round_cost(enable_metrics: bool, iterations: int = 20000) -> float
             build_stats=_Build,
             delta_stats=_Delta,
             select_stats=_Select,
-            warm_stats=None,
             cached_pairs=50000,
         )
     return (time.perf_counter() - started) / iterations
@@ -1014,30 +1000,6 @@ def test_obs_health_small_ci():
     derived = warm["primes"] + warm["repaired"] + warm["churn_fallbacks"]
     warm_repair_rate = warm["repaired"] / max(derived, 1.0)
 
-    hungarian_workload = BurstyWorkload(
-        HUNGARIAN_HEALTH_PARAMS, seed=SEED, burst_period=10,
-        burst_multiplier=4.0, burst_offset=3,
-    )
-    hungarian_config = StreamConfig(
-        round_interval=0.25, budget=5.0, unit_cost=30.0, use_prediction=True,
-        include_future_future_pairs=False,
-    )
-    hungarian_engine, _ = prepared_engine(
-        hungarian_workload, HungarianAssigner(), config=hungarian_config, seed=SEED
-    )
-    hungarian_engine.advance_to(float(hungarian_workload.num_instances))
-    hcounter = lambda n: hungarian_engine.metrics_registry.counter(n).value  # noqa: E731
-    hungarian = {
-        key: hcounter(f"hungarian_{key}_total")
-        for key in (
-            "solves", "warm_attempts", "warm_accepted", "warm_fallbacks",
-            "degenerate_skips",
-        )
-    }
-    hungarian_accept_rate = hungarian["warm_accepted"] / max(
-        hungarian["warm_attempts"], 1.0
-    )
-
     cost_on = _observer_round_cost(True)
     cost_off = _observer_round_cost(False)
     median_round = with_metrics["median_round_s"]
@@ -1051,8 +1013,7 @@ def test_obs_health_small_ci():
 
     print(
         f"\nobs health: delta incremental {delta_rate:.2%}, warm repair "
-        f"{warm_repair_rate:.2%}, hungarian warm accept "
-        f"{hungarian_accept_rate:.2%}, metrics overhead "
+        f"{warm_repair_rate:.2%}, metrics overhead "
         f"{1e6 * max(cost_on - cost_off, 0.0):.1f} us/round "
         f"({overhead_ratio:.4f}x median round)"
     )
@@ -1060,17 +1021,14 @@ def test_obs_health_small_ci():
     # The asserts below are always on; the trajectory write is a
     # no-op outside the bench job (see _bench_utils).
     _merge_health_section(
-        rounds, delta, delta_rate, warm, warm_repair_rate, hungarian,
-        hungarian_accept_rate, overhead_ratio, cost_on, cost_off,
-        median_round,
+        rounds, delta, delta_rate, warm, warm_repair_rate, overhead_ratio,
+        cost_on, cost_off, median_round,
     )
 
     # The cache paths must carry the stream, not their fallbacks.
     assert delta_rate >= HEALTH_DELTA_INCREMENTAL_RATE_FLOOR
     assert warm_repair_rate >= HEALTH_WARM_REPAIR_RATE_FLOOR
     assert warm["guard_fallbacks"] == 0
-    assert hungarian["warm_attempts"] > 0
-    assert hungarian_accept_rate >= HEALTH_HUNGARIAN_ACCEPT_RATE_FLOOR
     # The metrics layer's per-round cost stays a bounded slice of a
     # round; the disabled path costs no more than the enabled one.
     assert overhead_ratio <= METRICS_OVERHEAD_RATIO_CEIL
@@ -1078,8 +1036,8 @@ def test_obs_health_small_ci():
 
 
 def _merge_health_section(
-    rounds, delta, delta_rate, warm, warm_repair_rate, hungarian,
-    hungarian_accept_rate, overhead_ratio, cost_on, cost_off, median_round,
+    rounds, delta, delta_rate, warm, warm_repair_rate, overhead_ratio,
+    cost_on, cost_off, median_round,
 ):
     merge_bench_json(
         "streaming",
@@ -1089,8 +1047,6 @@ def _merge_health_section(
                 "num_workers": WARM_SMALL_PARAMS.num_workers,
                 "num_tasks": WARM_SMALL_PARAMS.num_tasks,
                 "num_instances": WARM_SMALL_PARAMS.num_instances,
-                "hungarian_num_workers": HUNGARIAN_HEALTH_PARAMS.num_workers,
-                "hungarian_num_instances": HUNGARIAN_HEALTH_PARAMS.num_instances,
                 "seed": SEED,
             },
             "rounds": int(rounds),
@@ -1100,11 +1056,6 @@ def _merge_health_section(
             "warm_select": {k: int(v) for k, v in warm.items()},
             "warm_select_repair_rate": round(warm_repair_rate, 4),
             "warm_select_repair_rate_floor": HEALTH_WARM_REPAIR_RATE_FLOOR,
-            "hungarian": {k: int(v) for k, v in hungarian.items()},
-            "hungarian_warm_accept_rate": round(hungarian_accept_rate, 4),
-            "hungarian_warm_accept_rate_floor": (
-                HEALTH_HUNGARIAN_ACCEPT_RATE_FLOOR
-            ),
             "metrics_overhead_ratio": round(overhead_ratio, 4),
             "metrics_overhead_ratio_ceil": METRICS_OVERHEAD_RATIO_CEIL,
             "observer_round_cost_us": {

@@ -27,7 +27,6 @@ from repro.core import (
     AssignmentResult,
     MQAGreedy,
     GreedyConfig,
-    ReferenceGreedy,
     MQADivideConquer,
     DivideConquerConfig,
     RandomAssigner,
@@ -72,7 +71,6 @@ __all__ = [
     "AssignmentResult",
     "MQAGreedy",
     "GreedyConfig",
-    "ReferenceGreedy",
     "MQADivideConquer",
     "DivideConquerConfig",
     "RandomAssigner",

@@ -20,7 +20,6 @@ semantics documented in :mod:`repro.core.base`.
 
 from repro.core.base import Assigner, AssignmentResult, finalize_selection
 from repro.core.greedy import MQAGreedy, GreedyConfig
-from repro.core.greedy_reference import ReferenceGreedy
 from repro.core.divide_conquer import MQADivideConquer, DivideConquerConfig
 from repro.core.random_assign import RandomAssigner
 from repro.core.baselines import HungarianAssigner
@@ -33,7 +32,6 @@ __all__ = [
     "finalize_selection",
     "MQAGreedy",
     "GreedyConfig",
-    "ReferenceGreedy",
     "MQADivideConquer",
     "DivideConquerConfig",
     "RandomAssigner",

@@ -80,7 +80,6 @@ class Assigner(ABC):
 
     #: Round context set by :meth:`begin_round`; consumed one-shot.
     _round_selection_state = None
-    _round_churn = None
     #: Wall-clock seconds the last ``_result_from_rows`` spent in
     #: finalization; engines subtract it from the assign timer to
     #: split ``select_seconds`` / ``finalize_seconds``.
@@ -88,7 +87,6 @@ class Assigner(ABC):
 
     def begin_round(self, problem, churn=None, selection_state=None) -> None:
         """Arm the assigner with one round's warm-start context."""
-        self._round_churn = churn
         self._round_selection_state = selection_state
         if selection_state is not None:
             selection_state.begin_round(problem, churn)
@@ -97,7 +95,6 @@ class Assigner(ABC):
         """Consume (and clear) the round's selection state, if any."""
         state = self._round_selection_state
         self._round_selection_state = None
-        self._round_churn = None
         return state
 
     @abstractmethod

@@ -7,14 +7,6 @@ blind" strategy the introduction argues against: optimal at each
 instance in isolation, yet beatable globally by the prediction-aware
 heuristics.  It doubles as an upper-quality reference when the budget
 is loose.
-
-When a streaming engine runs with warm selection, the assigner also
-persists the solver's dual potentials across rounds keyed by worker
-and task ids (:class:`~repro.matching.hungarian.HungarianWarmStart`),
-warm-starting the next round's shortest-augmenting-path searches.
-Results stay bit-identical to cold solves — a warm run is only
-accepted when its uniqueness certificate holds, otherwise the
-canonical cold solve decides (see :mod:`repro.matching.hungarian`).
 """
 
 from __future__ import annotations
@@ -22,11 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import Assigner, AssignmentResult
-from repro.matching.hungarian import (
-    HungarianWarmStart,
-    hungarian_max_weight,
-    hungarian_max_weight_warm,
-)
+from repro.matching.hungarian import hungarian_max_weight
 from repro.model.instance import ProblemInstance
 
 
@@ -35,14 +23,6 @@ class HungarianAssigner(Assigner):
 
     name = "hungarian"
 
-    def __init__(self) -> None:
-        self._warm = HungarianWarmStart()
-
-    @property
-    def warm_stats(self) -> HungarianWarmStart:
-        """The persisted-dual store (counters double as diagnostics)."""
-        return self._warm
-
     def assign(
         self,
         problem: ProblemInstance,
@@ -50,27 +30,13 @@ class HungarianAssigner(Assigner):
         budget_future: float,
         rng: np.random.Generator,
     ) -> AssignmentResult:
-        warm_enabled = self.take_round_selection_state() is not None
         dense = problem.current_dense
         if dense.row_index.size == 0:
             return self._result_from_rows(problem, [], budget_current)
 
-        if warm_enabled:
-            # Dense axes are pool indices; dual persistence needs the
-            # stable entity ids behind them.
-            worker_ids = [problem.workers[i].id for i in dense.worker_ids]
-            task_ids = [problem.tasks[j].id for j in dense.task_ids]
-            matching, _, _ = hungarian_max_weight_warm(
-                dense.quality,
-                worker_ids,
-                task_ids,
-                self._warm,
-                cost=dense.assignment_cost,
-            )
-        else:
-            matching, _ = hungarian_max_weight(
-                dense.quality, allow_unmatched=True, cost=dense.assignment_cost
-            )
+        matching, _ = hungarian_max_weight(
+            dense.quality, allow_unmatched=True, cost=dense.assignment_cost
+        )
         selected = dense.rows_of_cells(matching)
         # Budget enforcement happens in the shared finalization (trim
         # lowest-quality pairs until the realized cost fits).

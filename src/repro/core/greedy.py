@@ -35,15 +35,9 @@ from repro.core.selection import (
     feasible_rows,
     select_best_row,
 )
-from repro.core.triplet_select import triplet_greedy_select
+from repro.core import triplet_select
 from repro.model.instance import ProblemInstance
 from repro.model.pairs import PairPool
-
-
-#: Default row-count floor for the amortized engine; below it the
-#: rescan loop's smaller setup cost wins.  Exposed as the
-#: ``triplet_min_rows`` config knob.
-_TRIPLET_ENGINE_MIN_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -62,13 +56,6 @@ class GreedyConfig:
         selection_objective: ``"probability"`` (the paper's Eq. 10) or
             ``"efficiency"`` (expected quality per unit cost; a
             budget-aware alternative, see EXPERIMENTS.md).
-        triplet_min_rows: row-count floor at which ``greedy_select``
-            dispatches to the amortized triplet engine (and the
-            persistent :class:`~repro.core.triplet_select.
-            SelectionState` warm path) instead of the rescan loop.
-            Both sides produce identical selections, so this is purely
-            a performance crossover; lower it to force the engine on
-            small pools (tests), raise it to prefer the rescan loop.
     """
 
     delta: float = 0.5
@@ -76,7 +63,6 @@ class GreedyConfig:
     use_dominance_pruning: bool = True
     use_probability_pruning: bool = True
     selection_objective: str = "probability"
-    triplet_min_rows: int = _TRIPLET_ENGINE_MIN_ROWS
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta < 1.0:
@@ -86,10 +72,6 @@ class GreedyConfig:
         if self.selection_objective not in ("probability", "efficiency"):
             raise ValueError(
                 f"unknown selection objective {self.selection_objective!r}"
-            )
-        if self.triplet_min_rows < 1:
-            raise ValueError(
-                f"triplet_min_rows must be >= 1, got {self.triplet_min_rows}"
             )
 
 
@@ -145,8 +127,10 @@ def greedy_select(
         )
         if selected is not None:
             return selected
-    if rows.size >= config.triplet_min_rows:
-        selected = triplet_greedy_select(pool, rows, budget_current, budget_max, config)
+    if rows.size >= triplet_select.TRIPLET_MIN_ROWS:
+        selected = triplet_select.triplet_greedy_select(
+            pool, rows, budget_current, budget_max, config
+        )
         if selected is not None:
             return selected
     return _greedy_select_rescan(pool, rows, budget_current, budget_max, config)

@@ -80,6 +80,13 @@ from repro.core.selection import _EPS, _VARIANCE_FLOOR, _phi_threshold, select_b
 from repro.model.pairs import PairPool
 from repro.uncertainty.vector import phi_vec
 
+#: Row-count floor at which ``greedy_select`` (and :meth:`SelectionState.
+#: select`) dispatch to this engine instead of the rescan loop.  Both
+#: produce identical selections, so this is purely a performance
+#: crossover: below it the rescan loop's smaller setup cost wins.  Both
+#: sites read it at call time, so tests may lower it with ``monkeypatch``.
+TRIPLET_MIN_ROWS = 2048
+
 #: Weight-order walk chunk: big enough that one chunk usually yields a
 #: full candidate cap (and that mostly-dead pools cross the dead
 #: regions in few python-loop iterations — the per-chunk array ops are
@@ -744,7 +751,7 @@ class SelectionState:
         # declined, so a later engaged round can still repair across
         # the gap.
         self._observe(pool, churn)
-        if rows.size < config.triplet_min_rows or thresholds is None:
+        if rows.size < TRIPLET_MIN_ROWS or thresholds is None:
             self.stats.declined += 1
             return None
         self.stats.rounds += 1

@@ -16,8 +16,6 @@ sparse pair builder) can run their own exact predicate over
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 from repro.geo.grid import GridIndex
@@ -90,16 +88,6 @@ class SpatialIndex:
         self._buckets: dict[int, dict[int, tuple[float, float]]] = {}
         self._cell_of_key: dict[int, int] = {}
         self._subscribers: list[IndexChangeLog] = []
-
-    @classmethod
-    def from_points(
-        cls, items: Iterable[tuple[int, Point]], grid: GridIndex | int = 16
-    ) -> "SpatialIndex":
-        """Bulk-build an index from ``(key, point)`` pairs."""
-        index = cls(grid)
-        for key, point in items:
-            index.insert(key, point)
-        return index
 
     @property
     def grid(self) -> GridIndex:

@@ -16,26 +16,6 @@ the baseline the micro-bench (``benchmarks/test_micro_matching.py``)
 measures speedups against.  Both paths share the same dual-potential
 updates and tie-breaking (first column attaining the minimum wins), so
 they produce identical assignments, not merely equal totals.
-
-Warm starts
------------
-
-Shortest augmenting paths run Dijkstra over *reduced* costs, so any
-dual-feasible ``(u, v)`` is a valid starting point and tighter duals
-mean cheaper searches.  :class:`HungarianWarmStart` persists the final
-potentials of a solve keyed by caller-supplied row/column identities;
-:func:`hungarian_max_weight_warm` re-seeds the surviving entities'
-potentials (repairing feasibility row-wise) on the next solve.
-
-Warm-started runs walk different alternating paths than the canonical
-cold run, so when the optimum is *degenerate* they may return a
-different — equally optimal — matching.  Bit-identity with the cold
-solver is therefore enforced by a post-solve *uniqueness certificate*:
-the warm result is accepted only when every row has exactly one tight
-column class under the final duals (which proves the optimal matching
-is unique, hence equal to the cold one); otherwise the solver falls
-back to the canonical cold run.  Ties and quantized inputs thus cost
-one extra solve but can never change the answer.
 """
 
 from __future__ import annotations
@@ -70,25 +50,17 @@ def _collect_assignment(
     return assignment, float(total)
 
 
-def _solve_sap(
-    cost: np.ndarray,
-    u0: np.ndarray | None = None,
-    v0: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_sap(cost: np.ndarray) -> np.ndarray:
     """Shortest-augmenting-path core over an oriented matrix.
 
     ``cost`` must already satisfy ``rows <= cols`` and be contiguous.
-    ``u0``/``v0`` are optional initial dual potentials; they must be
-    dual-feasible (``cost[i, j] - u0[i] - v0[j] >= 0`` everywhere) —
-    the reduced costs are Dijkstra edge weights and must stay
-    non-negative.  ``None`` starts from zeros (the canonical cold
-    run).  Returns ``(match, u, v)`` with ``match[j]`` the row matched
-    to column ``j`` (``-1``: unmatched) and the final potentials.
+    Dual potentials start from zeros.  Returns ``match`` with
+    ``match[j]`` the row matched to column ``j`` (``-1``: unmatched).
     """
     n, m = cost.shape
 
-    u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
-    v = np.zeros(m) if v0 is None else np.array(v0, dtype=float)
+    u = np.zeros(n)
+    v = np.zeros(m)
     match = np.full(m, -1, dtype=np.int64)  # match[j] = row matched to column j
     way = np.full(m, -1, dtype=np.int64)
     free_idx = np.empty(m, dtype=np.int64)  # still-unvisited columns, ascending
@@ -140,7 +112,7 @@ def _solve_sap(
             match[j] = i if j_prev < 0 else match[j_prev]
             j = j_prev
 
-    return match, u, v
+    return match
 
 
 def hungarian_min_cost(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
@@ -163,7 +135,7 @@ def hungarian_min_cost(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     if transposed:
         cost = cost.T
     cost = np.ascontiguousarray(cost)
-    match, _, _ = _solve_sap(cost)
+    match = _solve_sap(cost)
     return _collect_assignment(cost, match, transposed)
 
 
@@ -303,203 +275,3 @@ def hungarian_max_weight(
         total += float(weights[row, col])
     return real_pairs, total
 
-
-# ---------------------------------------------------------------------------
-# Warm-started solves (persisted dual potentials)
-# ---------------------------------------------------------------------------
-
-
-class HungarianWarmStart:
-    """Dual potentials persisted across solves, keyed by identity.
-
-    ``column_duals``/``row_duals`` map caller-supplied ids (entity
-    ids, not matrix positions) to the final potentials of the last
-    solve; entities departing between solves simply drop out of the
-    maps, arrivals seed at ``0``.  The counters record how often the
-    warm attempt ran, was certified unique (accepted), fell back to
-    the cold run, or was skipped outright on a degenerate (tied-entry)
-    matrix.
-    """
-
-    __slots__ = (
-        "column_duals",
-        "row_duals",
-        "solves",
-        "warm_attempts",
-        "warm_accepted",
-        "warm_fallbacks",
-        "degenerate_skips",
-    )
-
-    def __init__(self) -> None:
-        self.column_duals: dict[int, float] = {}
-        self.row_duals: dict[int, float] = {}
-        self.solves = 0
-        self.warm_attempts = 0
-        self.warm_accepted = 0
-        self.warm_fallbacks = 0
-        self.degenerate_skips = 0
-
-
-def _unique_optimum(
-    cost: np.ndarray, u: np.ndarray, v: np.ndarray, num_real: int
-) -> bool:
-    """Certify that the optimal matching is unique (sufficient check).
-
-    Under optimal duals every optimal matching uses only *tight*
-    (zero-reduced-cost) edges — complementary slackness — and matches
-    every row, so the optimal matchings are exactly the row-perfect
-    matchings of the tight subgraph.  This peels forced rows: a row
-    whose only tight option is one real column must take it in every
-    optimal matching (consuming the column); a row tight only on dummy
-    columns is unmatched in every one (dummies are identical and never
-    scarce, so they count as a single inexhaustible class).  Peeling
-    to completion proves the output unique; a stall means an
-    alternating structure survives and the certificate conservatively
-    fails.  SAP duals keep the whole augmenting forest tight, and
-    peeling a forest always completes — so generic (untied) inputs
-    certify, while ties stall.  The tolerance errs toward counting
-    near-tight edges, i.e. toward failing — false negatives cost a
-    cold re-solve, never correctness.
-    """
-    reduced = cost - u[:, None] - v[None, :]
-    scale = float(np.abs(cost[:, :num_real]).max(initial=0.0)) + 1.0
-    tight = reduced <= 1e-9 * scale
-    real = tight[:, :num_real].copy()
-    dummy = (
-        tight[:, num_real:].any(axis=1)
-        if num_real < cost.shape[1]
-        else np.zeros(cost.shape[0], dtype=bool)
-    )
-    alive = np.ones(cost.shape[0], dtype=bool)
-    while alive.any():
-        degree = real.sum(axis=1) + dummy
-        forced = alive & (degree == 1)
-        if not forced.any():
-            return False
-        forced_real = forced & ~dummy
-        if forced_real.any():
-            cols = real[forced_real].argmax(axis=1)
-            if np.unique(cols).size != cols.size:
-                # Two rows forced onto one column: only the tolerance
-                # can produce this — reject.
-                return False
-            real[:, cols] = False
-        alive[forced] = False
-        real[~alive] = False
-    return True
-
-
-def hungarian_max_weight_warm(
-    weights: np.ndarray,
-    row_ids,
-    col_ids,
-    warm: HungarianWarmStart,
-    cost: np.ndarray | None = None,
-) -> tuple[list[tuple[int, int]], float, bool]:
-    """:func:`hungarian_max_weight` with persisted-dual warm starts.
-
-    Args:
-        weights: 2-D weight matrix (``allow_unmatched`` semantics —
-            dummy columns are always padded).
-        row_ids / col_ids: stable identities of the rows/columns,
-            used to re-seed surviving entities' potentials from
-            ``warm`` and to persist this solve's potentials back.
-        warm: the cross-solve dual store (mutated in place).
-        cost: optional precomputed :func:`max_weight_cost_matrix`.
-
-    Returns:
-        ``(assignment, total_weight, used_warm)`` — bit-identical to
-        :func:`hungarian_max_weight` in all cases.  ``used_warm`` is
-        True when the warm attempt was certified and its result used;
-        otherwise the canonical cold solve produced the result.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2:
-        raise ValueError(f"weights must be 2-D, got shape {weights.shape}")
-    n, m = weights.shape
-    if len(row_ids) != n or len(col_ids) != m:
-        raise ValueError(
-            f"got {len(row_ids)} row ids / {len(col_ids)} col ids for a "
-            f"{n} x {m} weight matrix"
-        )
-    if n == 0 or m == 0:
-        return [], 0.0, False
-
-    if cost is None:
-        cost = max_weight_cost_matrix(weights)
-    else:
-        cost = np.asarray(cost, dtype=float)
-        if cost.shape != weights.shape:
-            raise ValueError(
-                f"cost shape {cost.shape} != weights shape {weights.shape}"
-            )
-    # Dummy columns; n <= m + n always holds, so no transpose here.
-    padded = np.hstack([cost, np.zeros((n, n))])
-    warm.solves += 1
-
-    v_seed = np.zeros(m + n)
-    seeded = 0
-    for j, col_id in enumerate(col_ids):
-        dual = warm.column_duals.get(col_id)
-        if dual is not None:
-            # Clamp to the dual sign constraint: a column may end up
-            # unmatched, which requires v <= 0 at termination.  The
-            # solver only ever lowers visited columns' potentials, so
-            # a non-positive seed keeps the end state dual-feasible
-            # (an unclamped positive carry-over can certify a
-            # suboptimal matching).
-            v_seed[j] = min(dual, 0.0)
-            seeded += 1
-
-    used_warm = False
-    match = u = v = None
-    if seeded:
-        # Tied entries make a degenerate optimum likely; the
-        # certificate below would reject the warm run anyway, so skip
-        # the doomed attempt instead of solving twice.
-        finite = weights[np.isfinite(weights)]
-        if np.unique(finite).size != finite.size:
-            warm.degenerate_skips += 1
-        else:
-            warm.warm_attempts += 1
-            # Row-wise feasibility repair: u[i] = min_j reduced cost
-            # keeps every Dijkstra edge weight non-negative whatever
-            # column potentials survived.
-            u_seed = (padded - v_seed[None, :]).min(axis=1)
-            match, u, v = _solve_sap(padded, u_seed, v_seed)
-            # Optimality needs one condition beyond feasibility and
-            # tight matched edges: an *unmatched* column must end with
-            # zero potential (complementary slackness — the dual
-            # objective counts every column).  Cold runs satisfy this
-            # by construction because the search only lowers potentials
-            # of columns already in the alternating tree, which are
-            # matched; a seeded column that ends up unmatched and
-            # unvisited keeps its negative carry-over, and certifying
-            # uniqueness from such duals would bless a suboptimal
-            # matching.
-            slack_cols_clean = not (v[match < 0] < 0.0).any()
-            if slack_cols_clean and _unique_optimum(padded, u, v, m):
-                warm.warm_accepted += 1
-                used_warm = True
-            else:
-                warm.warm_fallbacks += 1
-    if not used_warm:
-        match, u, v = _solve_sap(padded)
-
-    warm.column_duals = {
-        col_id: float(v[j]) for j, col_id in enumerate(col_ids)
-    }
-    warm.row_duals = {row_id: float(u[i]) for i, row_id in enumerate(row_ids)}
-
-    assignment, _ = _collect_assignment(padded, match, False)
-    real_pairs = []
-    total = 0.0
-    for row, col in assignment:
-        if col >= m:
-            continue  # dummy column: row left unmatched
-        if not np.isfinite(weights[row, col]):
-            continue  # forbidden cell chosen only if unavoidable
-        real_pairs.append((row, col))
-        total += float(weights[row, col])
-    return real_pairs, total, used_warm

@@ -111,13 +111,6 @@ class SparseBuildStats:
         self.queries += other.queries
         self.price_seconds += other.price_seconds
 
-    @property
-    def pruning_ratio(self) -> float:
-        """Dense pairs per examined candidate (higher is better)."""
-        if self.candidates == 0:
-            return float("inf") if self.dense_equivalent else 1.0
-        return self.dense_equivalent / self.candidates
-
 
 def _default_index_gamma(count: int) -> int:
     """Grid resolution heuristic: about one bucket per indexed point."""

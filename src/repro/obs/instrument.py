@@ -8,8 +8,7 @@ instruments and trace events:
 - phase durations → ``stream_*_seconds`` histograms + nested spans;
 - pool/cache stats (:class:`~repro.model.sparse.SparseBuildStats`,
   :class:`~repro.model.delta.DeltaBuildStats`, :class:`~repro.core.
-  triplet_select.SelectionRepairStats`, :class:`~repro.matching.
-  hungarian.HungarianWarmStart`) → counters, gauges and per-round
+  triplet_select.SelectionRepairStats`) → counters, gauges and per-round
   instant events, by *diffing* the cumulative stats objects the
   layers already maintain — the lower layers stay observability-free;
 - per-tile shard build phases → labeled histograms + parallel trace
@@ -53,17 +52,6 @@ _STAT_COUNTERS = {
             "churn_fallbacks",
             "warm_select_churn_fallbacks_total",
             "warm_select.churn_fallback",
-        ),
-    ),
-    "hungarian": (
-        ("solves", "hungarian_solves_total", None),
-        ("warm_attempts", "hungarian_warm_attempts_total", None),
-        ("warm_accepted", "hungarian_warm_accepted_total", "hungarian.warm_accept"),
-        ("warm_fallbacks", "hungarian_warm_fallbacks_total", "hungarian.warm_reject"),
-        (
-            "degenerate_skips",
-            "hungarian_degenerate_skips_total",
-            "hungarian.degenerate_skip",
         ),
     ),
 }
@@ -283,7 +271,6 @@ class StreamObserver:
         build_stats=None,
         delta_stats=None,
         select_stats=None,
-        warm_stats=None,
         cached_pairs: int | None = None,
     ) -> None:
         """Record one finished round into the registry and the trace.
@@ -330,8 +317,6 @@ class StreamObserver:
             instants += self._diff("delta", delta_stats)
         if select_stats is not None:
             instants += self._diff("warm_select", select_stats)
-        if warm_stats is not None:
-            instants += self._diff("hungarian", warm_stats)
 
         trace = self.trace
         if trace.enabled:

@@ -8,8 +8,8 @@ resulting file loads directly in ``chrome://tracing`` or Perfetto
 (https://ui.perfetto.dev): each streaming round is one span on the
 engine track with its build/price/select/finalize phases nested
 inside, per-tile shard phases fan out on their own tracks, and cache
-events (delta primes/repairs, warm-select decisions, Hungarian
-warm-start accept/reject) appear as instants within their round.
+events (delta primes/repairs, warm-select decisions) appear as
+instants within their round.
 
 Disabled recorders drop everything at one boolean check, so a
 trace-off engine pays no per-round cost; memory when enabled is one

@@ -913,7 +913,6 @@ class StreamingEngine:
             build_stats=self.build_stats,
             delta_stats=delta_stats,
             select_stats=self.select_stats,
-            warm_stats=getattr(self._assigner, "warm_stats", None),
             cached_pairs=(
                 delta_stats.pairs_cached if delta_stats is not None else None
             ),

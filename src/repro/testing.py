@@ -6,14 +6,19 @@ quick randomized workers, tasks, predicted samples, and ready-made
 problem instances.  Everything here is deterministic given the numpy
 ``Generator`` / seed passed in.  :class:`ReferenceEngine` runs the
 streaming round loop over the fresh oracle builders and cold
-selection, the references the production path is differentially
+selection, and :class:`ReferenceGreedy` runs Fig. 5 line by line over
+scalar values: the references the production path is differentially
 tested against.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.core.base import Assigner, AssignmentResult
+from repro.core.greedy import GreedyConfig
 from repro.geo.box import Box
 from repro.geo.point import Point
 from repro.model.entities import Task, Worker
@@ -21,7 +26,12 @@ from repro.model.instance import ProblemInstance, build_problem
 from repro.model.sparse import build_problem_sparse
 from repro.streaming.adapters import load_workload
 from repro.streaming.engine import StreamingEngine
+from repro.uncertainty.comparison import prob_greater, prob_less_or_equal, prob_within_budget
+from repro.uncertainty.values import UncertainValue
 from repro.workloads.quality import HashQualityModel
+
+#: Budget-comparison slack of :class:`ReferenceGreedy`.
+_EPS = 1e-9
 
 
 def make_workers(
@@ -210,3 +220,146 @@ class ReferenceEngine(StreamingEngine):
             include_future_future_pairs=config.include_future_future_pairs,
             **extra,
         )
+
+
+class ReferenceGreedy(Assigner):
+    """Unoptimized ``MQA_Greedy`` for cross-validation.
+
+    Follows Fig. 5 of the paper line by line over scalar
+    :class:`~repro.uncertainty.values.UncertainValue` comparisons, with
+    no numpy in the selection loop; the test suite asserts that the
+    vectorized :class:`~repro.core.greedy.MQAGreedy` selects the same
+    pairs.  O(iterations x pairs^2): small problems only.
+    """
+
+    name = "greedy-reference"
+
+    def __init__(self, config: GreedyConfig | None = None) -> None:
+        self._config = config if config is not None else GreedyConfig()
+
+    def assign(
+        self,
+        problem: ProblemInstance,
+        budget_current: float,
+        budget_future: float,
+        rng: np.random.Generator,
+    ) -> AssignmentResult:
+        pool = problem.pool
+        config = self._config
+        budget_max = budget_current + budget_future
+
+        costs = [pool.cost_value(r) for r in range(len(pool))]
+        qualities = [pool.quality_value(r) for r in range(len(pool))]
+
+        alive = set(range(len(pool)))
+        budget_future = max(budget_max - budget_current, 0.0)
+        spent_current = 0.0
+        spent_future = 0.0
+        spent_lower_bound = 0.0
+        selected: list[int] = []
+
+        while True:
+            feasible = [
+                r
+                for r in alive
+                if self._is_feasible(
+                    pool, costs[r], r, spent_current, spent_future,
+                    budget_current, budget_future,
+                )
+            ]
+            feasible = [
+                r
+                for r in feasible
+                if prob_within_budget(spent_lower_bound, costs[r], budget_max) > config.delta
+            ]
+            if not feasible:
+                break
+
+            candidates: list[int] = []
+            if config.use_dominance_pruning:
+                for row in feasible:
+                    if not self._dominated(costs, qualities, row, feasible):
+                        candidates.append(row)
+            else:
+                candidates = list(feasible)
+
+            candidates = self._cap(pool, candidates, config.candidate_cap)
+            if config.use_probability_pruning:
+                candidates = [
+                    r
+                    for r in candidates
+                    if not self._probably_worse(costs, qualities, r, candidates)
+                ]
+
+            best = self._select(pool, qualities, candidates)
+            selected.append(best)
+            spent_lower_bound += costs[best].lower
+            if pool.is_current[best]:
+                spent_current += costs[best].mean
+            else:
+                spent_future += costs[best].mean
+            worker = pool.worker_idx[best]
+            task = pool.task_idx[best]
+            alive = {
+                r
+                for r in alive
+                if pool.worker_idx[r] != worker and pool.task_idx[r] != task
+            }
+
+        return self._result_from_rows(problem, selected, budget_current)
+
+    @staticmethod
+    def _is_feasible(pool, cost, row, spent_current, spent_future, budget_current, budget_future):
+        if pool.is_current[row]:
+            return cost.mean <= budget_current - spent_current + _EPS
+        return cost.mean <= budget_future - spent_future + _EPS
+
+    @staticmethod
+    def _dominated(costs, qualities, row, others) -> bool:
+        """Lemma 4.1 against every other candidate."""
+        for other in others:
+            if other == row:
+                continue
+            if costs[other].upper < costs[row].lower and (
+                qualities[other].lower > qualities[row].upper
+            ):
+                return True
+        return False
+
+    @staticmethod
+    def _probably_worse(costs, qualities, row, others) -> bool:
+        """Lemma 4.2 (intent-corrected; see core.pruning) against others."""
+        for other in others:
+            if other == row:
+                continue
+            quality_better = prob_greater(qualities[row], qualities[other])
+            cost_better = prob_less_or_equal(costs[row], costs[other])
+            if quality_better < 0.5 and cost_better < 0.5:
+                return True
+        return False
+
+    @staticmethod
+    def _cap(pool, candidates: list[int], cap: int) -> list[int]:
+        if len(candidates) <= cap:
+            return candidates
+        ranked = sorted(
+            candidates,
+            key=lambda r: (-pool.quality_mean[r], pool.cost_mean[r], r),
+        )
+        return ranked[:cap]
+
+    @staticmethod
+    def _select(pool, qualities: list[UncertainValue], candidates: list[int]) -> int:
+        """Eq. 10: maximize the product of superiority probabilities."""
+        if not candidates:
+            raise ValueError("cannot select from an empty candidate set")
+        scores: dict[int, float] = {}
+        for row in candidates:
+            log_score = 0.0
+            for other in candidates:
+                if other == row:
+                    continue
+                probability = prob_greater(qualities[row], qualities[other])
+                log_score += math.log(probability) if probability > 0.0 else -math.inf
+            scores[row] = log_score
+        return min(candidates, key=lambda r: (-scores[r], pool.cost_mean[r], r))

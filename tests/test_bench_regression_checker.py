@@ -290,7 +290,6 @@ class TestStreamingRules:
         self,
         delta_rate: float = 0.95,
         repair_rate: float = 0.68,
-        accept_rate: float = 1.0,
         overhead: float = 1.005,
     ) -> dict:
         payload = _streaming_payload(5000.0, 6.4)
@@ -299,8 +298,6 @@ class TestStreamingRules:
             "delta_incremental_rate_floor": 0.85,
             "warm_select_repair_rate": repair_rate,
             "warm_select_repair_rate_floor": 0.5,
-            "hungarian_warm_accept_rate": accept_rate,
-            "hungarian_warm_accept_rate_floor": 0.5,
             "metrics_overhead_ratio": overhead,
             "metrics_overhead_ratio_ceil": 1.03,
         }
@@ -320,10 +317,9 @@ class TestStreamingRules:
         [
             {"delta_rate": 0.7},     # prime/fallback storm in the delta cache
             {"repair_rate": 0.3},    # warm selection regressed to cold primes
-            {"accept_rate": 0.2},    # Hungarian warm starts mostly rejected
             {"overhead": 1.08},      # metrics layer got expensive
         ],
-        ids=["delta-rate", "repair-rate", "accept-rate", "overhead"],
+        ids=["delta-rate", "repair-rate", "overhead"],
     )
     def test_health_regression_fails(self, checker, tmp_path, kwargs):
         _write(tmp_path / "base", "BENCH_streaming.json", self._health_payload())

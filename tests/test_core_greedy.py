@@ -5,9 +5,7 @@ import pytest
 
 from repro.core.exact import exact_assignment
 from repro.core.greedy import GreedyConfig, MQAGreedy
-from repro.core.greedy_reference import ReferenceGreedy
-
-from repro.testing import make_problem
+from repro.testing import ReferenceGreedy, make_problem
 
 
 RNG = np.random.default_rng(0)

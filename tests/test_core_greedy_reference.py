@@ -1,4 +1,4 @@
-"""Direct tests for repro.core.greedy_reference.
+"""Direct tests for repro.testing.ReferenceGreedy.
 
 The reference implementation is itself a deliverable (the semantic
 anchor for the vectorized greedy), so it gets its own invariant tests
@@ -8,9 +8,7 @@ in addition to the equality checks in test_core_greedy.
 import numpy as np
 
 from repro.core.greedy import GreedyConfig
-from repro.core.greedy_reference import ReferenceGreedy
-
-from repro.testing import make_problem
+from repro.testing import ReferenceGreedy, make_problem
 
 RNG = np.random.default_rng(0)
 

@@ -12,10 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matching.hungarian import (
-    HungarianWarmStart,
     _hungarian_reference,
     hungarian_max_weight,
-    hungarian_max_weight_warm,
     hungarian_min_cost,
     max_weight_cost_matrix,
 )
@@ -205,78 +203,3 @@ class TestDifferential:
         self._assert_identical(cost)
         self._assert_identical(cost.T)
 
-
-class TestWarmStart:
-    """Persisted-dual warm starts: bit-identical, by construction."""
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=80, deadline=None)
-    def test_warm_matches_cold_across_rounds(self, seed):
-        """Differential over chains of solves sharing one dual store.
-
-        Entities persist, arrive and depart between rounds, so carried
-        column potentials meet matrices they were not solved on — the
-        regime where an accepted-but-suboptimal warm run would show up
-        as a divergence from the cold solve.
-        """
-        rng = np.random.default_rng(seed)
-        warm = HungarianWarmStart()
-        ids = list(range(40))
-        for _ in range(3):
-            n = int(rng.integers(1, 10))
-            m = int(rng.integers(1, 10))
-            row_ids = list(rng.choice(ids, n, replace=False))
-            col_ids = list(rng.choice(ids, m, replace=False))
-            weights = rng.uniform(-1.0, 2.0, size=(n, m))
-            weights[rng.uniform(size=(n, m)) < 0.2] = -np.inf
-            pairs, total, _ = hungarian_max_weight_warm(
-                weights, row_ids, col_ids, warm
-            )
-            cold_pairs, cold_total = hungarian_max_weight(
-                weights, allow_unmatched=True
-            )
-            assert pairs == cold_pairs
-            assert total == pytest.approx(cold_total, abs=1e-12)
-        assert warm.solves == 3
-
-    def test_stale_negative_dual_on_unmatched_column_falls_back(self):
-        """A carried negative potential on a column that ends the next
-        solve unmatched leaves the duals short of optimality even
-        though they are feasible and the matched edges are tight; the
-        warm run must not be certified from them.  (Regression: the
-        certificate once inspected only tightness and accepted a
-        suboptimal matching here.)"""
-        warm = HungarianWarmStart()
-        # Round 1: both rows compete for column 2, so the alternating
-        # search pushes its potential negative.
-        first = np.array([[1.10, 1.39, 3.78], [1.47, 2.48, 4.91]])
-        pairs, _, _ = hungarian_max_weight_warm(first, [0, 1], [0, 1, 2], warm)
-        assert pairs == hungarian_max_weight(first, allow_unmatched=True)[0]
-        assert any(dual < 0.0 for dual in warm.column_duals.values())
-        # Round 2: the surviving row set no longer wants column 2, so
-        # it ends unmatched, still carrying the negative potential.
-        second = np.array([[4.81, 3.65, 2.75]])
-        pairs, total, _ = hungarian_max_weight_warm(second, [7], [0, 1, 2], warm)
-        cold_pairs, cold_total = hungarian_max_weight(second, allow_unmatched=True)
-        assert warm.warm_attempts == 1
-        assert warm.warm_fallbacks == 1
-        assert pairs == cold_pairs
-        assert total == pytest.approx(cold_total, abs=1e-12)
-
-    def test_degenerate_matrix_skips_warm_attempt(self):
-        warm = HungarianWarmStart()
-        tied = np.array([[1.0, 1.0], [2.0, 3.0]])
-        hungarian_max_weight_warm(tied, [0, 1], [2, 3], warm)
-        hungarian_max_weight_warm(tied, [0, 1], [2, 3], warm)
-        assert warm.degenerate_skips == 1  # first solve has nothing seeded
-        assert warm.warm_attempts == 0
-
-    def test_duals_persist_and_departures_drop_out(self):
-        warm = HungarianWarmStart()
-        weights = np.array([[3.0, 1.0], [0.5, 2.0]])
-        hungarian_max_weight_warm(weights, [10, 11], [20, 21], warm)
-        assert set(warm.column_duals) == {20, 21}
-        assert set(warm.row_duals) == {10, 11}
-        hungarian_max_weight_warm(np.array([[1.25]]), [10], [21], warm)
-        assert set(warm.column_duals) == {21}
-        assert set(warm.row_duals) == {10}

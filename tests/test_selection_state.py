@@ -13,12 +13,14 @@ from four sides:
   repair path actually serves (not a silent every-round fallback);
 - the lifecycle edges behave: the trusted carry survives declined
   rounds, churn overflows fall back to cold builds, and the
-  ``triplet_min_rows`` floor gates engagement exactly at the boundary;
+  ``TRIPLET_MIN_ROWS`` floor gates engagement exactly at the boundary;
 - the streaming engine reproduces its cold self with warm selection
   on, for the greedy, divide-and-conquer and Hungarian assigners.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HungarianAssigner, MQADivideConquer, MQAGreedy
+from repro.core import triplet_select
 from repro.core.greedy import GreedyConfig, greedy_select
 from repro.core.triplet_select import (
     SelectionState,
@@ -44,7 +47,17 @@ _BUDGET_CURRENT = 8.0
 _BUDGET_MAX = 12.0
 #: Low engine floor so the small worlds here route through the
 #: amortized engine (and therefore through the warm path).
-_CFG = GreedyConfig(triplet_min_rows=8)
+_FLOOR = 8
+_CFG = GreedyConfig()
+
+
+@contextmanager
+def _engine_floor(rows):
+    """Lower ``TRIPLET_MIN_ROWS`` for the block (hypothesis tests cannot
+    take the function-scoped ``monkeypatch`` fixture)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triplet_select, "TRIPLET_MIN_ROWS", rows)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +128,7 @@ def _make_builder(world):
     )
 
 
-def _check_round(state, builder, world, use_prediction, trusted, config=_CFG):
+def _check_round(state, builder, world, use_prediction, trusted, floor=_FLOOR):
     """Build one round, run warm and cold selection, compare exactly."""
     predicted_workers, predicted_tasks = world.predicted(use_prediction)
     instance = builder.build_round(
@@ -124,8 +137,9 @@ def _check_round(state, builder, world, use_prediction, trusted, config=_CFG):
     pool = instance.pool
     rows = np.arange(len(pool), dtype=np.int64)
     state.begin_round(instance, builder.last_churn if trusted else None)
-    warm = state.select(pool, rows, _BUDGET_CURRENT, _BUDGET_MAX, config)
-    cold = greedy_select(pool, rows, _BUDGET_CURRENT, _BUDGET_MAX, config)
+    with _engine_floor(floor):
+        warm = state.select(pool, rows, _BUDGET_CURRENT, _BUDGET_MAX, _CFG)
+        cold = greedy_select(pool, rows, _BUDGET_CURRENT, _BUDGET_MAX, _CFG)
     if warm is not None:
         assert warm == cold
     return warm
@@ -222,13 +236,12 @@ def test_carry_composes_across_declined_rounds(churn_world_cls):
     world.arrive_tasks(20)
     builder = _make_builder(world)
     state = SelectionState()
-    engaged = GreedyConfig(triplet_min_rows=8)
-    # A config whose floor no realistic pool reaches: the round goes
-    # through select() but is declined after the churn is observed —
-    # exactly what a small-pool gap between engaged rounds looks like.
-    declined = GreedyConfig(triplet_min_rows=10**6)
+    # A floor no realistic pool reaches: the round goes through
+    # select() but is declined after the churn is observed — exactly
+    # what a small-pool gap between engaged rounds looks like.
+    declined = 10**6
 
-    assert _check_round(state, builder, world, False, True, engaged) is not None
+    assert _check_round(state, builder, world, False, True) is not None
     assert state.stats.primes == 1
     for _ in range(2):
         world.now += 0.05
@@ -239,7 +252,7 @@ def test_carry_composes_across_declined_rounds(churn_world_cls):
     assert state.stats.declined == 2
     world.now += 0.05
     world.arrive_tasks(1)
-    assert _check_round(state, builder, world, False, True, engaged) is not None
+    assert _check_round(state, builder, world, False, True) is not None
     assert state.stats.repaired == 1, (
         "the engaged round after the gap should repair through the "
         "composed carry, not cold-prime"
@@ -296,47 +309,48 @@ class TestTripletMinRowsBoundary:
         state.begin_round(problem)
         return state
 
-    def test_at_floor_engages(self):
+    def test_at_floor_engages(self, monkeypatch):
         problem = make_problem(seed=3)
         n = len(problem.pool)
         assert n > 1
         state = self._armed_state(problem)
-        config = GreedyConfig(triplet_min_rows=n)
+        monkeypatch.setattr(triplet_select, "TRIPLET_MIN_ROWS", n)
         rows = np.arange(n, dtype=np.int64)
         selected = state.select(
-            problem.pool, rows, _BUDGET_CURRENT, _BUDGET_MAX, config
+            problem.pool, rows, _BUDGET_CURRENT, _BUDGET_MAX, _CFG
         )
         assert selected is not None
         assert state.stats.rounds == 1 and state.stats.primes == 1
         assert selected == greedy_select(
-            problem.pool, rows, _BUDGET_CURRENT, _BUDGET_MAX, config
+            problem.pool, rows, _BUDGET_CURRENT, _BUDGET_MAX, _CFG
         )
 
-    def test_below_floor_declines(self):
+    def test_below_floor_declines(self, monkeypatch):
         problem = make_problem(seed=3)
         n = len(problem.pool)
         state = self._armed_state(problem)
-        config = GreedyConfig(triplet_min_rows=n + 1)
+        monkeypatch.setattr(triplet_select, "TRIPLET_MIN_ROWS", n + 1)
         selected = state.select(
             problem.pool,
             np.arange(n, dtype=np.int64),
             _BUDGET_CURRENT,
             _BUDGET_MAX,
-            config,
+            _CFG,
         )
         assert selected is None
         assert state.stats.declined == 1 and state.stats.rounds == 0
 
-    def test_subset_row_sets_decline(self):
+    def test_subset_row_sets_decline(self, monkeypatch):
         problem = make_problem(seed=3)
         n = len(problem.pool)
         state = self._armed_state(problem)
+        monkeypatch.setattr(triplet_select, "TRIPLET_MIN_ROWS", 1)
         selected = state.select(
             problem.pool,
             np.arange(n - 1, dtype=np.int64),
             _BUDGET_CURRENT,
             _BUDGET_MAX,
-            GreedyConfig(triplet_min_rows=1),
+            _CFG,
         )
         assert selected is None
         assert state.stats.declined == 1
@@ -351,15 +365,13 @@ class TestEngineWarmEqualsCold:
     """The full streaming engine, warm selection on vs off."""
 
     @pytest.mark.parametrize(
-        "make_assigner",
-        [
-            lambda: MQAGreedy(GreedyConfig(triplet_min_rows=64)),
-            MQADivideConquer,
-            HungarianAssigner,
-        ],
+        "make_assigner, engine_floor",
+        [(MQAGreedy, 64), (MQADivideConquer, None), (HungarianAssigner, None)],
         ids=["greedy", "dc", "hungarian"],
     )
-    def test_results_identical(self, make_assigner):
+    def test_results_identical(self, make_assigner, engine_floor, monkeypatch):
+        if engine_floor is not None:
+            monkeypatch.setattr(triplet_select, "TRIPLET_MIN_ROWS", engine_floor)
         workload = BurstyWorkload(
             WorkloadParams(num_workers=110, num_tasks=110, num_instances=4),
             seed=9,
