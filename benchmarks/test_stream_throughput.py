@@ -44,7 +44,7 @@ from repro.streaming import (
     load_workload,
     prepared_engine,
 )
-from repro.testing import ReferenceEngine
+from repro.testing import ReferenceEngine, fused_rounds
 from repro.workloads import (
     BurstyWorkload,
     CitywideMultiHotspotWorkload,
@@ -118,7 +118,8 @@ def _run(params: WorkloadParams, use_sparse: bool, use_prediction: bool) -> dict
     )
     engine = _prepared(workload, config, builder="fused" if use_sparse else "dense")
     started = time.perf_counter()
-    engine.advance_to(float(workload.num_instances))
+    with fused_rounds():  # the leg under test is the K=1 tile pipeline
+        engine.advance_to(float(workload.num_instances))
     wall = time.perf_counter() - started
     result = engine.result()
     latencies = [i.cpu_seconds for i in result.instances]
@@ -532,7 +533,8 @@ def _run_delta_leg(params: WorkloadParams, use_delta: bool, config_kwargs: dict)
     config = StreamConfig(**config_kwargs)
     engine = _prepared(workload, config, builder="fused" if use_delta else "sparse")
     started = time.perf_counter()
-    engine.advance_to(float(workload.num_instances))
+    with fused_rounds():  # the leg under test is the K=1 delta pipeline
+        engine.advance_to(float(workload.num_instances))
     wall = time.perf_counter() - started
     result = engine.result()
     latencies = sorted(i.cpu_seconds for i in result.instances)
@@ -902,7 +904,8 @@ def _run_health_leg(enable_metrics: bool) -> dict:
         **dict(DELTA_CONFIG_KWARGS, index_gamma=24),
     )
     engine, _ = prepared_engine(workload, MQAGreedy(), config=config, seed=SEED)
-    engine.advance_to(float(workload.num_instances))
+    with fused_rounds():  # the cache paths under test are the K=1 tile pipeline's
+        engine.advance_to(float(workload.num_instances))
     result = engine.result()
     latencies = sorted(i.cpu_seconds for i in result.instances)
     return {

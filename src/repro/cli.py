@@ -338,16 +338,15 @@ def _run_stream_command(argv: list[str]) -> int:
             f"rounds, {delta_stats.primes} full rebuilds, "
             f"{delta_stats.pairs_cached} pairs cached"
         )
-    ratio = (
-        summary["dense_pairs_equivalent"] / summary["candidate_pairs_examined"]
-        if summary["candidate_pairs_examined"]
-        else float("inf")
-    )
-    print(
-        f"  candidate pairs {summary['candidate_pairs_examined']} "
-        f"(dense would touch {summary['dense_pairs_equivalent']}, "
-        f"{ratio:.1f}x fewer)"
-    )
+    examined = summary["candidate_pairs_examined"]
+    dense = summary["dense_pairs_equivalent"]
+    if examined:
+        print(
+            f"  candidate pairs {examined} (dense would touch {dense}, "
+            f"{dense / examined:.1f}x fewer)"
+        )
+    else:
+        print(f"  candidate pairs: no pairs examined (dense would touch {dense})")
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(summary, indent=2), encoding="utf-8")

@@ -7,17 +7,20 @@ rounds on a configurable micro-batch cadence: events are applied in
 timestamp order between rounds, and each round prices and assigns only
 the entities alive at that moment.
 
-Every round builds its candidate pool through one fused pipeline
+Every round builds its candidate pool through one builder
 (:class:`~repro.streaming.pipeline.FusedRoundBuilder`): the unit square
 is cut into ``K`` spatial tiles (:class:`ShardingConfig`), each tile
 keeps a persistent delta pool over its zone, and a global reconcile
 pass merges the tiles back into the canonical pool — bit-for-bit the
 pool :func:`~repro.model.sparse.build_problem_sparse` would emit.  The
-default ``K = 1`` runs that pipeline inline on one tile; larger ``K``
-fan the tiles over a thread pool or pre-forked shared-memory workers
-(:mod:`repro.streaming.shm`).  Events, prediction RNG draws and
-selection never depend on ``K``, so every tiling reproduces the
-default run exactly (``tests/test_streaming_sharding.py``).
+default ``K = 1`` runs that pipeline inline on one tile, and builds
+rounds of at most :data:`~repro.streaming.pipeline.DENSE_ROUND_MAX_PAIRS`
+dense pairs with the dense kernel instead (same pool, less fixed
+cost); larger ``K`` fan the tiles over a thread pool or pre-forked
+shared-memory workers (:mod:`repro.streaming.shm`).  Events,
+prediction RNG draws and selection never depend on ``K``, so every
+tiling reproduces the default run exactly
+(``tests/test_streaming_sharding.py``).
 
 Equivalence contract: with ``round_interval = 1.0`` and a workload
 adapter stamping arrivals at integer instances, the engine reproduces
@@ -668,12 +671,16 @@ class StreamingEngine:
         engine, created on the first round with the backend's runner —
         inline for serial, the engine's thread pool for thread (shared
         with the reconcile pass's parallel pricing), and the
-        shared-memory persistent worker pool for process.
+        shared-memory persistent worker pool for process.  The serial
+        K=1 builder prices rounds of at most
+        :data:`~repro.streaming.pipeline.DENSE_ROUND_MAX_PAIRS` dense
+        pairs with the dense kernel instead of its tile pipeline.
 
         ``churn`` is the round's shared :class:`ChurnRecord`: the
         engine stamps its worker-churn journal on it beforehand, and
-        the builder annotates ``row_origin`` in place so warm selection
-        repairs from a trusted origin map instead of self-diffing.
+        a tile-built round annotates ``row_origin`` in place so warm
+        selection repairs from a trusted origin map instead of
+        self-diffing (a dense round leaves it unset).
         """
         if self._closed and self._sharding.backend != "serial":
             raise RuntimeError(

@@ -3,8 +3,8 @@
 This module fuses the repo's two incremental layers — the
 :class:`~repro.model.delta.DeltaPoolBuilder` candidate cache and warm
 :class:`~repro.core.triplet_select.SelectionState` repair — into the
-streaming engine's one build path, for every tiling ``K`` (the
-default engine is its K=1 case):
+streaming engine's build path, for every tiling ``K`` (the default
+engine is its K=1 case):
 
 - :class:`TilePipeline` owns one tile's persistent round state: the
   tile's entity lists, a :class:`DeltaPoolBuilder` in external-journal
@@ -27,6 +27,26 @@ default engine is its K=1 case):
   therefore bit-identical to the fresh builders
   (:func:`~repro.model.sparse.build_problem_sparse` and the dense
   :func:`~repro.model.instance.build_problem`).
+
+Small single-tile rounds skip the tile machinery altogether: when the
+builder runs one inline tile (the default serial K=1 engine) and the
+round's dense pair count is at most :data:`DENSE_ROUND_MAX_PAIRS`,
+:meth:`FusedRoundBuilder.build_round` prices the round with the dense
+kernel (:func:`~repro.model.instance.build_problem`, same output)
+instead.  At that size the delta pipeline's fixed per-round work
+(mirror repair, journal split, delta repair, reconcile) costs more
+than the full ``W x T`` matrices.  Larger rounds keep the tile
+pipeline: per round, the dense kernel's time and its transient
+memory (45-50 bytes per dense pair at 1-2M pairs, up to twice the
+tile pipeline's peak) grow with ``W x T``, while the tile pipeline prices only the
+candidates.  Measured per-round build p50, paired on the same rounds
+(shared 2-CPU host): on the served Drifting shape dense is ahead by
+22-45% up to 32k pairs and by 10-18% to 46k, about even at 46k-92k,
+and behind from there (1.3-1.9x slower at 185k-262k); on Bursty with
+40-45 deadlines dense is ahead at every size measured.  The bench
+suite's 8000 x 8000 citywide stream, built all dense, runs at 0.2
+rounds/s, under half the tile pipeline's rate.  Tiling (``K > 1``)
+and the thread and process backends always run the tile pipeline.
 
 Warm selection composes through the same machinery: each tile's
 emission carries the per-row rank it held in the tile's *previous*
@@ -89,6 +109,7 @@ from repro.model.delta import (
 from repro.model.entities import Task, Worker
 from repro.model.instance import (
     ProblemInstance,
+    build_problem,
     quality_sample_stats,
     validate_predicted_flags,
 )
@@ -107,6 +128,7 @@ from repro.obs.metrics import monotonic
 from repro.uncertainty.vector import distance_stats_aligned
 
 __all__ = [
+    "DENSE_ROUND_MAX_PAIRS",
     "FusedRoundBuilder",
     "InlineTileRunner",
     "PipelineSpec",
@@ -130,6 +152,15 @@ class TileRunnerBroken(RuntimeError):
     """
 
 _EMPTY_F = np.zeros(0)
+
+#: Dense pair count (``n*m + k*m + n*l``, plus ``k*l`` with the
+#: future-future family) up to which a single inline tile's round is
+#: built by the dense kernel instead of the delta pipeline: the largest
+#: power of two below the measured crossover (46k-92k pairs on the
+#: served Drifting shape; see the module docstring).  Read at call
+#: time; :func:`repro.testing.fused_rounds` lowers it to -1 so every
+#: round, empty ones included, takes the tile pipeline.
+DENSE_ROUND_MAX_PAIRS = 32768
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +791,9 @@ class FusedRoundBuilder:
     ``runner_factory`` injects a backend (the shared-memory process
     runner); by default tiles run inline, optionally fanned over
     ``executor`` (also reused for the reconcile pass's parallel
-    pricing).
+    pricing).  A builder with one inline tile and no executor builds
+    rounds of at most :data:`DENSE_ROUND_MAX_PAIRS` dense pairs with the
+    dense kernel instead (same output, see the module docstring).
     """
 
     def __init__(
@@ -791,6 +824,9 @@ class FusedRoundBuilder:
         self._future_future = include_future_future_pairs
         self._stats = stats
         self._executor = executor
+        self._dense_eligible = (
+            runner_factory is None and executor is None and tiles.num_tiles == 1
+        )
         self._zones = TileZones(tiles, self._grid)
         self._splitter = TileChurnSplitter(self._zones)
         spec = PipelineSpec(
@@ -973,18 +1009,25 @@ class FusedRoundBuilder:
         ``tile_phases`` receives ``(tile, seconds)`` per tile build plus
         a final ``(-1, seconds)`` for the reconcile pass, and
         ``pool_events`` one ``(tile, "repair" | "prime")`` entry per
-        tile — both appended in place for the observer.
+        tile — both appended in place for the observer.  A round built
+        by the dense kernel has no tiles: it appends to neither and
+        leaves ``churn.row_origin`` unset, so warm selection self-diffs.
         """
         validate_predicted_flags(predicted_workers, predicted_tasks)
         n, m = len(current_workers), len(current_tasks)
         k, l = len(predicted_workers), len(predicted_tasks)
-        # The runner counts pipe bytes cumulatively so a mid-round
-        # retry (refresh re-send) still lands in this round's total.
-        ipc_before = self.ipc_bytes_total
         local = SparseBuildStats()
         local.dense_equivalent = n * m + k * m + n * l
         if self._future_future:
             local.dense_equivalent += k * l
+        if self._dense_eligible and local.dense_equivalent <= DENSE_ROUND_MAX_PAIRS:
+            return self._build_dense(
+                current_workers, current_tasks, predicted_workers,
+                predicted_tasks, now, churn, local,
+            )
+        # The runner counts pipe bytes cumulatively so a mid-round
+        # retry (refresh re-send) still lands in this round's total.
+        ipc_before = self.ipc_bytes_total
         num_tiles = self._tiles.num_tiles
 
         ops, overflowed = self._log.drain()
@@ -1200,6 +1243,49 @@ class FusedRoundBuilder:
             self._stats.merge(local)
         self._trusted = True
         self._last_now = now
+        return instance
+
+    def _build_dense(
+        self,
+        current_workers: Sequence[Worker],
+        current_tasks: Sequence[Task],
+        predicted_workers: Sequence[Worker],
+        predicted_tasks: Sequence[Task],
+        now: float,
+        churn: ChurnRecord | None,
+        local: SparseBuildStats,
+    ) -> ProblemInstance:
+        """One round through the dense kernel.
+
+        The round's journal ops are drained and dropped, so the mirror
+        goes untrusted: the next tile-built round refreshes every tile
+        wholesale, and ``_last_total = -1`` keeps that round from
+        handing selection an origin map against a stale pool size.
+        The dense kernel prices every pair, so the whole round books
+        as candidates and as pricing time.
+        """
+        started = monotonic()
+        instance = build_problem(
+            current_workers,
+            current_tasks,
+            predicted_workers,
+            predicted_tasks,
+            self._quality_model,
+            self._unit_cost,
+            now,
+            discount_by_existence=self._discount,
+            reservation_filter=self._reservation,
+            include_future_future_pairs=self._future_future,
+        )
+        self._log.drain()
+        self._trusted = False
+        self._last_total = -1
+        self.last_churn = churn
+        local.price_seconds = monotonic() - started
+        local.candidates = local.dense_equivalent
+        local.emitted = len(instance.pool)
+        if self._stats is not None:
+            self._stats.merge(local)
         return instance
 
     # -- parent mirror maintenance ------------------------------------------

@@ -10,9 +10,11 @@ over a bounded pool of execution slots:
 - **Per-tenant submit queue + pump.**  Every tenant has one bounded
   ``asyncio.Queue`` drained by one pump task, so operations execute in
   submission order *per tenant* — preserving the engine's determinism
-  guarantee tenant by tenant — while different tenants' rounds run
-  concurrently in worker threads (the engine is NumPy-bound and
-  releases the GIL in its hot loops).
+  guarantee tenant by tenant — while different tenants' ops run on
+  worker threads.  Those threads share one GIL, so two tenants' rounds
+  interleave rather than run in parallel: measured on the served
+  benchmark inputs, a round that takes 7-15 ms alone takes 26-33 ms
+  when both tenants' rounds overlap, most of it GIL wait.
 - **Admission control.**  A full queue or an exhausted rate-limit
   token bucket rejects the call *immediately* with a typed
   :class:`AdmissionError` (``reason`` ∈ ``queue_full`` /
@@ -35,7 +37,10 @@ over a bounded pool of execution slots:
 
 The event-loop side never touches an engine: pumps hand the actual
 work to ``asyncio.to_thread`` and deliver results through futures, so
-submits stay responsive while rounds run.
+submits stay responsive while rounds run.  Anything read from an
+engine — the drain's SLO snapshot included — is read inside the op on
+its worker thread, because once the op's future resolves the pump may
+already be running the tenant's next op.
 """
 
 from __future__ import annotations
@@ -417,8 +422,13 @@ class StreamServer:
     async def drain(
         self, tenant: str, until: float | None = None
     ) -> list[AssignmentRecord]:
-        fresh = await self._enqueue(tenant, lambda svc: svc.drain(until))
-        self._publish_slo(tenant)
+        def drain_op(svc):
+            # The SLO snapshot reads the engine's registry, so it is
+            # taken here on the op's thread, never on the loop.
+            return svc.drain(until), svc.snapshot_metrics().phase_latencies
+
+        fresh, phases = await self._enqueue(tenant, drain_op)
+        self._publish_slo(tenant, phases)
         return fresh
 
     async def snapshot(self, tenant: str) -> StreamSnapshot:
@@ -428,17 +438,14 @@ class StreamServer:
 
     # -- fleet metrics -------------------------------------------------------
 
-    def _publish_slo(self, name: str) -> None:
+    def _publish_slo(self, name: str, phases: dict[str, dict[str, float]]) -> None:
         """Republish the tenant's engine-phase percentiles as gauges.
 
         The engine's own registry is per tenant; lifting the p50/p95/
         p99 per phase into tenant-labeled gauges on the *server*
         registry gives one scrape endpoint for the whole fleet.
+        ``phases`` is the snapshot the drain op took on its thread.
         """
-        tenant = self._tenants.get(name)
-        if tenant is None:
-            return
-        phases = tenant.service.snapshot_metrics().phase_latencies
         for phase, stats in phases.items():
             for quantile in ("p50", "p95", "p99"):
                 self.registry.gauge(

@@ -8,12 +8,15 @@ problem instances.  Everything here is deterministic given the numpy
 streaming round loop over the fresh oracle builders and cold
 selection, and :class:`ReferenceGreedy` runs Fig. 5 line by line over
 scalar values: the references the production path is differentially
-tested against.
+tested against.  :func:`fused_rounds` sends the default engine's
+rounds through the tile pipeline.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from repro.model.instance import ProblemInstance, build_problem
 from repro.model.sparse import build_problem_sparse
 from repro.streaming.adapters import load_workload
 from repro.streaming.engine import StreamingEngine
+from repro.streaming import pipeline
 from repro.uncertainty.comparison import prob_greater, prob_less_or_equal, prob_within_budget
 from repro.uncertainty.values import UncertainValue
 from repro.workloads.quality import HashQualityModel
@@ -156,11 +160,31 @@ def make_problem(
     )
 
 
+@contextmanager
+def fused_rounds() -> Iterator[None]:
+    """Build single-tile rounds through the fused tile pipeline.
+
+    A serial K=1 engine builds rounds of at most
+    :data:`~repro.streaming.pipeline.DENSE_ROUND_MAX_PAIRS` dense pairs
+    with the dense kernel, which covers every toy-sized stream.  Rounds
+    built inside this block take the tile pipeline whatever their
+    size — for tests and benches whose subject is that pipeline.
+    """
+    saved = pipeline.DENSE_ROUND_MAX_PAIRS
+    pipeline.DENSE_ROUND_MAX_PAIRS = -1
+    try:
+        yield
+    finally:
+        pipeline.DENSE_ROUND_MAX_PAIRS = saved
+
+
 class ReferenceEngine(StreamingEngine):
     """A :class:`StreamingEngine` over the reference code paths.
 
     ``builder`` picks the round build: ``"fused"`` (the production
-    pipeline), ``"sparse"`` (a fresh
+    build: the tile pipeline, or the dense kernel for small rounds on
+    a serial single tile outside :func:`fused_rounds`), ``"sparse"``
+    (a fresh
     :func:`~repro.model.sparse.build_problem_sparse` every round) or
     ``"dense"`` (the full ``W x T`` matrix
     :func:`~repro.model.instance.build_problem`).  ``warm_select=False``

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro import testing
 from repro.geo.box import Box
 from repro.geo.grid import GridIndex
 from repro.geo.point import Point
@@ -44,6 +45,19 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def fused_rounds() -> Iterator[None]:
+    """Build every round through the fused tile pipeline.
+
+    A serial K=1 engine builds its rounds with the dense kernel, so
+    tests whose subject is the fused, delta or tile pipeline at K=1
+    take this fixture (``pytest.mark.usefixtures("fused_rounds")``);
+    see :func:`repro.testing.fused_rounds`.
+    """
+    with testing.fused_rounds():
+        yield
 
 
 def _clip01(value: float) -> float:

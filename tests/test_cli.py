@@ -54,6 +54,26 @@ class TestStreamCommand:
         assert "delta maintenance:" in out
         assert "candidate pairs" in out
 
+    @pytest.mark.usefixtures("fused_rounds")
+    def test_stream_without_examined_pairs(self, capsys):
+        """A stream whose rounds price no pair says so rather than
+        printing an infinite ratio.  Pinned to the fused path: the
+        dense kernel prices every pair, so only there can the count
+        be zero while dense would touch some."""
+        assert main(
+            [
+                "stream",
+                "--scenario", "bursty",
+                "--workers", "1",
+                "--tasks", "1",
+                "--instances", "2",
+                "--seed", "3",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "candidate pairs: no pairs examined (dense would touch 7)" in out
+        assert "infx" not in out
+
     def test_stream_warm_select_default_on(self, capsys):
         assert main(
             [

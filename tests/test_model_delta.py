@@ -32,6 +32,8 @@ from repro.streaming.pipeline import FusedRoundBuilder
 from repro.testing import make_predicted_workers
 from repro.workloads.quality import HashQualityModel
 
+pytestmark = pytest.mark.usefixtures("fused_rounds")
+
 _POOL_COLUMNS = (
     "worker_idx",
     "task_idx",

@@ -47,6 +47,8 @@ from repro.workloads.quality import HashQualityModel
 from test_model_delta import _GAMMA, _UNIT_COST, _assert_pools_identical
 from test_streaming_equivalence import assert_results_identical
 
+pytestmark = pytest.mark.usefixtures("fused_rounds")
+
 #: Serial baselines are deterministic in the drawn parameters; caching
 #: them keeps the 9-combination sweep from recomputing each one 9×.
 _BASELINES: dict[tuple, object] = {}

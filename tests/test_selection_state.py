@@ -145,6 +145,7 @@ def _check_round(state, builder, world, use_prediction, trusted, floor=_FLOOR):
     return warm
 
 
+@pytest.mark.usefixtures("fused_rounds")
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     use_prediction=st.booleans(),
@@ -177,6 +178,7 @@ def test_warm_matches_cold_under_random_churn(
     assert stats.primes + stats.repaired == stats.rounds
 
 
+@pytest.mark.usefixtures("fused_rounds")
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     trusted=st.booleans(),
@@ -198,6 +200,7 @@ def test_warm_matches_cold_on_adversarial_corpus(
     assert stats.primes + stats.repaired == stats.rounds
 
 
+@pytest.mark.usefixtures("fused_rounds")
 def test_repair_path_actually_serves(churn_world_cls):
     """Low churn on a standing pool must route through the repair path
     (repaired rounds, zero guard fallbacks) — not silently cold-prime
@@ -225,6 +228,7 @@ def test_repair_path_actually_serves(churn_world_cls):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("fused_rounds")
 def test_carry_composes_across_declined_rounds(churn_world_cls):
     """A declined round (pool under the engine floor that round) must
     not break the trusted-origin chain: the churn record observed on
@@ -260,6 +264,7 @@ def test_carry_composes_across_declined_rounds(churn_world_cls):
     assert state.stats.guard_fallbacks == 0
 
 
+@pytest.mark.usefixtures("fused_rounds")
 def test_mass_churn_falls_back_to_cold_build(churn_world_cls):
     """Replacing most of the population in one round overflows the
     repair economics: the state must take the total fallback (a cold
@@ -279,6 +284,7 @@ def test_mass_churn_falls_back_to_cold_build(churn_world_cls):
     assert state.stats.rounds == 2
 
 
+@pytest.mark.usefixtures("fused_rounds")
 def test_invalidate_forces_cold_prime(churn_world_cls):
     rng = np.random.default_rng(17)
     world = churn_world_cls(rng, index_gamma=_GAMMA)
@@ -393,3 +399,9 @@ class TestEngineWarmEqualsCold:
         assert warm.total_quality == cold.total_quality
         assert warm.total_cost == cold.total_cost
         assert warm.assignments == cold.assignments
+
+
+@pytest.mark.usefixtures("fused_rounds")
+class TestFusedEngineWarmEqualsCold(TestEngineWarmEqualsCold):
+    """The same, with the K=1 tile pipeline building the rounds: warm
+    selection then repairs from the trusted ``row_origin`` map."""

@@ -163,6 +163,12 @@ class TestStreamingEngineBehavior:
             i.num_pairs for i in dense.instances
         ]
 
+    @pytest.mark.usefixtures("fused_rounds")
+    def test_fused_and_dense_rounds_agree(self):
+        """The same comparison with the production leg on the K=1 tile
+        pipeline instead of the dense kernel."""
+        self.test_sparse_and_dense_rounds_agree()
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             StreamConfig(round_interval=0.0)
@@ -369,10 +375,11 @@ class TestStreamingScenariosEndToEnd:
         assert engine.result().total_assigned == 0
 
 
+@pytest.mark.usefixtures("fused_rounds")
 class TestDeltaBuilderEngineIntegration:
-    """The delta-maintained build path is the engine's only one; it
-    must reproduce the full-rebuild reference exactly and repair (not
-    rebuild) the steady-state rounds."""
+    """The delta-maintained build path must reproduce the full-rebuild
+    reference exactly and repair (not rebuild) the steady-state rounds
+    (pinned to the fused path: rounds this small would build dense)."""
 
     def _run(self, use_delta: bool, use_prediction: bool = True):
         workload = SyntheticWorkload(

@@ -152,6 +152,15 @@ class TestStreamingReproducesBatch:
         assert_results_identical(batch, stream)
 
 
+@pytest.mark.usefixtures("fused_rounds")
+class TestFusedStreamingReproducesBatch(TestStreamingReproducesBatch):
+    """The same equivalences with the K=1 tile pipeline building every
+    round; unpinned, nearly all of these rounds are small enough to
+    build dense."""
+
+    test_dense_builder_path_matches_too = None  # a reference leg either way
+
+
 class TestLastRoundPredictionCutoff:
     """The final-round prediction cutoff mirrors the batch engine.
 

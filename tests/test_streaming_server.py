@@ -329,6 +329,48 @@ class TestSloExport:
         ) in gauges
 
 
+class _ThreadRecordingService:
+    """Delegating wrapper that notes which thread reads its metrics."""
+
+    def __init__(self, inner: StreamingService, readers: list[int]) -> None:
+        self._inner = inner
+        self._readers = readers
+
+    def snapshot_metrics(self):
+        self._readers.append(threading.get_ident())
+        return self._inner.snapshot_metrics()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestSloSnapshotThread:
+    def test_drain_snapshot_never_runs_on_the_loop(self):
+        """The SLO snapshot reads the engine's registry, so it must be
+        taken on the drain op's worker thread: once the op's future
+        resolves, the pump may already run the tenant's next op."""
+        factory, ops = _schedule(seed=9)
+        readers: list[int] = []
+
+        async def serve():
+            loop_thread = threading.get_ident()
+            async with StreamServer(ServerConfig(num_workers=2)) as server:
+                server.add_tenant(
+                    TenantSpec(name="t", max_queue_depth=256),
+                    lambda: _ThreadRecordingService(factory(), readers),
+                )
+                # Fire every op at once so later ops queue behind each
+                # drain, the interleaving the loop-side read raced with.
+                await asyncio.gather(*(_replay(server, "t", [op]) for op in ops))
+                return loop_thread, server.metrics_prometheus()
+
+        loop_thread, text = asyncio.run(serve())
+        drains = sum(1 for op in ops if op[0] == "drain")
+        assert len(readers) == drains > 0
+        assert loop_thread not in readers
+        assert 'tenant_phase_latency_ms{phase="round",quantile="p50",tenant="t"}' in text
+
+
 class TestRecoveryIntegration:
     def test_tenant_with_recovery_dir_survives_restart(self, tmp_path):
         factory, ops = _schedule(seed=30)

@@ -85,6 +85,7 @@ def _fused_build(
         builder.close()
 
 
+@pytest.mark.usefixtures("fused_rounds")
 class TestShardedPoolEquivalence:
     """FusedRoundBuilder == build_problem_sparse, bit for bit."""
 
