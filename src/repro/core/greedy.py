@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.base import Assigner, AssignmentResult
-from repro.core.pruning import probability_prune
+from repro.core.pruning import probability_prune, signs_decide
 from repro.core.selection import (
     budget_confident_rows,
     feasible_rows,
@@ -176,6 +176,10 @@ def _greedy_select_rescan(
         cut_of[alive] = cut
         masked_lb = np.full(alive.size, -np.inf)
 
+    # Lemma 4.2's sign guard, decided once: a candidate window is a
+    # subset of ``rows``, so a pass here holds for every window.
+    signs_decided = config.use_probability_pruning and signs_decide(pool, rows)
+
     budget_future = max(budget_max - budget_current, 0.0)
     spent_current = 0.0
     spent_future = 0.0
@@ -223,7 +227,7 @@ def _greedy_select_rescan(
         else:
             candidate_rows = np.sort(candidate_rows)
         if config.use_probability_pruning:
-            candidate_rows = probability_prune(pool, candidate_rows)
+            candidate_rows = probability_prune(pool, candidate_rows, signs_decided)
 
         best = select_best_row(pool, candidate_rows, config.selection_objective)
         selected.append(best)

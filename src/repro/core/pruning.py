@@ -74,7 +74,9 @@ def dominance_skyline(
     return np.sort(survivors)
 
 
-def probability_prune(pool: PairPool, rows: np.ndarray) -> np.ndarray:
+def probability_prune(
+    pool: PairPool, rows: np.ndarray, signs_decided: bool = False
+) -> np.ndarray:
     """Rows of ``rows`` that survive Lemma 4.2 pruning.
 
     Row ``i`` is pruned when some row ``j`` has ``Pr{q_i > q_j} < 0.5``
@@ -89,6 +91,8 @@ def probability_prune(pool: PairPool, rows: np.ndarray) -> np.ndarray:
     matters.  Windows where the signs may not decide (a mean that is
     not finite, or a gap so small that ``gap / std`` underflows to a
     signed zero) evaluate Eqs. 7-8 on every pair instead.
+    ``signs_decided=True`` skips that check: the caller has passed
+    :func:`signs_decide` on a superset of ``rows``.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size <= 1:
@@ -101,7 +105,10 @@ def probability_prune(pool: PairPool, rows: np.ndarray) -> np.ndarray:
     by_quality = np.lexsort((q_var, q_mean))
     by_cost = np.argsort(c_mean, kind="stable")
     sorted_cost = c_mean[by_cost]
-    if not (_signs_decide(q_mean[by_quality], q_var) and _signs_decide(sorted_cost, c_var)):
+    if not (
+        signs_decided
+        or (_signs_decide(q_mean[by_quality], q_var) and _signs_decide(sorted_cost, c_var))
+    ):
         worse = (prob_greater_vec(q_mean[:, None], q_var[:, None], q_mean, q_var) < 0.5) & (
             prob_less_or_equal_vec(c_mean[:, None], c_var[:, None], c_mean, c_var) < 0.5
         )
@@ -120,6 +127,21 @@ def probability_prune(pool: PairPool, rows: np.ndarray) -> np.ndarray:
     q_best = q_mean[best]
     tie = (q_best == q_mean) & (q_var + q_var[best] > _VARIANCE_FLOOR)
     return rows[~((cheaper > 0) & ((q_best > q_mean) | tie))]
+
+
+def signs_decide(pool: PairPool, rows: np.ndarray) -> bool:
+    """Whether mean-gap signs decide Eqs. 7-8 on every subset of ``rows``.
+
+    Passing here lets a selection loop skip the per-window check of
+    :func:`probability_prune`, exactly: a subset's means are finite
+    when the set's are, its positive sorted gaps are each at least one
+    positive gap of the set (float subtraction is monotone), and its
+    variance bound is no larger.  A set that fails says nothing about
+    its subsets, which keep the per-window check.
+    """
+    return _signs_decide(
+        np.sort(pool.quality_mean[rows]), pool.quality_var[rows]
+    ) and _signs_decide(np.sort(pool.cost_mean[rows]), pool.cost_var[rows])
 
 
 def _signs_decide(sorted_mean: np.ndarray, var: np.ndarray) -> bool:

@@ -44,7 +44,8 @@ class ExperimentConfig:
         return replace(self, **overrides)
 
 
-#: Table IV defaults (bold values; see DESIGN.md for unbolded choices).
+#: Table IV defaults (bold values; see EXPERIMENTS.md, "Deviation analysis",
+#: for unbolded choices).
 PAPER_DEFAULTS = ExperimentConfig(params=WorkloadParams())
 
 

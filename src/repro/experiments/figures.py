@@ -7,8 +7,8 @@ budget proportionally (1.0 = the paper's size); EXPERIMENTS.md records
 the scales used for the committed runs.
 
 Real-data figures (10, 12, 13, 23, 24) run on synthesized
-Gowalla/Foursquare-style check-in streams (see DESIGN.md for the
-substitution rationale); the record counts keep the paper's worker:task
+Gowalla/Foursquare-style check-in streams (see docs/scenarios.md,
+"Check-in based real data", for the substitution rationale); the record counts keep the paper's worker:task
 ratio (6,143 : 8,481 in the San Francisco extraction).
 """
 

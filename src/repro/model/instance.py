@@ -24,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.model.entities import Task, Worker
 from repro.model.pairs import CandidatePair, DensePairMatrices, PairPool
 from repro.model.quality import QualityModel
-from repro.uncertainty.vector import distance_stats_vec
+from repro.uncertainty.vector import _interval_gap_vec, distance_stats_aligned
 
 
 @dataclass(frozen=True)
@@ -236,6 +237,39 @@ def validate_predicted_flags(
             raise ValueError(f"task {bad.id} passed as predicted but not flagged")
 
 
+def _reachable(w_intervals, w_vel, w_arr, t_intervals, t_deadline, t_arr, now):
+    """Row-major ``(rows, cols)`` of one predicted family's valid pairs.
+
+    The matrix form of the validity predicate: the deadline horizon
+    and the box-gap lower bound ``hypot(gap_x, gap_y)``, the same
+    floats as the ``lower`` output of
+    :func:`~repro.uncertainty.vector.distance_stats_vec`, so no pair
+    has to be priced to be rejected.
+    """
+    wx_lo, wx_hi, wy_lo, wy_hi = (axis[:, None] for axis in w_intervals)
+    tx_lo, tx_hi, ty_lo, ty_hi = t_intervals
+    departure = np.maximum(now, np.maximum(w_arr[:, None], t_arr[None, :]))
+    horizon = t_deadline[None, :] - departure
+    lower = np.hypot(
+        _interval_gap_vec(wx_lo, wx_hi, tx_lo, tx_hi),
+        _interval_gap_vec(wy_lo, wy_hi, ty_lo, ty_hi),
+    )
+    return np.nonzero((horizon > 0.0) & (lower <= horizon * w_vel[:, None]))
+
+
+class _Family(NamedTuple):
+    """One predicted family's surviving pairs, awaiting the joint pricing."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    w_intervals: tuple
+    t_intervals: tuple
+    quality: tuple
+    existence: np.ndarray
+    worker_offset: int
+    task_offset: int
+
+
 def _discount_quality(mean, var, lb, ub, probability):
     """Vectorized Bernoulli discount (see UncertainValue.discounted)."""
     mean_d = probability * mean
@@ -245,32 +279,96 @@ def _discount_quality(mean, var, lb, ub, probability):
     return mean_d, var_d, lb_d, ub_d
 
 
-def _block_pool(valid, worker_offset, task_offset, cost, quality, existence, is_current):
-    """Assemble one pair family into a :class:`PairPool`.
-
-    ``cost`` and ``quality`` are ``(mean, var, lb, ub)`` tuples of
-    matrices aligned with the ``valid`` mask; ``existence`` a matrix of
-    the same shape (broadcastable).
-    """
-    rows, cols = np.nonzero(valid)
+def _triplet_pool(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    worker_offset: int,
+    task_offset: int,
+    cost: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    quality: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    existence: np.ndarray,
+    is_current: bool,
+) -> PairPool:
+    """Assemble one pair family from aligned per-pair columns."""
     if rows.size == 0:
         return PairPool.empty()
-    existence = np.broadcast_to(existence, valid.shape)
-    pick = lambda matrix: np.broadcast_to(matrix, valid.shape)[rows, cols]  # noqa: E731
     return PairPool(
         worker_idx=rows + worker_offset,
         task_idx=cols + task_offset,
-        cost_mean=pick(cost[0]),
-        cost_var=pick(cost[1]),
-        cost_lb=pick(cost[2]),
-        cost_ub=pick(cost[3]),
-        quality_mean=pick(quality[0]),
-        quality_var=pick(quality[1]),
-        quality_lb=pick(quality[2]),
-        quality_ub=pick(quality[3]),
-        existence=existence[rows, cols],
+        cost_mean=cost[0],
+        cost_var=cost[1],
+        cost_lb=cost[2],
+        cost_ub=cost[3],
+        quality_mean=quality[0],
+        quality_var=quality[1],
+        quality_lb=quality[2],
+        quality_ub=quality[3],
+        existence=existence,
         is_current=np.full(rows.size, is_current, dtype=bool),
     )
+
+
+def _predicted_family_coupling(
+    stats: QualitySampleStats,
+    side: str,
+    index: np.ndarray,
+    existence: np.ndarray,
+    discount_by_existence: bool,
+    reservation_filter: bool,
+    exact_quality: np.ndarray | None = None,
+):
+    """Quality estimate, discount and reservation verdict of one family.
+
+    The single source of the Section III-B predicted-pair semantics,
+    shared by the dense and sparse builders and the fused pipeline's
+    reconcile pass so they can never diverge: ``side`` selects the
+    sample-statistic axis (``"task"`` for ``<w_hat, t>`` gathered by
+    ``index = cols``, ``"worker"`` for ``<w, t_hat>`` gathered by
+    ``index = rows``, ``"global"`` for ``<w_hat, t_hat>``), the
+    quality is discounted by the existence probability when enabled,
+    and the reservation filter returns a keep mask (``None`` when it
+    does not apply — the future-future family reserves no current
+    entity).  Callers apply the mask to their own aligned columns.
+    """
+    if exact_quality is not None:
+        quality = (
+            exact_quality,
+            np.zeros_like(exact_quality),
+            exact_quality,
+            exact_quality,
+        )
+    elif side == "task":
+        quality = tuple(
+            axis[index]
+            for axis in (stats.task_mean, stats.task_var, stats.task_min, stats.task_max)
+        )
+    elif side == "worker":
+        quality = tuple(
+            axis[index]
+            for axis in (
+                stats.worker_mean,
+                stats.worker_var,
+                stats.worker_min,
+                stats.worker_max,
+            )
+        )
+    else:
+        quality = (
+            np.full(index.size, stats.global_mean),
+            np.full(index.size, stats.global_var),
+            np.full(index.size, stats.global_min),
+            np.full(index.size, stats.global_max),
+        )
+    if discount_by_existence:
+        quality = _discount_quality(*quality, existence)
+    keep = None
+    if reservation_filter and side in ("task", "worker"):
+        count = stats.task_count if side == "task" else stats.worker_count
+        best_axis = stats.task_max if side == "task" else stats.worker_max
+        has_current = count > 0
+        best_current = np.where(has_current, best_axis, -np.inf)
+        keep = (quality[0] > best_current[index]) | ~has_current[index]
+    return quality, keep
 
 
 def build_problem(
@@ -298,15 +396,16 @@ def build_problem(
         unit_cost: the unit price ``C`` per distance.
         now: the current timestamp ``p``.
         discount_by_existence: multiply predicted pairs' quality by
-            their existence probability (DESIGN.md).
+            their existence probability (EXPERIMENTS.md, "Deviation
+            analysis").
         reservation_filter: keep a mixed pair (one current entity, one
             predicted) only when its expected quality beats the best
             *currently available* pair of that current entity.
             Selecting such a pair reserves the current worker/task for
             the future; when a better current match exists, the
             reservation is an expected-value loss and merely strings
-            the entity along (DESIGN.md discusses this refinement of
-            the paper's selection).
+            the entity along (EXPERIMENTS.md, "Deviation analysis",
+            discusses this refinement of the paper's selection).
         include_future_future_pairs: include the ``<w_hat, t_hat>``
             family (Section III-B, Case 3).  These pairs can never
             materialize and reserve no current entity; disabling them
@@ -326,181 +425,125 @@ def build_problem(
     k, l = len(predicted_workers), len(predicted_tasks)
     pools: list[PairPool] = []
 
-    prior_mean, prior_var, prior_lb, prior_ub = quality_model.prior()
+    wx, wy, w_vel, w_arr = _worker_columns(current_workers)
+    tx, ty, t_deadline, t_arr = _task_columns(current_tasks)
 
     # ---- current x current -------------------------------------------------
     if n and m:
-        wx, wy, w_vel, w_arr = _worker_columns(current_workers)
-        tx, ty, t_deadline, t_arr = _task_columns(current_tasks)
         dist = np.hypot(wx[:, None] - tx[None, :], wy[:, None] - ty[None, :])
         departure = np.maximum(now, np.maximum(w_arr[:, None], t_arr[None, :]))
         horizon = t_deadline[None, :] - departure
-        valid_cc = (horizon > 0.0) & (dist <= horizon * w_vel[:, None])
+        cc_rows, cc_cols = np.nonzero((horizon > 0.0) & (dist <= horizon * w_vel[:, None]))
         quality_cc = quality_model.quality_matrix(current_workers, current_tasks)
         if quality_cc.shape != (n, m):
             raise ValueError(
                 f"quality matrix shape {quality_cc.shape} != ({n}, {m})"
             )
-        cost_cc = unit_cost * dist
-        zeros = np.zeros_like(dist)
+        cc_quality = quality_cc[cc_rows, cc_cols]
+        cost_cc = unit_cost * dist[cc_rows, cc_cols]
+        zeros = np.zeros_like(cost_cc)
         pools.append(
-            _block_pool(
-                valid_cc,
+            _triplet_pool(
+                cc_rows,
+                cc_cols,
                 worker_offset=0,
                 task_offset=0,
                 cost=(cost_cc, zeros, cost_cc, cost_cc),
-                quality=(quality_cc, zeros, quality_cc, quality_cc),
-                existence=np.ones_like(dist),
+                quality=(cc_quality, zeros, cc_quality, cc_quality),
+                existence=np.ones_like(cost_cc),
                 is_current=True,
             )
         )
     else:
-        valid_cc = np.zeros((n, m), dtype=bool)
-        quality_cc = np.zeros((n, m), dtype=float)
+        cc_rows = cc_cols = np.zeros(0, dtype=np.int64)
+        cc_quality = np.zeros(0)
 
     # ---- quality samples from the current instance (Cases 1-3) ------------
     # Per-task (Case 1), per-worker (Case 2) and pooled (Case 3)
     # statistics, accumulated from the valid-pair triplets so the
     # sparse builder reproduces them bit-for-bit.
-    cc_rows, cc_cols = np.nonzero(valid_cc)
     stats = quality_sample_stats(
-        cc_rows,
-        cc_cols,
-        quality_cc[cc_rows, cc_cols],
-        n,
-        m,
-        (prior_mean, prior_var, prior_lb, prior_ub),
+        cc_rows, cc_cols, cc_quality, n, m, quality_model.prior()
     )
-    task_count = stats.task_count
-    task_mean, task_var = stats.task_mean, stats.task_var
-    task_min, task_max = stats.task_min, stats.task_max
-    worker_count = stats.worker_count
-    worker_mean, worker_var = stats.worker_mean, stats.worker_var
-    worker_min, worker_max = stats.worker_min, stats.worker_max
-    global_mean, global_var = stats.global_mean, stats.global_var
-    global_min, global_max = stats.global_min, stats.global_max
-    total_valid = stats.total_valid
 
-    def _exact_quality(row_entities, col_entities):
-        """Certain quality columns straight from the quality model."""
-        matrix = quality_model.quality_matrix(row_entities, col_entities)
-        zeros = np.zeros_like(matrix)
-        return (matrix, zeros, matrix, matrix)
+    # ---- predicted families: mask first, price once ------------------------
+    # Each family's validity (horizon, box-gap lower bound, reservation
+    # filter) is decided before any pair is priced; the survivors of
+    # all three families then share one delta-method pricing call.
+    families: list[_Family] = []
 
-    # ---- predicted workers x current tasks --------------------------------
+    def _family(w_side, t_side, side, existence_axis, worker_offset, task_offset) -> None:
+        w_entities, w_iv, vel, w_arrival = w_side
+        t_entities, t_iv, deadline, t_arrival = t_side
+        rows, cols = _reachable(w_iv, vel, w_arrival, t_iv, deadline, t_arrival, now)
+        if rows.size == 0:
+            return
+        index = cols if side == "task" else rows
+        existence = existence_axis[index]
+        exact = (
+            quality_model.quality_matrix(w_entities, t_entities)[rows, cols]
+            if exact_predicted_quality
+            else None
+        )
+        quality, keep = _predicted_family_coupling(
+            stats, side, index, existence,
+            discount_by_existence, reservation_filter, exact,
+        )
+        if keep is not None:
+            rows, cols = rows[keep], cols[keep]
+            quality = tuple(a[keep] for a in quality)
+            existence = existence[keep]
+        if rows.size:
+            families.append(
+                _Family(rows, cols, w_iv, t_iv, quality, existence, worker_offset, task_offset)
+            )
+
+    if k:
+        _, _, pw_vel, pw_arr = _worker_columns(predicted_workers)
+        pw = (predicted_workers, _box_intervals(predicted_workers), pw_vel, pw_arr)
+    if l:
+        _, _, pt_deadline, pt_arr = _task_columns(predicted_tasks)
+        pt = (predicted_tasks, _box_intervals(predicted_tasks), pt_deadline, pt_arr)
     if k and m:
-        pw_intervals = _box_intervals(predicted_workers)
-        ct_points = _box_intervals(current_tasks)
-        d_mean, d_var, d_lb, d_ub = distance_stats_vec(pw_intervals, ct_points)
-        pw_vel = np.array([w.velocity for w in predicted_workers], dtype=float)
-        pw_arr = np.array([w.arrival for w in predicted_workers], dtype=float)
-        tx_, ty_, t_deadline, t_arr = _task_columns(current_tasks)
-        departure = np.maximum(now, np.maximum(pw_arr[:, None], t_arr[None, :]))
-        horizon = t_deadline[None, :] - departure
-        valid = (horizon > 0.0) & (d_lb <= horizon * pw_vel[:, None])
-        existence = np.minimum(task_count / max(n, 1), 1.0)[None, :]
-        if exact_predicted_quality:
-            quality = _exact_quality(predicted_workers, current_tasks)
-        else:
-            quality = (
-                task_mean[None, :],
-                task_var[None, :],
-                task_min[None, :],
-                task_max[None, :],
-            )
-        if discount_by_existence:
-            quality = _discount_quality(*quality, existence)
-        if reservation_filter:
-            has_current = task_count > 0
-            best_current = np.where(has_current, task_max, -np.inf)
-            valid &= (quality[0] > best_current[None, :]) | ~has_current[None, :]
-        pools.append(
-            _block_pool(
-                valid,
-                worker_offset=n,
-                task_offset=0,
-                cost=(unit_cost * d_mean, unit_cost**2 * d_var, unit_cost * d_lb, unit_cost * d_ub),
-                quality=quality,
-                existence=existence,
-                is_current=False,
-            )
-        )
-
-    # ---- current workers x predicted tasks --------------------------------
+        ct = (current_tasks, _box_intervals(current_tasks), t_deadline, t_arr)
+        exist_task = np.minimum(stats.task_count / max(n, 1), 1.0)
+        _family(pw, ct, "task", exist_task, n, 0)
     if n and l:
-        cw_points = _box_intervals(current_workers)
-        pt_intervals = _box_intervals(predicted_tasks)
-        d_mean, d_var, d_lb, d_ub = distance_stats_vec(cw_points, pt_intervals)
-        _, _, w_vel, w_arr = _worker_columns(current_workers)
-        pt_deadline = np.array([t.deadline for t in predicted_tasks], dtype=float)
-        pt_arr = np.array([t.arrival for t in predicted_tasks], dtype=float)
-        departure = np.maximum(now, np.maximum(w_arr[:, None], pt_arr[None, :]))
-        horizon = pt_deadline[None, :] - departure
-        valid = (horizon > 0.0) & (d_lb <= horizon * w_vel[:, None])
-        existence = np.minimum(worker_count / max(m, 1), 1.0)[:, None]
-        if exact_predicted_quality:
-            quality = _exact_quality(current_workers, predicted_tasks)
-        else:
-            quality = (
-                worker_mean[:, None],
-                worker_var[:, None],
-                worker_min[:, None],
-                worker_max[:, None],
-            )
-        if discount_by_existence:
-            quality = _discount_quality(*quality, existence)
-        if reservation_filter:
-            has_current = worker_count > 0
-            best_current = np.where(has_current, worker_max, -np.inf)
-            valid &= (quality[0] > best_current[:, None]) | ~has_current[:, None]
-        pools.append(
-            _block_pool(
-                valid,
-                worker_offset=0,
-                task_offset=m,
-                cost=(unit_cost * d_mean, unit_cost**2 * d_var, unit_cost * d_lb, unit_cost * d_ub),
-                quality=quality,
-                existence=existence,
-                is_current=False,
-            )
-        )
-
-    # ---- predicted workers x predicted tasks -------------------------------
+        cw = (current_workers, _box_intervals(current_workers), w_vel, w_arr)
+        exist_worker = np.minimum(stats.worker_count / max(m, 1), 1.0)
+        _family(cw, pt, "worker", exist_worker, 0, m)
     if k and l and include_future_future_pairs:
-        pw_intervals = _box_intervals(predicted_workers)
-        pt_intervals = _box_intervals(predicted_tasks)
-        d_mean, d_var, d_lb, d_ub = distance_stats_vec(pw_intervals, pt_intervals)
-        pw_vel = np.array([w.velocity for w in predicted_workers], dtype=float)
-        pw_arr = np.array([w.arrival for w in predicted_workers], dtype=float)
-        pt_deadline = np.array([t.deadline for t in predicted_tasks], dtype=float)
-        pt_arr = np.array([t.arrival for t in predicted_tasks], dtype=float)
-        departure = np.maximum(now, np.maximum(pw_arr[:, None], pt_arr[None, :]))
-        horizon = pt_deadline[None, :] - departure
-        valid = (horizon > 0.0) & (d_lb <= horizon * pw_vel[:, None])
-        existence_value = total_valid / max(n * m, 1)
-        existence = np.full(valid.shape, min(existence_value, 1.0))
-        if exact_predicted_quality:
-            quality = _exact_quality(predicted_workers, predicted_tasks)
-        else:
-            quality = (
-                np.full(valid.shape, global_mean),
-                np.full(valid.shape, global_var),
-                np.full(valid.shape, global_min),
-                np.full(valid.shape, global_max),
-            )
-        if discount_by_existence:
-            quality = _discount_quality(*quality, existence)
-        pools.append(
-            _block_pool(
-                valid,
-                worker_offset=n,
-                task_offset=m,
-                cost=(unit_cost * d_mean, unit_cost**2 * d_var, unit_cost * d_lb, unit_cost * d_ub),
-                quality=quality,
-                existence=existence,
-                is_current=False,
-            )
+        exist_ff = np.full(k, min(stats.total_valid / max(n * m, 1), 1.0))
+        _family(pw, pt, "global", exist_ff, n, m)
+
+    if families:
+        d_mean, d_var, d_lb, d_ub = distance_stats_aligned(
+            tuple(
+                np.concatenate([f.w_intervals[axis][f.rows] for f in families])
+                for axis in range(4)
+            ),
+            tuple(
+                np.concatenate([f.t_intervals[axis][f.cols] for f in families])
+                for axis in range(4)
+            ),
         )
+        cost = (unit_cost * d_mean, unit_cost**2 * d_var, unit_cost * d_lb, unit_cost * d_ub)
+        start = 0
+        for f in families:
+            stop = start + f.rows.size
+            pools.append(
+                _triplet_pool(
+                    f.rows,
+                    f.cols,
+                    worker_offset=f.worker_offset,
+                    task_offset=f.task_offset,
+                    cost=tuple(column[start:stop] for column in cost),
+                    quality=f.quality,
+                    existence=f.existence,
+                    is_current=False,
+                )
+            )
+            start = stop
 
     return ProblemInstance(
         workers=list(current_workers) + list(predicted_workers),

@@ -47,8 +47,9 @@ from repro.model.entities import Task, Worker
 from repro.model.instance import (
     ProblemInstance,
     _box_intervals,
-    _discount_quality,
+    _predicted_family_coupling,
     _task_columns,
+    _triplet_pool,
     _worker_columns,
     quality_sample_stats,
     validate_predicted_flags,
@@ -79,7 +80,9 @@ class SparseBuildStats:
             batched mode the cheap cell-join scan evaluates the exact
             validity predicate first, so this counts the genuinely
             reachable pairs; the per-entity reference mode prices
-            every cell-level candidate and counts them all.
+            every cell-level candidate and counts them all.  A round
+            built by the dense kernel counts every dense pair: its
+            validity masks examine them all.
         gathered: cross-product pairs touched by the cheap cell-join
             scan (a few flops each) before the validity cut.  Equal to
             ``candidates`` in per-entity mode.
@@ -93,7 +96,7 @@ class SparseBuildStats:
         price_seconds: wall-clock spent in the expensive pricing
             kernels (delta-method distance statistics and quality
             scoring) — the ``price_ms`` slice of the bench phase
-            breakdown.
+            breakdown.  A dense-kernel round books its whole build.
     """
 
     candidates: int = 0
@@ -183,98 +186,6 @@ def _pair_quality(
         run_tasks = [tasks[int(j)] for j in cols[start:stop]]
         values[start:stop] = quality_model.quality_matrix([worker], run_tasks)[0]
     return values
-
-
-def _triplet_pool(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    worker_offset: int,
-    task_offset: int,
-    cost: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    quality: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    existence: np.ndarray,
-    is_current: bool,
-) -> PairPool:
-    """Assemble one pair family from aligned per-pair columns."""
-    if rows.size == 0:
-        return PairPool.empty()
-    return PairPool(
-        worker_idx=rows + worker_offset,
-        task_idx=cols + task_offset,
-        cost_mean=cost[0],
-        cost_var=cost[1],
-        cost_lb=cost[2],
-        cost_ub=cost[3],
-        quality_mean=quality[0],
-        quality_var=quality[1],
-        quality_lb=quality[2],
-        quality_ub=quality[3],
-        existence=existence,
-        is_current=np.full(rows.size, is_current, dtype=bool),
-    )
-
-
-def _predicted_family_coupling(
-    stats,
-    side: str,
-    index: np.ndarray,
-    existence: np.ndarray,
-    discount_by_existence: bool,
-    reservation_filter: bool,
-    exact_quality: np.ndarray | None = None,
-):
-    """Quality estimate, discount and reservation verdict of one family.
-
-    The single source of the Section III-B predicted-pair semantics,
-    shared by the serial sparse builder and the fused pipeline's
-    reconcile pass so the two can never diverge: ``side`` selects the sample-statistic axis
-    (``"task"`` for ``<w_hat, t>`` gathered by ``index = cols``,
-    ``"worker"`` for ``<w, t_hat>`` gathered by ``index = rows``,
-    ``"global"`` for ``<w_hat, t_hat>``), the quality is discounted by
-    the existence probability when enabled, and the reservation filter
-    returns a keep mask (``None`` when it does not apply — the
-    future-future family reserves no current entity).  Callers apply
-    the mask to their own aligned columns.
-    """
-    if exact_quality is not None:
-        quality = (
-            exact_quality,
-            np.zeros_like(exact_quality),
-            exact_quality,
-            exact_quality,
-        )
-    elif side == "task":
-        quality = tuple(
-            axis[index]
-            for axis in (stats.task_mean, stats.task_var, stats.task_min, stats.task_max)
-        )
-    elif side == "worker":
-        quality = tuple(
-            axis[index]
-            for axis in (
-                stats.worker_mean,
-                stats.worker_var,
-                stats.worker_min,
-                stats.worker_max,
-            )
-        )
-    else:
-        quality = (
-            np.full(index.size, stats.global_mean),
-            np.full(index.size, stats.global_var),
-            np.full(index.size, stats.global_min),
-            np.full(index.size, stats.global_max),
-        )
-    if discount_by_existence:
-        quality = _discount_quality(*quality, existence)
-    keep = None
-    if reservation_filter and side in ("task", "worker"):
-        count = stats.task_count if side == "task" else stats.worker_count
-        best_axis = stats.task_max if side == "task" else stats.worker_max
-        has_current = count > 0
-        best_current = np.where(has_current, best_axis, -np.inf)
-        keep = (quality[0] > best_current[index]) | ~has_current[index]
-    return quality, keep
 
 
 # ---------------------------------------------------------------------------

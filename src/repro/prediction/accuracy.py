@@ -4,7 +4,8 @@ The paper evaluates the grid predictor by the *average relative error*
 of per-cell counts:  ``|est - act| / act`` summed over cells and divided
 by the number of cells.  Cells whose actual count is zero would divide
 by zero; we treat their denominator as 1 (so an estimate of ``e`` for an
-empty cell contributes an error of ``e``), documented in DESIGN.md.
+empty cell contributes an error of ``e``), documented in EXPERIMENTS.md,
+"Deviation analysis".
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ class EngineConfig:
             paper's accuracy experiment uses 20, i.e. 400 cells).
         window: sliding-window size ``w`` for count prediction.
         discount_by_existence: scale predicted pairs' quality by their
-            existence probability (DESIGN.md).
+            existence probability (EXPERIMENTS.md, "Deviation analysis").
         reservation_filter: drop mixed predicted pairs whose expected
             quality cannot beat the entity's best current option (see
             ``build_problem``).

@@ -672,7 +672,7 @@ class StreamingEngine:
         inline for serial, the engine's thread pool for thread (shared
         with the reconcile pass's parallel pricing), and the
         shared-memory persistent worker pool for process.  The serial
-        K=1 builder prices rounds of at most
+        K=1 builder builds rounds of at most
         :data:`~repro.streaming.pipeline.DENSE_ROUND_MAX_PAIRS` dense
         pairs with the dense kernel instead of its tile pipeline.
 

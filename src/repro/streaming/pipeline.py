@@ -31,22 +31,29 @@ engine is its K=1 case):
 Small single-tile rounds skip the tile machinery altogether: when the
 builder runs one inline tile (the default serial K=1 engine) and the
 round's dense pair count is at most :data:`DENSE_ROUND_MAX_PAIRS`,
-:meth:`FusedRoundBuilder.build_round` prices the round with the dense
+:meth:`FusedRoundBuilder.build_round` builds the round with the dense
 kernel (:func:`~repro.model.instance.build_problem`, same output)
 instead.  At that size the delta pipeline's fixed per-round work
 (mirror repair, journal split, delta repair, reconcile) costs more
-than the full ``W x T`` matrices.  Larger rounds keep the tile
-pipeline: per round, the dense kernel's time and its transient
-memory (45-50 bytes per dense pair at 1-2M pairs, up to twice the
-tile pipeline's peak) grow with ``W x T``, while the tile pipeline prices only the
-candidates.  Measured per-round build p50, paired on the same rounds
-(shared 2-CPU host): on the served Drifting shape dense is ahead by
-22-45% up to 32k pairs and by 10-18% to 46k, about even at 46k-92k,
-and behind from there (1.3-1.9x slower at 185k-262k); on Bursty with
-40-45 deadlines dense is ahead at every size measured.  The bench
-suite's 8000 x 8000 citywide stream, built all dense, runs at 0.2
-rounds/s, under half the tile pipeline's rate.  Tiling (``K > 1``)
-and the thread and process backends always run the tile pipeline.
+than the dense kernel, which decides validity over the full ``W x T``
+matrices but prices only the valid pairs.  Larger rounds keep the
+tile pipeline: per round, the dense kernel's validity masks and its
+transient memory (39-50 bytes per dense pair at 1-4.5M pairs, up to
+1.3x the tile pipeline's peak) grow with ``W x T``, while the tile
+pipeline touches only the candidates its cell joins gather.
+Measured per-round build p50, both builds on the same rounds in
+alternating order (Drifting sides 238-1428 and Bursty with 40-45
+deadlines, seeds 7 and 8, 12 instances, shared 2-CPU host): on
+Drifting dense takes 0.32-0.55x the tile pipeline's time up to 32k
+pairs and 0.66-0.90x from 32k to 131k, is about even at 131k-185k
+(0.96-1.07x) and behind above (1.07-1.23x); on Bursty dense is ahead
+at every size measured (0.29-0.67x).  Before the dense kernel priced
+only its valid pairs, the same measurement put the Drifting crossover
+at 65k-131k, and that kernel took 53-58 bytes per dense pair.  The
+bench suite's 8000 x 8000 citywide stream, built all dense by that
+earlier kernel, ran at 0.2 rounds/s, under half the tile pipeline's
+rate.  Tiling (``K > 1``) and the thread and process backends always
+run the tile pipeline.
 
 Warm selection composes through the same machinery: each tile's
 emission carries the per-row rank it held in the tile's *previous*
@@ -109,21 +116,17 @@ from repro.model.delta import (
 from repro.model.entities import Task, Worker
 from repro.model.instance import (
     ProblemInstance,
+    _predicted_family_coupling,
+    _task_columns,
+    _triplet_pool,
+    _worker_columns,
     build_problem,
     quality_sample_stats,
     validate_predicted_flags,
 )
 from repro.model.pairs import PairPool
 from repro.model.quality import QualityModel
-from repro.model.sparse import (
-    _EMPTY_IDX,
-    _RADIUS_SLACK,
-    SparseBuildStats,
-    _predicted_family_coupling,
-    _task_columns,
-    _triplet_pool,
-    _worker_columns,
-)
+from repro.model.sparse import _EMPTY_IDX, _RADIUS_SLACK, SparseBuildStats
 from repro.obs.metrics import monotonic
 from repro.uncertainty.vector import distance_stats_aligned
 
@@ -156,11 +159,12 @@ _EMPTY_F = np.zeros(0)
 #: Dense pair count (``n*m + k*m + n*l``, plus ``k*l`` with the
 #: future-future family) up to which a single inline tile's round is
 #: built by the dense kernel instead of the delta pipeline: the largest
-#: power of two below the measured crossover (46k-92k pairs on the
-#: served Drifting shape; see the module docstring).  Read at call
-#: time; :func:`repro.testing.fused_rounds` lowers it to -1 so every
-#: round, empty ones included, takes the tile pipeline.
-DENSE_ROUND_MAX_PAIRS = 32768
+#: power of two below the measured crossover (131k-185k pairs on the
+#: Drifting shape since the dense kernel prices only valid pairs; see
+#: the module docstring).  Read at call time;
+#: :func:`repro.testing.fused_rounds` lowers it to -1 so every round,
+#: empty ones included, takes the tile pipeline.
+DENSE_ROUND_MAX_PAIRS = 131072
 
 
 # ---------------------------------------------------------------------------
@@ -1261,8 +1265,10 @@ class FusedRoundBuilder:
         goes untrusted: the next tile-built round refreshes every tile
         wholesale, and ``_last_total = -1`` keeps that round from
         handing selection an origin map against a stale pool size.
-        The dense kernel prices every pair, so the whole round books
-        as candidates and as pricing time.
+        The dense kernel examines every pair (its validity masks span
+        the full matrices) before it prices the valid ones, so
+        ``candidates`` books every dense pair and ``price_seconds`` the
+        whole build.
         """
         started = monotonic()
         instance = build_problem(

@@ -11,8 +11,9 @@ variances, the paper invokes the central limit theorem to approximate
 where ``sd = sqrt(Var(X) + Var(Y))``.  The paper's printed formulas
 divide by ``Var(X) + Var(Y)`` without the square root; standardizing a
 normal difference requires the standard deviation, so we use the square
-root (see DESIGN.md).  When both quantities are deterministic the
-probabilities degenerate to {0, 0.5, 1} indicator comparisons.
+root (see EXPERIMENTS.md, "Deviation analysis").  When both quantities
+are deterministic the probabilities degenerate to {0, 0.5, 1} indicator
+comparisons.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ The raw moments ``E(X^k)`` of ``X ~ U[lb, ub]`` are
 The traveling *cost* statistic needed by the algorithms is about the
 distance ``Z``, not ``Z^2``; :func:`distance_value` maps the squared-
 distance moments onto a distance :class:`UncertainValue` with the
-first-order delta method (see DESIGN.md, "faithfulness notes").
+first-order delta method (see EXPERIMENTS.md, "Deviation analysis").
 """
 
 from __future__ import annotations

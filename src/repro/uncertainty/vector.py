@@ -21,23 +21,30 @@ def uniform_raw_moments_vec(lb: np.ndarray, ub: np.ndarray, k: int) -> np.ndarra
 
     Degenerate intervals (``lb == ub``) return ``lb**k``.
     """
+    return _uniform_raw_moments(lb, ub, (k,))[0]
+
+
+def _uniform_raw_moments(lb, ub, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """``E(X^k)`` for each ``k`` in ``orders``, one degenerate-lane mask
+    shared by all of them."""
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    width = ub - lb
     # Near-degenerate lanes hit catastrophic cancellation in the
     # closed form; treat them as points (matches the scalar version).
-    scale = np.maximum(np.maximum(np.abs(lb), np.abs(ub)), 1.0)
-    degenerate = width <= 1e-12 * scale
+    degenerate = ub - lb <= 1e-12 * np.maximum(np.maximum(np.abs(lb), np.abs(ub)), 1.0)
     # All-or-nothing shortcuts skip the unused branch; the selected
     # expressions are the same, so the values are bit-identical.  The
     # all-degenerate case is the workhorse: current entities are
     # points, so whole interval sets collapse to it.
     if degenerate.all():
-        return lb**k
-    moments = (ub ** (k + 1) - lb ** (k + 1)) / ((k + 1) * np.where(degenerate, 1.0, width))
-    if not degenerate.any():
-        return moments
-    return np.where(degenerate, lb**k, moments)
+        return [lb**k for k in orders]
+    safe_width = np.where(degenerate, 1.0, ub - lb)
+    mixed = degenerate.any()
+    moments = []
+    for k in orders:
+        moment = (ub ** (k + 1) - lb ** (k + 1)) / ((k + 1) * safe_width)
+        moments.append(np.where(degenerate, lb**k, moment) if mixed else moment)
+    return moments
 
 
 def _difference_moments_vec(
@@ -45,9 +52,8 @@ def _difference_moments_vec(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``(E(Z_r^2), E(Z_r^4))`` for ``Z_r = w[r] - t[r]``.
 
-    Worker arrays are expected with a trailing broadcast axis (shape
-    ``(k, 1)``), task arrays with shape ``(m,)``; outputs are
-    ``(k, m)``.
+    The worker and task arrays broadcast against each other; the
+    outputs take the broadcast shape.
     """
     w_mean = (w_lb + w_ub) / 2.0
     t_mean = (t_lb + t_ub) / 2.0
@@ -55,14 +61,8 @@ def _difference_moments_vec(
     t_var = (t_ub - t_lb) ** 2 / 12.0
     second = w_var + t_var + (w_mean - t_mean) ** 2
 
-    w1 = uniform_raw_moments_vec(w_lb, w_ub, 1)
-    w2 = uniform_raw_moments_vec(w_lb, w_ub, 2)
-    w3 = uniform_raw_moments_vec(w_lb, w_ub, 3)
-    w4 = uniform_raw_moments_vec(w_lb, w_ub, 4)
-    t1 = uniform_raw_moments_vec(t_lb, t_ub, 1)
-    t2 = uniform_raw_moments_vec(t_lb, t_ub, 2)
-    t3 = uniform_raw_moments_vec(t_lb, t_ub, 3)
-    t4 = uniform_raw_moments_vec(t_lb, t_ub, 4)
+    w1, w2, w3, w4 = _uniform_raw_moments(w_lb, w_ub, (1, 2, 3, 4))
+    t1, t2, t3, t4 = _uniform_raw_moments(t_lb, t_ub, (1, 2, 3, 4))
     fourth = w4 - 4.0 * w3 * t1 + 6.0 * w2 * t2 - 4.0 * w1 * t3 + t4
     return second, fourth
 
@@ -94,31 +94,10 @@ def distance_stats_vec(
         matching :func:`repro.uncertainty.moments.distance_value`
         elementwise (delta-method mean/variance, exact bounds).
     """
-    wx_lo, wx_hi, wy_lo, wy_hi = (np.asarray(a, dtype=float)[:, None] for a in worker_intervals)
-    tx_lo, tx_hi, ty_lo, ty_hi = (np.asarray(a, dtype=float) for a in task_intervals)
-
-    e_z1_sq, e_z1_4 = _difference_moments_vec(wx_lo, wx_hi, tx_lo, tx_hi)
-    e_z2_sq, e_z2_4 = _difference_moments_vec(wy_lo, wy_hi, ty_lo, ty_hi)
-
-    mean_sq = e_z1_sq + e_z2_sq
-    e_z4 = e_z1_4 + 2.0 * e_z1_sq * e_z2_sq + e_z2_4
-    variance_sq = np.maximum(e_z4 - mean_sq * mean_sq, 0.0)
-
-    lower = np.hypot(
-        _interval_gap_vec(wx_lo, wx_hi, tx_lo, tx_hi),
-        _interval_gap_vec(wy_lo, wy_hi, ty_lo, ty_hi),
+    return distance_stats_aligned(
+        tuple(np.asarray(a, dtype=float)[:, None] for a in worker_intervals),
+        task_intervals,
     )
-    upper = np.hypot(
-        _interval_span_vec(wx_lo, wx_hi, tx_lo, tx_hi),
-        _interval_span_vec(wy_lo, wy_hi, ty_lo, ty_hi),
-    )
-
-    positive = mean_sq > 0.0
-    safe_mean_sq = np.where(positive, mean_sq, 1.0)
-    mean = np.where(positive, np.sqrt(safe_mean_sq), 0.0)
-    variance = np.where(positive, variance_sq / (4.0 * safe_mean_sq), 0.0)
-    mean = np.clip(mean, lower, upper)
-    return mean, variance, lower, upper
 
 
 def distance_stats_aligned(
@@ -127,12 +106,13 @@ def distance_stats_aligned(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair distance statistics for aligned box sequences.
 
-    Same arithmetic as :func:`distance_stats_vec` without the outer
-    worker-axis broadcast: ``worker_intervals[i]`` is paired with
-    ``task_intervals[i]`` and the outputs have shape ``(k,)``.  Every
-    operation involved is elementwise, so the results are bit-identical
-    to the corresponding entries of the pairwise form — the contract
-    the sparse pair builder's batched pricing relies on.
+    ``worker_intervals[i]`` is paired with ``task_intervals[i]`` and the
+    outputs have shape ``(k,)``; arrays that broadcast (a ``(k, 1)``
+    worker axis against ``(m,)`` tasks) give the broadcast shape, which
+    is how :func:`distance_stats_vec` builds its matrices.  Every
+    operation involved is elementwise, so an aligned entry is
+    bit-identical to the corresponding entry of the pairwise form — the
+    contract the pair builders' survivor pricing relies on.
     """
     wx_lo, wx_hi, wy_lo, wy_hi = (np.asarray(a, dtype=float) for a in worker_intervals)
     tx_lo, tx_hi, ty_lo, ty_hi = (np.asarray(a, dtype=float) for a in task_intervals)

@@ -5,7 +5,7 @@ spatial distributions (Uniform / Gaussian / Zipf) and on two real
 check-in datasets (Gowalla for workers, Foursquare for tasks) mapped to
 the unit square and split into ``R`` time subintervals.  This package
 generates the synthetic streams, synthesizes Gowalla/Foursquare-style
-check-in data (no network access; see DESIGN.md), loads genuine
+check-in data (no network access; see docs/scenarios.md), loads genuine
 check-in files when available, and adapts both into the common
 :class:`~repro.workloads.base.Workload` interface the simulation
 engine consumes.

@@ -19,7 +19,8 @@ class WorkloadParams:
     """The experimental parameter space of Table IV.
 
     Defaults are the paper's bold settings; parameters the paper leaves
-    unbolded default to mid-range values (see DESIGN.md section 4).
+    unbolded default to mid-range values (see EXPERIMENTS.md,
+    "Deviation analysis").
     """
 
     num_workers: int = 5000

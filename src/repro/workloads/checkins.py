@@ -4,7 +4,7 @@ The paper configures workers from Gowalla check-ins and tasks from
 Foursquare check-ins inside San Francisco.  Those datasets are not
 redistributable here, so :func:`generate_checkins` synthesizes streams
 with the statistical features the experiments actually consume (see
-DESIGN.md):
+docs/scenarios.md, "Check-in based real data"):
 
 - a Gaussian-hotspot mixture over the city bounding box (skewed,
   multi-modal spatial density);

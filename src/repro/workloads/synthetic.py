@@ -17,7 +17,8 @@ per-instance placement, per-cell counts carry irreducible Poisson
 noise of order ``1/sqrt(count-per-cell)`` — tens of percent at the
 paper's own densities (~0.8 entities/cell/instance).  Real check-in
 streams are temporally stable (people revisit the same haunts), and
-the synthetic model mirrors that; DESIGN.md discusses the choice.
+the synthetic model mirrors that; EXPERIMENTS.md, "Deviation
+analysis", discusses the choice.
 """
 
 from __future__ import annotations

@@ -32,10 +32,12 @@ from repro.workloads import DriftingHotspotWorkload, WorkloadParams
 
 #: Ceiling on calls into ``repro`` per round on the input below, by
 #: ``(major, minor)`` interpreter version.  CPython 3.11 measures
-#: 1,072.7 (1,264.4 before small single-tile rounds switched to the
-#: dense kernel); its ceiling leaves 5% headroom.  Record a version's figure
-#: here before the gate enforces on it.
-CALLS_PER_ROUND_CEILING = {(3, 11): 1125}
+#: 958.2 (1,072.7 before the dense kernel priced only its valid pairs
+#: and selection decided Lemma 4.2's sign guard once, 1,264.4 before
+#: small single-tile rounds switched to the dense kernel); its ceiling
+#: leaves 5% headroom.  Record a version's figure here before the gate
+#: enforces on it.
+CALLS_PER_ROUND_CEILING = {(3, 11): 1006}
 
 _COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
 _PACKAGE = str(Path(repro.__file__).resolve().parent)

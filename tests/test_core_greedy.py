@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core import greedy, pruning
 from repro.core.exact import exact_assignment
 from repro.core.greedy import GreedyConfig, MQAGreedy
+from repro.geo.point import Point
+from repro.model.entities import Task, Worker
+from repro.model.instance import ProblemInstance
+from repro.model.pairs import PairPool
+from repro.streaming import StreamConfig, StreamingService
 from repro.testing import ReferenceGreedy, make_problem
+from repro.workloads import DriftingHotspotWorkload, WorkloadParams
 
 
 RNG = np.random.default_rng(0)
@@ -133,3 +140,104 @@ class TestPruningAblation:
             assert full.total_quality == pytest.approx(
                 no_prune.total_quality, rel=0.05
             )
+
+
+def _with_subnormal_pair(problem, dominated):
+    """``problem`` plus one fresh worker with two fresh tasks: row A
+    (cost 0, quality 10) and row B (cost 5e-324), whose cost gap is
+    subnormal against their cost variance, so the whole-set sign check
+    fails.  With ``dominated``, B's quality sits below A's and Lemma 4.1
+    prunes B while A lives; A wins the first pick and takes B's worker,
+    so the two rows never share a candidate window."""
+    n, m = problem.num_current_workers, problem.num_current_tasks
+    worker = Worker(id=90_000, location=Point(0.5, 0.5), velocity=0.3)
+    tasks = [
+        Task(id=90_001 + j, location=Point(0.5, 0.5), deadline=2.0) for j in range(2)
+    ]
+    cost = np.array([0.0, 5e-324])
+    quality = np.array([10.0, 1.0 if dominated else 10.5])
+    extra = PairPool(
+        worker_idx=np.array([n, n]),
+        task_idx=np.array([m, m + 1]),
+        cost_mean=cost, cost_var=np.full(2, 0.01), cost_lb=cost, cost_ub=cost,
+        quality_mean=quality, quality_var=np.zeros(2),
+        quality_lb=quality, quality_ub=quality,
+        existence=np.ones(2), is_current=np.ones(2, dtype=bool),
+    )
+    return ProblemInstance(
+        workers=problem.workers[:n] + [worker],
+        tasks=problem.tasks[:m] + tasks,
+        num_current_workers=n + 1,
+        num_current_tasks=m + 2,
+        pool=PairPool.concatenate([problem.pool, extra]),
+        now=problem.now,
+    )
+
+
+class TestHoistedSignGuard:
+    """``_greedy_select_rescan`` decides Lemma 4.2's sign guard once
+    over its row set; only a set that fails re-checks each window."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"window_guard": 0, "whole_set": 0, "prune": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            pruning, "_signs_decide", counting("window_guard", pruning._signs_decide)
+        )
+        monkeypatch.setattr(
+            greedy, "signs_decide", counting("whole_set", pruning.signs_decide)
+        )
+        monkeypatch.setattr(
+            greedy, "probability_prune", counting("prune", pruning.probability_prune)
+        )
+        return calls
+
+    @pytest.mark.parametrize("dominated", [True, False], ids=["apart", "together"])
+    def test_failing_set_matches_reference(self, monkeypatch, dominated):
+        for seed in range(4):
+            problem = _with_subnormal_pair(
+                make_problem(seed=seed, num_workers=7, num_tasks=6), dominated
+            )
+            assert not pruning.signs_decide(problem.pool, np.arange(len(problem.pool)))
+            calls = self._count(monkeypatch)
+            fast = run_greedy(problem, budget_current=10.0)
+            slow = ReferenceGreedy().assign(problem, 10.0, 0.0, RNG)
+            assert fast.rows == slow.rows
+            assert {len(problem.pool) - 2, len(problem.pool) - 1} & set(fast.rows)
+            # The set failed (at most two whole-set checks), so the
+            # windows re-checked their own means.
+            assert calls["window_guard"] > 2
+            monkeypatch.undo()
+
+    def test_served_pools_skip_the_window_guard(self, monkeypatch):
+        # The benchmark's tenant shape; its first six rounds.
+        params = WorkloadParams(
+            num_workers=238, num_tasks=238, num_instances=25,
+            velocity_range=(0.05, 0.08), deadline_range=(1.0, 2.0),
+        )
+        workload = DriftingHotspotWorkload(params, seed=7000)
+        service = StreamingService(
+            MQAGreedy(), workload.quality_model,
+            config=StreamConfig(round_interval=1.0), seed=7000,
+        )
+        calls = self._count(monkeypatch)
+        for instance in range(6):
+            workers, tasks = workload.arrivals(instance)
+            for worker in workers:
+                service.submit_worker(worker, float(instance))
+            for task in tasks:
+                service.submit_task(task, float(instance))
+            service.drain(float(instance))
+        service.close()
+        assert calls["whole_set"] == 6
+        assert calls["prune"] > 4 * calls["whole_set"]
+        # Two whole-set checks per selection, none per window.
+        assert calls["window_guard"] == 2 * calls["whole_set"]

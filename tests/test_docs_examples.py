@@ -8,9 +8,9 @@ block's imports and variables, exactly as a reader would paste them).
 Blocks run under a temporary working directory so a snippet that
 writes files can never pollute the repo.
 
-``tools/check_docs.py`` (link existence + architecture package
-coverage) is also exercised here so link rot fails tier-1, not just
-the CI docs job.
+``tools/check_docs.py`` (link existence, architecture package
+coverage, documents named in ``src/`` exist) is also exercised here so
+link rot fails tier-1, not just the CI docs job.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def test_docs_site_is_complete():
 
 
 def test_check_docs_lint_is_clean(capsys):
-    """tools/check_docs.py: links resolve, every package documented."""
+    """tools/check_docs.py: links resolve, every package documented,
+    every document named in src/ exists."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(

@@ -1,12 +1,17 @@
 """Tests for repro.model.instance (Section III-B pair construction)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geo.point import euclidean_distance
 from repro.model.entities import Task, Worker
-from repro.model.instance import build_problem
+from repro.model.instance import build_problem, quality_sample_stats
 from repro.model.validity import can_reach
+from repro.uncertainty.vector import distance_stats_vec
 from repro.workloads.quality import HashQualityModel
 
 from repro.testing import (
@@ -199,6 +204,158 @@ class TestPredictedPairs:
         r_pred = raw.pool.quality_mean[~raw.pool.is_current]
         assert d_pred.shape == r_pred.shape
         assert (d_pred <= r_pred + 1e-9).all()
+
+
+def _boxes(entities):
+    return tuple(
+        np.array([getattr(e.box, side) for e in entities], dtype=float)
+        for side in ("x_lo", "x_hi", "y_lo", "y_hi")
+    )
+
+
+def _matrix_oracle(cw, ct, pw, pt, quality_model, unit_cost, now, discount,
+                   reservation, future_future, exact):
+    """Each predicted family's valid ``(worker, task)`` pairs, decided in
+    matrix form over ``distance_stats_vec``, mapped to their cost
+    columns, existence and expected quality."""
+    n, m = len(cw), len(ct)
+
+    def horizon(workers, tasks):
+        w_arr = np.array([w.arrival for w in workers])
+        t_arr = np.array([t.arrival for t in tasks])
+        deadline = np.array([t.deadline for t in tasks])
+        return deadline[None, :] - np.maximum(now, np.maximum(w_arr[:, None], t_arr[None, :]))
+
+    def velocity(workers):
+        return np.array([w.velocity for w in workers])[:, None]
+
+    if n and m:
+        h = horizon(cw, ct)
+        dist = np.hypot(
+            np.array([w.location.x for w in cw])[:, None] - np.array([t.location.x for t in ct]),
+            np.array([w.location.y for w in cw])[:, None] - np.array([t.location.y for t in ct]),
+        )
+        rows, cols = np.nonzero((h > 0.0) & (dist <= h * velocity(cw)))
+        q_cc = quality_model.quality_matrix(cw, ct)[rows, cols]
+    else:
+        rows = cols = np.zeros(0, dtype=np.int64)
+        q_cc = np.zeros(0)
+    stats = quality_sample_stats(rows, cols, q_cc, n, m, quality_model.prior())
+
+    families = []
+    if pw and ct:
+        p = np.minimum(stats.task_count / max(n, 1), 1.0)[None, :]
+        mean = quality_model.quality_matrix(pw, ct) if exact else stats.task_mean[None, :]
+        count, best = stats.task_count[None, :], stats.task_max[None, :]
+        families.append((pw, ct, n, 0, p, mean, count, best))
+    if cw and pt:
+        p = np.minimum(stats.worker_count / max(m, 1), 1.0)[:, None]
+        mean = quality_model.quality_matrix(cw, pt) if exact else stats.worker_mean[:, None]
+        count, best = stats.worker_count[:, None], stats.worker_max[:, None]
+        families.append((cw, pt, 0, m, p, mean, count, best))
+    if pw and pt and future_future:
+        p = min(stats.total_valid / max(n * m, 1), 1.0)
+        mean = quality_model.quality_matrix(pw, pt) if exact else stats.global_mean
+        families.append((pw, pt, n, m, p, mean, None, None))
+
+    expected = {}
+    for workers, tasks, w_off, t_off, p, mean, count, best in families:
+        d_mean, d_var, d_lb, d_ub = distance_stats_vec(_boxes(workers), _boxes(tasks))
+        shape = d_mean.shape
+        h = horizon(workers, tasks)
+        valid = (h > 0.0) & (d_lb <= h * velocity(workers))
+        q = np.broadcast_to(p * mean if discount else mean, shape)
+        if reservation and count is not None:
+            valid &= (q > np.where(count > 0, best, -np.inf)) | (count == 0)
+        p = np.broadcast_to(p, shape)
+        for i, j in zip(*np.nonzero(valid)):
+            expected[(int(i) + w_off, int(j) + t_off)] = (
+                unit_cost * d_mean[i, j],
+                unit_cost**2 * d_var[i, j],
+                unit_cost * d_lb[i, j],
+                unit_cost * d_ub[i, j],
+                p[i, j],
+                q[i, j],
+            )
+    return expected
+
+
+def _spread(entities, rng, **ranges):
+    """Per-entity values for the given fields, drawn from ``ranges``."""
+    return [
+        replace(e, **{k: float(rng.uniform(*r)) for k, r in ranges.items()})
+        for e in entities
+    ]
+
+
+def _slack(rng) -> float:
+    """A deadline offset; one in five is zero (a closed horizon)."""
+    return 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 1.5))
+
+
+class TestMatrixOracle:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=0, max_value=12),
+        m=st.integers(min_value=0, max_value=12),
+        k=st.integers(min_value=0, max_value=6),
+        l=st.integers(min_value=0, max_value=6),
+        half_width=st.floats(min_value=0.0, max_value=0.3),
+        discount=st.booleans(),
+        reservation=st.booleans(),
+        future_future=st.booleans(),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pricing_and_validity_match_matrix_form(
+        self, seed, n, m, k, l, half_width, discount, reservation, future_future, exact
+    ):
+        """Predicted rows carry ``C x`` the ``distance_stats_vec`` entry
+        bit for bit (and the matrix-form existence and discounted
+        quality), and exactly the pairs the matrix-form validity
+        predicate (horizon, box-gap bound, reservation) accepts."""
+        rng = np.random.default_rng(seed)
+        now = 0.5
+        cw = _spread(make_workers(rng, n), rng, velocity=(0.05, 0.6), arrival=(0.0, 1.0))
+        ct = make_tasks(rng, m)
+        ct = [
+            replace(t, arrival=a, deadline=a + _slack(rng))
+            for t, a in zip(ct, rng.uniform(0.0, 1.0, m))
+        ]
+        pw = _spread(
+            make_predicted_workers(rng, k, half_width=half_width), rng,
+            velocity=(0.05, 0.6),
+        )
+        pt = [
+            replace(t, deadline=t.arrival + _slack(rng))
+            for t in make_predicted_tasks(rng, l, half_width=half_width)
+        ]
+        quality_model = HashQualityModel((1.0, 2.0), seed=seed)
+        problem = build_problem(
+            cw, ct, pw, pt, quality_model, UNIT_COST, now,
+            discount_by_existence=discount,
+            reservation_filter=reservation,
+            include_future_future_pairs=future_future,
+            exact_predicted_quality=exact,
+        )
+        expected = _matrix_oracle(
+            cw, ct, pw, pt, quality_model, UNIT_COST, now,
+            discount, reservation, future_future, exact,
+        )
+        pool = problem.pool
+        predicted = np.nonzero(~pool.is_current)[0]
+        emitted = [
+            (int(pool.worker_idx[r]), int(pool.task_idx[r])) for r in predicted
+        ]
+        assert len(set(emitted)) == len(emitted)
+        assert set(emitted) == set(expected)
+        for row, key in zip(predicted, emitted):
+            got = (
+                pool.cost_mean[row], pool.cost_var[row],
+                pool.cost_lb[row], pool.cost_ub[row],
+                pool.existence[row], pool.quality_mean[row],
+            )
+            assert got == expected[key], key
 
 
 class TestValidation:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs lint: links resolve, the architecture guide covers the code.
 
-Two checks, both cheap enough for every CI run:
+Three checks, all cheap enough for every CI run:
 
 1. **Link existence** — every relative markdown link in README.md,
    EXPERIMENTS.md and docs/*.md must point at a file or directory
@@ -12,6 +12,10 @@ Two checks, both cheap enough for every CI run:
    (any directory with an ``__init__.py``) must be named in
    ``docs/architecture.md`` by its dotted import path, so new
    subsystems cannot land undocumented.
+3. **Source references** — every ``*.md`` filename named in a
+   ``src/`` file must exist, at the repo root or under ``docs/``
+   (a path with a directory resolves from the repo root), so a
+   docstring cannot send its reader to a document that is not there.
 
 Exit status 0 when clean, 1 with one line per violation — the CI
 docs job runs this before executing the documented snippets
@@ -86,8 +90,23 @@ def check_architecture_coverage() -> list[str]:
     ]
 
 
+#: A markdown filename, optionally with a relative directory.
+_MD_NAME = re.compile(r"[\w./-]+\.md\b")
+
+
+def check_source_references() -> list[str]:
+    errors = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for name in sorted(set(_MD_NAME.findall(path.read_text()))):
+            if not ((REPO / name).exists() or (REPO / "docs" / name).exists()):
+                errors.append(
+                    f"{path.relative_to(REPO)}: names missing document {name}"
+                )
+    return errors
+
+
 def main() -> int:
-    errors = check_links() + check_architecture_coverage()
+    errors = check_links() + check_architecture_coverage() + check_source_references()
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
