@@ -486,14 +486,29 @@ def test_sharded_citywide_scaling():
 # Delta round-over-round pool maintenance (EXPERIMENTS.md)
 # ---------------------------------------------------------------------------
 
+#: How much slower the full-rebuild leg (``ReferenceEngine(builder=
+#: "fresh")``, a new tile pipeline primed every round) is than the
+#: fresh sparse build it replaced, on the same streams: per-pair
+#: ratios (fresh / sparse) of alternating runs of both builders on one
+#: tree, median, rounded up to two decimals.  The median build on
+#: ``DELTA_PARAMS`` (6 pairs), the mean round on ``DELTA_PARAMS``
+#: (same pairs) and the mean build on ``DELTA_SMALL_PARAMS`` (11
+#: pairs).  The floors below were set against the sparse leg, so they
+#: are scaled up by these ratios: a slower baseline must not loosen
+#: the gate.
+FRESH_BUILD_RATIO = 1.57
+FRESH_ROUND_RATIO = 1.18
+FRESH_SMALL_BUILD_RATIO = 1.24
+
 #: Steady-state (median-round) build-phase multiple the delta builder
-#: must reach over the full-rebuild leg, with prediction on.  The
-#: build phase is what the delta cache owns; selection, prediction
-#: sampling and event bookkeeping are shared by both legs (see the
-#: Amdahl discussion in EXPERIMENTS.md), so the whole-round mean gets
-#: a looser floor below.
-DELTA_BUILD_SPEEDUP_FLOOR = 3.0
-DELTA_ROUND_SPEEDUP_FLOOR = 1.15
+#: must reach over the full-rebuild leg, with prediction on (3x over
+#: the sparse build, scaled).  The build phase is what the delta
+#: cache owns; selection, prediction sampling and event bookkeeping
+#: are shared by both legs (see the Amdahl discussion in
+#: EXPERIMENTS.md), so the whole-round mean gets a looser floor below
+#: (1.15x over the sparse build, scaled).
+DELTA_BUILD_SPEEDUP_FLOOR = 4.71  # 3.0 x FRESH_BUILD_RATIO
+DELTA_ROUND_SPEEDUP_FLOOR = 1.36  # 1.15 x FRESH_ROUND_RATIO = 1.357, rounded up
 
 #: Persistent-pool bursty scenario: a standing population of ~10k
 #: workers and long-deadline tasks served by high-cadence micro-batch
@@ -531,7 +546,7 @@ def _run_delta_leg(params: WorkloadParams, use_delta: bool, config_kwargs: dict)
         params, seed=SEED, burst_period=10, burst_multiplier=4.0, burst_offset=3
     )
     config = StreamConfig(**config_kwargs)
-    engine = _prepared(workload, config, builder="fused" if use_delta else "sparse")
+    engine = _prepared(workload, config, builder="fused" if use_delta else "fresh")
     started = time.perf_counter()
     with fused_rounds():  # the leg under test is the K=1 delta pipeline
         engine.advance_to(float(workload.num_instances))
@@ -599,7 +614,7 @@ def test_delta_maintenance_small_ci():
     # The incremental path must carry the stream; primes are the
     # exception (first round + high-churn bursts).
     assert stats.incremental_rounds >= stats.rounds - 10
-    assert delta["mean_build_ms"] < full["mean_build_ms"]
+    assert delta["mean_build_ms"] * FRESH_SMALL_BUILD_RATIO < full["mean_build_ms"]
 
 
 @pytest.mark.skipif(
@@ -610,8 +625,8 @@ def test_delta_round_maintenance_bench():
     """Delta vs full-rebuild with prediction on the persistent-pool
     bursty scenario.
 
-    Asserts bit-identical simulations, a >=3x steady-state (median)
-    build-phase speedup — the phase the delta cache owns — and a
+    Asserts bit-identical simulations, a steady-state (median)
+    build-phase speedup floor — the phase the delta cache owns — and a
     whole-round mean floor, then records the ``delta`` section of
     ``BENCH_streaming.json``.  Round-level means are diluted by the
     phases both legs share (budgeted selection, prediction sampling

@@ -40,7 +40,6 @@ from repro.model import (
     CandidatePair,
     ProblemInstance,
     build_problem,
-    build_problem_sparse,
 )
 from repro.obs import MetricsRegistry, TraceRecorder
 from repro.prediction import GridPredictor, make_predictor
@@ -85,7 +84,6 @@ __all__ = [
     "CandidatePair",
     "ProblemInstance",
     "build_problem",
-    "build_problem_sparse",
     "MetricsRegistry",
     "TraceRecorder",
     "GridPredictor",

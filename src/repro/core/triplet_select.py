@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.pruning import probability_prune
+from repro.core.pruning import probability_prune, signs_decide
 from repro.core.selection import _EPS, _VARIANCE_FLOOR, _phi_threshold, select_best_row
 from repro.model.pairs import PairPool
 from repro.uncertainty.vector import phi_vec
@@ -540,6 +540,11 @@ class TripletSelection:
     def run(self) -> list[int]:
         pool = self._pool
         config = self._config
+        # Lemma 4.2's sign guard, decided once: every candidate window
+        # is a subset of the selection's rows.
+        signs_decided = config.use_probability_pruning and signs_decide(
+            pool, self._rows
+        )
         selected: list[int] = []
         while True:
             self._sweep_budgets()
@@ -548,7 +553,7 @@ class TripletSelection:
                 break
             candidate_rows = self._rows[positions]
             if config.use_probability_pruning:
-                candidate_rows = probability_prune(pool, candidate_rows)
+                candidate_rows = probability_prune(pool, candidate_rows, signs_decided)
             best = select_best_row(pool, candidate_rows, config.selection_objective)
             selected.append(best)
             self._spent_lower_bound += float(pool.cost_lb[best])

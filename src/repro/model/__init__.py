@@ -11,7 +11,7 @@ from repro.model.entities import Worker, Task, mean_velocity
 from repro.model.validity import can_reach, latest_feasible_distance
 from repro.model.pairs import CandidatePair, PairPool
 from repro.model.instance import ProblemInstance, build_problem
-from repro.model.sparse import SparseBuildStats, build_problem_sparse
+from repro.model.sparse import SparseBuildStats
 from repro.model.delta import DeltaBuildStats, DeltaPoolBuilder
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ProblemInstance",
     "build_problem",
     "SparseBuildStats",
-    "build_problem_sparse",
     "DeltaBuildStats",
     "DeltaPoolBuilder",
 ]

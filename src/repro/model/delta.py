@@ -1,10 +1,10 @@
 """Incremental round-over-round candidate-pool maintenance.
 
 The streaming engine's entity sets barely change between micro-batch
-rounds, yet :func:`~repro.model.sparse.build_problem_sparse` regenerates
-the whole current×current candidate family from scratch every round:
-column extraction, cell joins, exact distances and quality scores are
-recomputed for pairs that were identical one round earlier.
+rounds, yet a fresh build regenerates the whole current×current
+candidate family from scratch every round: column extraction, cell
+joins, exact distances and quality scores are recomputed for pairs
+that were identical one round earlier.
 :class:`DeltaPoolBuilder` persists that family across rounds and
 *repairs* it instead:
 
@@ -27,10 +27,11 @@ The builder is one tile's half of a fused round build: its
 global reconcile pass of :mod:`repro.streaming.pipeline`, which
 computes the Section III-B quality statistics, existence
 probabilities, the reservation filter and pricing over the merged
-tiles.  The assembled pool is **bit-for-bit identical** to
-``build_problem_sparse`` on the same inputs (hypothesis-enforced by
-``tests/test_model_delta.py``): cached distances/qualities are pure
-functions of unchanged operands, the cached gather is a proven
+tiles.  The assembled pool is **bit-for-bit identical** to the dense
+:func:`~repro.model.instance.build_problem` on the same inputs
+(hypothesis-enforced by ``tests/test_model_delta.py``): cached
+distances/qualities are pure functions of unchanged operands, the
+cached gather is a proven
 superset of the exact valid set, and the canonical pair order is
 maintained under splices (engine list removals preserve relative
 order; arrivals append — both verified against the passed lists
@@ -270,8 +271,8 @@ class DeltaPoolBuilder:
     Args:
         quality_model: pair scorer; its ``quality_pairs_by_ids`` hook
             is used when present (scores are cached per pair, so the
-            model must be a pure function of the pair — the same
-            contract the sparse builder documents).
+            model must be a pure function of the pair — the contract
+            :func:`~repro.model.sparse._pair_quality` documents).
         index_gamma: grid resolution of the cached CSRs.
         include_future_future_pairs: emit the ``<w_hat, t_hat>``
             family.
@@ -858,12 +859,11 @@ class DeltaPoolBuilder:
         out.pw_pt = (_EMPTY_IDX, _EMPTY_IDX)
         if pw is not None and pw.size and self._t_ids.size:
             t_intervals = (self._tx, self._tx, self._ty, self._ty)
-            rows, cols, _ = _uncertain_pairs_batched(
+            out.pw_ct = _uncertain_pairs_batched(
                 self._csr, pw.xs, pw.ys, pw.vel, pw.arr, pw.intervals, pw.reach,
                 t_intervals, self._tdl, self._tarr, float(self._tdl.max()), 0.0,
                 now, local,
             )
-            out.pw_ct = (rows, cols)
         if pt is not None and pt.size and self._w_ids.size:
             out.cw_pt = self._join_current_predicted_tasks(
                 pt.xs, pt.ys, pt.deadline, pt.arr, pt.intervals, pt.reach,
@@ -875,12 +875,11 @@ class DeltaPoolBuilder:
             and self._future_future
         ):
             pt_csr = _CandidateCSR.from_coordinates(pt.xs, pt.ys, self._gamma)
-            rows, cols, _ = _uncertain_pairs_batched(
+            out.pw_pt = _uncertain_pairs_batched(
                 pt_csr, pw.xs, pw.ys, pw.vel, pw.arr, pw.intervals, pw.reach,
                 pt.intervals, pt.deadline, pt.arr, pt.deadline_max, pt.max_reach,
                 now, local,
             )
-            out.pw_pt = (rows, cols)
         self.delta_stats.pairs_cached = int(self._p_w.size)
         out.build_seconds = monotonic() - started
         return out

@@ -113,8 +113,8 @@ class QualitySampleStats:
     count/mean/variance/min/max of the current-current quality scores,
     with the global (or prior) statistics already substituted where a
     task/worker has no valid sample.  Built from the *sparse* valid-
-    pair triplets so the dense and sparse pair builders share one
-    accumulation order and agree bit-for-bit.
+    pair triplets so the dense kernel and the fused pipeline's
+    reconcile pass share one accumulation order and agree bit-for-bit.
     """
 
     task_count: np.ndarray
@@ -320,8 +320,8 @@ def _predicted_family_coupling(
     """Quality estimate, discount and reservation verdict of one family.
 
     The single source of the Section III-B predicted-pair semantics,
-    shared by the dense and sparse builders and the fused pipeline's
-    reconcile pass so they can never diverge: ``side`` selects the
+    shared by the dense kernel and the fused pipeline's reconcile pass
+    so they can never diverge: ``side`` selects the
     sample-statistic axis (``"task"`` for ``<w_hat, t>`` gathered by
     ``index = cols``, ``"worker"`` for ``<w, t_hat>`` gathered by
     ``index = rows``, ``"global"`` for ``<w_hat, t_hat>``), the
@@ -461,7 +461,7 @@ def build_problem(
     # ---- quality samples from the current instance (Cases 1-3) ------------
     # Per-task (Case 1), per-worker (Case 2) and pooled (Case 3)
     # statistics, accumulated from the valid-pair triplets so the
-    # sparse builder reproduces them bit-for-bit.
+    # fused pipeline reproduces them bit-for-bit.
     stats = quality_sample_stats(
         cc_rows, cc_cols, cc_quality, n, m, quality_model.prior()
     )

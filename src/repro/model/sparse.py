@@ -1,67 +1,38 @@
-"""Output-sensitive candidate-pair construction via a spatial index.
+"""Cell-join candidate primitives of the incremental pool builders.
 
-:func:`build_problem_sparse` assembles the same four pair families as
-:func:`repro.model.instance.build_problem` — and produces a pool that
-is row-for-row, bit-for-bit identical to the dense builder's on the
-same inputs — but never materializes a ``W x T`` matrix.
+:class:`~repro.model.delta.DeltaPoolBuilder` and the fused round
+pipeline (:mod:`repro.streaming.pipeline`) never materialize a
+``W x T`` matrix.  They generate candidate pairs through a *cell join*:
+query entities are bucketed by their grid cell, each occupied bucket
+issues one gather against a cell-grouped CSR view of the candidate
+columns (:class:`_CandidateCSR`, covering every member's reachability
+disc at once), and the gathered cross product goes through a cheap
+elementwise pass that evaluates the *exact* validity predicate (per-pair
+horizon and box-gap lower-bound distance, the same float arithmetic as
+the dense :func:`~repro.model.instance.build_problem`).  Only the
+surviving, genuinely reachable pairs reach the expensive pricing
+kernels, which is what :attr:`SparseBuildStats.candidates` counts; the
+raw cross-product size is tracked separately as ``gathered``.
 
-Candidate generation is *batched and cell-grouped*: query entities are
-bucketed by their grid cell, each occupied bucket issues one cell-join
-gather against a CSR view of the candidate index (covering every
-member's reachability disc at once), and all (entity, candidate) pairs
-of the whole family are prefiltered and priced in single NumPy calls.
-A per-entity reference implementation (``batch_queries=False``) keeps
-the original one-query-per-entity loops for differential testing.
-
-The batched scan is two-tier: the *cell filter* gathers only candidate
-cells intersecting each bucket's covering disc, and a cheap elementwise
-pass evaluates the *exact* validity predicate (per-pair horizon and
-box-gap lower-bound distance, the same float arithmetic as the dense
-builder) over the gathered cross product.  Only the surviving —
-genuinely reachable — pairs reach the expensive pricing kernels
-(delta-method distance statistics, quality estimation), which is what
-``SparseBuildStats.candidates`` counts; the raw cross-product size is
-tracked separately as ``gathered``.
-
-Bit-identity with the dense builder holds because every per-pair
-quantity is an elementwise function of the same operands the dense
-path uses (numpy elementwise kernels are value-deterministic across
-shapes), both filters are provably supersets of the exact validity
-predicate (slack ``_RADIUS_SLACK`` absorbs float rounding), pairs are
-emitted in the dense builder's row-major order, and the Section III-B
-sample statistics are produced by the shared
-:func:`~repro.model.instance.quality_sample_stats` accumulator.
+The cell filter is a superset of the exact predicate (slack
+``_RADIUS_SLACK`` absorbs float rounding) and every per-pair quantity
+is an elementwise function of the operands the dense kernel uses, so
+the pools built from these primitives equal the dense kernel's bit for
+bit.  The dense kernel is the oracle the differential tests compare
+them against.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.geo.grid import GridIndex
-from repro.geo.spatial_index import SpatialIndex
 from repro.model.entities import Task, Worker
-from repro.model.instance import (
-    ProblemInstance,
-    _box_intervals,
-    _predicted_family_coupling,
-    _task_columns,
-    _triplet_pool,
-    _worker_columns,
-    quality_sample_stats,
-    validate_predicted_flags,
-)
-from repro.model.pairs import PairPool
-from repro.obs.metrics import monotonic
 from repro.model.quality import QualityModel
-from repro.uncertainty.vector import (
-    _interval_gap_vec,
-    distance_stats_aligned,
-    distance_stats_vec,
-)
+from repro.uncertainty.vector import _interval_gap_vec
 
 #: Multiplicative + additive slack on query radii and prefilter bounds
 #: so float rounding can never exclude an exactly-reachable candidate.
@@ -72,27 +43,23 @@ _EMPTY_IDX = np.zeros(0, dtype=np.int64)
 
 @dataclass
 class SparseBuildStats:
-    """Work counters of one (or many) sparse builds.
+    """Work counters of one (or many) round builds.
 
     Attributes:
         candidates: pairs that reached the expensive pricing kernels
-            (delta-method distance statistics, quality scoring).  In
-            batched mode the cheap cell-join scan evaluates the exact
-            validity predicate first, so this counts the genuinely
-            reachable pairs; the per-entity reference mode prices
-            every cell-level candidate and counts them all.  A round
-            built by the dense kernel counts every dense pair: its
-            validity masks examine them all.
+            (delta-method distance statistics, quality scoring).  The
+            cheap cell-join scan evaluates the exact validity predicate
+            first, so this counts the genuinely reachable pairs.  A
+            round built by the dense kernel counts every dense pair:
+            its validity masks examine them all.
         gathered: cross-product pairs touched by the cheap cell-join
-            scan (a few flops each) before the validity cut.  Equal to
-            ``candidates`` in per-entity mode.
+            scan (a few flops each) before the validity cut.
         emitted: valid pairs that entered the pool.
         dense_equivalent: pairs the dense builder would have
             materialized for the same inputs (``n*m + k*m + n*l`` and
             ``k*l`` when future-future pairs are enabled).
-        queries: candidate-index gathers issued — one per query entity
-            in per-entity mode, one per occupied query cell in batched
-            mode.
+        queries: cell-join gathers issued, one per occupied query
+            cell.
         price_seconds: wall-clock spent in the expensive pricing
             kernels (delta-method distance statistics and quality
             scoring) — the ``price_ms`` slice of the bench phase
@@ -113,28 +80,6 @@ class SparseBuildStats:
         self.dense_equivalent += other.dense_equivalent
         self.queries += other.queries
         self.price_seconds += other.price_seconds
-
-
-def _default_index_gamma(count: int) -> int:
-    """Grid resolution heuristic: about one bucket per indexed point."""
-    return max(1, min(64, int(math.sqrt(max(count, 1)))))
-
-
-def _build_task_index(xs: np.ndarray, ys: np.ndarray, gamma: int) -> SpatialIndex:
-    index = SpatialIndex(GridIndex(gamma))
-    for col in range(xs.size):
-        # Points come from entity locations already validated to the
-        # unit square by the workloads; cell_of re-checks.
-        index.insert(col, _IndexPoint(float(xs[col]), float(ys[col])))
-    return index
-
-
-@dataclass(frozen=True, slots=True)
-class _IndexPoint:
-    """Minimal Point-alike so bulk inserts skip Point construction."""
-
-    x: float
-    y: float
 
 
 def _reach(intervals, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -213,10 +158,9 @@ class _CandidateCSR:
     """Cell-grouped candidate columns: the batched query target.
 
     ``cols[starts[i]:starts[i+1]]`` are the candidate columns bucketed
-    in occupied cell ``cells[i]`` (sorted).  Built either from raw
-    coordinates (per-call indexes) or from a maintained
-    :class:`SpatialIndex` snapshot (the streaming engine's incremental
-    current-task index).
+    in occupied cell ``cells[i]`` (sorted).  Built from raw
+    coordinates, then spliced in place of a rebuild as columns come
+    and go.
     """
 
     grid: GridIndex
@@ -302,19 +246,6 @@ class _CandidateCSR:
         against the maintained CSR."""
         return _cell_join(self, qx, qy, radius, stats)
 
-    @classmethod
-    def from_index(cls, index: SpatialIndex, key_to_col: dict[int, int]) -> "_CandidateCSR":
-        cells, starts, keys = index.snapshot()
-        try:
-            cols = np.fromiter(
-                (key_to_col[int(k)] for k in keys), dtype=np.int64, count=keys.size
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"task_index contains key {exc.args[0]!r} that is not a current task id"
-            ) from exc
-        return cls(index.grid, cells, starts, cols)
-
 
 def _cell_join(
     csr: _CandidateCSR,
@@ -397,43 +328,6 @@ def _cell_join(
     return pair_rows, pair_cols
 
 
-def _current_pairs_batched(
-    csr: _CandidateCSR,
-    wx: np.ndarray,
-    wy: np.ndarray,
-    w_vel: np.ndarray,
-    w_arr: np.ndarray,
-    tx: np.ndarray,
-    ty: np.ndarray,
-    t_deadline: np.ndarray,
-    t_arr: np.ndarray,
-    t_deadline_max: float,
-    now: float,
-    local: SparseBuildStats,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched ``<w, t>`` generation: one cell join, one exact scan.
-
-    The scan applies the dense builder's exact validity predicate
-    (same float arithmetic) directly over the gathered cross product;
-    survivors are the certain pairs whose quality gets priced.
-    """
-    horizon_bound = np.maximum(0.0, t_deadline_max - np.maximum(now, w_arr))
-    radius = w_vel * horizon_bound
-    rows, cols = _cell_join(csr, wx, wy, radius, local)
-    if rows.size == 0:
-        return _EMPTY_IDX, _EMPTY_IDX, np.zeros(0)
-    local.gathered += int(rows.size)
-    dist = np.hypot(wx[rows] - tx[cols], wy[rows] - ty[cols])
-    departure = np.maximum(now, np.maximum(w_arr[rows], t_arr[cols]))
-    horizon = t_deadline[cols] - departure
-    valid = (horizon > 0.0) & (dist <= horizon * w_vel[rows])
-    rows, cols, dist = rows[valid], cols[valid], dist[valid]
-    local.candidates += int(rows.size)
-    # Row-major order, matching the dense builder's np.nonzero walk.
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], dist[order]
-
-
 def _uncertain_pairs_batched(
     csr: _CandidateCSR,
     xs: np.ndarray,
@@ -458,16 +352,14 @@ def _uncertain_pairs_batched(
     same float arithmetic :func:`distance_stats_aligned` uses, so the
     decision is bit-identical to the dense builder's), leaving the
     delta-method moment pricing to run once over the surviving pairs.
-    Returns ``(rows, cols, None)`` in row-major order — ``None``
-    signals the caller to price after its reservation filter, via
-    :func:`_price_distance`.
+    Returns ``(rows, cols)`` in row-major order, unpriced: the caller
+    prices only the pairs that survive its reservation filter.
     """
     horizon_bound = np.maximum(0.0, deadline_max - np.maximum(now, arr))
     radius = vel * horizon_bound + reach + target_reach
     rows, cols = _cell_join(csr, xs, ys, radius, local)
-    empty = (_EMPTY_IDX, _EMPTY_IDX, None)
     if rows.size == 0:
-        return empty
+        return _EMPTY_IDX, _EMPTY_IDX
     local.gathered += int(rows.size)
     departure = np.maximum(now, np.maximum(arr[rows], t_arr[cols]))
     horizon = t_deadline[cols] - departure
@@ -481,456 +373,6 @@ def _uncertain_pairs_batched(
     rows, cols = rows[valid], cols[valid]
     local.candidates += int(rows.size)
     if rows.size == 0:
-        return empty
+        return _EMPTY_IDX, _EMPTY_IDX
     order = np.lexsort((cols, rows))
-    # Pricing is deferred (d_stats None): the caller runs the moment
-    # kernels only on the pairs surviving the reservation filter.
-    return rows[order], cols[order], None
-
-
-def _price_distance(
-    w_intervals,
-    t_intervals,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    stats: SparseBuildStats | None = None,
-):
-    """Delta-method distance statistics of the ``(rows, cols)`` pairs.
-
-    Recomputes the identical ``d_lb`` the validity scan used
-    (elementwise, value-deterministic) along with mean/variance/upper.
-    Accumulates its wall-clock into ``stats.price_seconds`` when given.
-    """
-    started = monotonic()
-    w_iv = tuple(axis[rows] for axis in w_intervals)
-    t_iv = tuple(axis[cols] for axis in t_intervals)
-    priced = distance_stats_aligned(w_iv, t_iv)
-    if stats is not None:
-        stats.price_seconds += monotonic() - started
-    return priced
-
-
-# ---------------------------------------------------------------------------
-# Per-entity reference loops (differential baseline for the batched path)
-# ---------------------------------------------------------------------------
-
-
-def _gather_candidates(
-    index: SpatialIndex,
-    key_to_col: dict[int, int] | None,
-    x: float,
-    y: float,
-    radius: float,
-) -> np.ndarray:
-    """Sorted candidate columns for one query disc."""
-    keys = index.candidates_in_radius(
-        _IndexPoint(x, y), radius * (1.0 + _RADIUS_SLACK) + _RADIUS_SLACK
-    )
-    if key_to_col is None or keys.size == 0:
-        return keys
-    try:
-        cols = np.fromiter(
-            (key_to_col[int(k)] for k in keys), dtype=np.int64, count=keys.size
-        )
-    except KeyError as exc:
-        raise ValueError(
-            f"task_index contains key {exc.args[0]!r} that is not a current task id"
-        ) from exc
-    cols.sort()
-    return cols
-
-
-def _current_pairs_perentity(
-    index: SpatialIndex,
-    key_to_col: dict[int, int] | None,
-    wx: np.ndarray,
-    wy: np.ndarray,
-    w_vel: np.ndarray,
-    w_arr: np.ndarray,
-    tx: np.ndarray,
-    ty: np.ndarray,
-    t_deadline: np.ndarray,
-    t_arr: np.ndarray,
-    t_deadline_max: float,
-    now: float,
-    local: SparseBuildStats,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference ``<w, t>`` loop: one index query per current worker."""
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    dist_parts: list[np.ndarray] = []
-    for i in range(wx.size):
-        horizon_bound = max(0.0, t_deadline_max - max(now, float(w_arr[i])))
-        radius = float(w_vel[i]) * horizon_bound
-        local.queries += 1
-        cols = _gather_candidates(index, key_to_col, float(wx[i]), float(wy[i]), radius)
-        if cols.size == 0:
-            continue
-        local.candidates += int(cols.size)
-        local.gathered += int(cols.size)
-        dist = np.hypot(wx[i] - tx[cols], wy[i] - ty[cols])
-        departure = np.maximum(now, np.maximum(w_arr[i], t_arr[cols]))
-        horizon = t_deadline[cols] - departure
-        valid = (horizon > 0.0) & (dist <= horizon * w_vel[i])
-        if not valid.any():
-            continue
-        rows_parts.append(np.full(int(valid.sum()), i, dtype=np.int64))
-        cols_parts.append(cols[valid])
-        dist_parts.append(dist[valid])
-    if not rows_parts:
-        return _EMPTY_IDX, _EMPTY_IDX, np.zeros(0)
-    return (
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(dist_parts),
-    )
-
-
-def _reachable_uncertain_pairs(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    vel: np.ndarray,
-    arr: np.ndarray,
-    intervals,
-    reach: np.ndarray,
-    index: SpatialIndex,
-    key_to_col: dict[int, int] | None,
-    t_intervals,
-    t_deadline: np.ndarray,
-    t_arr: np.ndarray,
-    deadline_max: float,
-    target_reach: float,
-    now: float,
-    local: SparseBuildStats,
-):
-    """Reference query loop of the three predicted-pair families.
-
-    For every query entity: bound the reachability radius (velocity x
-    remaining horizon, inflated by the kernel-box reaches on both
-    sides), gather candidate columns from the index, price them with
-    ``distance_stats_vec``, and keep the pairs passing the dense
-    builder's exact validity predicate ``d_lb <= horizon * velocity``.
-    Returns ``(rows, cols, (d_mean, d_var, d_lb, d_ub))`` in row-major
-    order — bit-identical to the batched path.
-    """
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    d_parts: list[tuple[np.ndarray, ...]] = []
-    for i in range(xs.size):
-        horizon_bound = max(0.0, deadline_max - max(now, float(arr[i])))
-        radius = float(vel[i]) * horizon_bound + float(reach[i]) + target_reach
-        local.queries += 1
-        cols = _gather_candidates(index, key_to_col, float(xs[i]), float(ys[i]), radius)
-        if cols.size == 0:
-            continue
-        local.candidates += int(cols.size)
-        local.gathered += int(cols.size)
-        w_iv = tuple(axis[i : i + 1] for axis in intervals)
-        t_iv = tuple(axis[cols] for axis in t_intervals)
-        d_mean, d_var, d_lb, d_ub = (a[0] for a in distance_stats_vec(w_iv, t_iv))
-        departure = np.maximum(now, np.maximum(arr[i], t_arr[cols]))
-        horizon = t_deadline[cols] - departure
-        valid = (horizon > 0.0) & (d_lb <= horizon * vel[i])
-        if not valid.any():
-            continue
-        rows_parts.append(np.full(int(valid.sum()), i, dtype=np.int64))
-        cols_parts.append(cols[valid])
-        d_parts.append((d_mean[valid], d_var[valid], d_lb[valid], d_ub[valid]))
-    if not rows_parts:
-        return _EMPTY_IDX, _EMPTY_IDX, tuple(np.zeros(0) for _ in range(4))
-    return (
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        tuple(np.concatenate([p[c] for p in d_parts]) for c in range(4)),
-    )
-
-
-def build_problem_sparse(
-    current_workers: Sequence[Worker],
-    current_tasks: Sequence[Task],
-    predicted_workers: Sequence[Worker],
-    predicted_tasks: Sequence[Task],
-    quality_model: QualityModel,
-    unit_cost: float,
-    now: float,
-    discount_by_existence: bool = True,
-    reservation_filter: bool = True,
-    include_future_future_pairs: bool = True,
-    exact_predicted_quality: bool = False,
-    task_index: SpatialIndex | None = None,
-    index_gamma: int | None = None,
-    stats: SparseBuildStats | None = None,
-    batch_queries: bool = True,
-) -> ProblemInstance:
-    """Sparse, index-driven equivalent of ``build_problem``.
-
-    Accepts the dense builder's arguments plus:
-
-    Args:
-        task_index: an incrementally maintained index over the
-            *current tasks*, keyed by task id (the streaming engine's
-            candidate index).  When omitted, a per-call cell-grouped
-            view is built in O(|T|).
-        index_gamma: grid resolution for per-call indexes (default: a
-            square-root heuristic on the indexed count).
-        stats: optional work counters, accumulated in place.
-        batch_queries: generate candidates through bucketed cell-join
-            queries priced in bulk (the default); ``False`` selects
-            the per-entity reference loops, which emit a bit-identical
-            pool at one index query per entity (the differential
-            baseline; its ``stats.candidates`` counts cell-level
-            candidates instead of prefiltered ones).
-
-    Entity locations must lie in the unit square (the data space every
-    workload maps into); the dense builder has no such requirement.
-    """
-    if unit_cost < 0.0:
-        raise ValueError(f"unit cost must be non-negative, got {unit_cost}")
-    validate_predicted_flags(predicted_workers, predicted_tasks)
-
-    n, m = len(current_workers), len(current_tasks)
-    k, l = len(predicted_workers), len(predicted_tasks)
-    local = SparseBuildStats()
-    local.dense_equivalent = n * m + k * m + n * l
-    if include_future_future_pairs:
-        local.dense_equivalent += k * l
-    pools: list[PairPool] = []
-
-    prior = quality_model.prior()
-
-    ct_csr: _CandidateCSR | None = None
-    if m:
-        tx, ty, t_deadline, t_arr = _task_columns(current_tasks)
-        t_intervals = _box_intervals(current_tasks)
-        t_deadline_max = float(t_deadline.max())
-        max_t_reach = float(_reach(t_intervals, tx, ty).max())
-        if task_index is None:
-            gamma = index_gamma or _default_index_gamma(m)
-            key_to_col: dict[int, int] | None = None
-            if batch_queries:
-                ct_csr = _CandidateCSR.from_coordinates(tx, ty, gamma)
-            else:
-                task_index = _build_task_index(tx, ty, gamma)
-        else:
-            if len(task_index) != m:
-                raise ValueError(
-                    f"task_index holds {len(task_index)} entries for "
-                    f"{m} current tasks"
-                )
-            key_to_col = {task.id: col for col, task in enumerate(current_tasks)}
-            if batch_queries:
-                ct_csr = _CandidateCSR.from_index(task_index, key_to_col)
-    else:
-        tx = ty = t_deadline = t_arr = np.zeros(0)
-        t_intervals = (np.zeros(0),) * 4
-        t_deadline_max = -np.inf
-        max_t_reach = 0.0
-        key_to_col = None
-
-    if n:
-        wx, wy, w_vel, w_arr = _worker_columns(current_workers)
-    if k:
-        pw_intervals = _box_intervals(predicted_workers)
-        pwx, pwy, pw_vel, pw_arr = _worker_columns(predicted_workers)
-        pw_reach = _reach(pw_intervals, pwx, pwy)
-
-    # ---- current x current -------------------------------------------------
-    if n and m:
-        if batch_queries:
-            cc_rows, cc_cols, cc_dist = _current_pairs_batched(
-                ct_csr, wx, wy, w_vel, w_arr,
-                tx, ty, t_deadline, t_arr, t_deadline_max, now, local,
-            )
-        else:
-            cc_rows, cc_cols, cc_dist = _current_pairs_perentity(
-                task_index, key_to_col, wx, wy, w_vel, w_arr,
-                tx, ty, t_deadline, t_arr, t_deadline_max, now, local,
-            )
-    else:
-        cc_rows = cc_cols = _EMPTY_IDX
-        cc_dist = np.zeros(0)
-    _price_started = monotonic()
-    cc_quality = _pair_quality(
-        quality_model, current_workers, current_tasks, cc_rows, cc_cols
-    )
-    local.price_seconds += monotonic() - _price_started
-    if cc_rows.size:
-        cost_cc = unit_cost * cc_dist
-        zeros = np.zeros_like(cc_dist)
-        pools.append(
-            _triplet_pool(
-                cc_rows,
-                cc_cols,
-                worker_offset=0,
-                task_offset=0,
-                cost=(cost_cc, zeros, cost_cc, cost_cc),
-                quality=(cc_quality, zeros, cc_quality, cc_quality),
-                existence=np.ones_like(cc_dist),
-                is_current=True,
-            )
-        )
-        local.emitted += int(cc_rows.size)
-
-    # ---- quality samples from the current instance (Cases 1-3) ------------
-    stats_cc = quality_sample_stats(cc_rows, cc_cols, cc_quality, n, m, prior)
-    exist_task = np.minimum(stats_cc.task_count / max(n, 1), 1.0)
-    exist_worker = np.minimum(stats_cc.worker_count / max(m, 1), 1.0)
-
-    def _emit_predicted_block(
-        rows: np.ndarray,
-        cols: np.ndarray,
-        d_stats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        quality: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        existence: np.ndarray,
-        worker_offset: int,
-        task_offset: int,
-    ) -> None:
-        d_mean, d_var, d_lb, d_ub = d_stats
-        pools.append(
-            _triplet_pool(
-                rows,
-                cols,
-                worker_offset=worker_offset,
-                task_offset=task_offset,
-                cost=(
-                    unit_cost * d_mean,
-                    unit_cost**2 * d_var,
-                    unit_cost * d_lb,
-                    unit_cost * d_ub,
-                ),
-                quality=quality,
-                existence=existence,
-                is_current=False,
-            )
-        )
-        local.emitted += int(rows.size)
-
-    def _family(query_side, target_side):
-        """Dispatch one predicted-pair family to the active query mode."""
-        xs, ys, vel, arr, intervals, reach = query_side
-        (csr, index, keys, t_iv, deadlines, arrivals,
-         deadline_max, target_reach) = target_side
-        if batch_queries:
-            return _uncertain_pairs_batched(
-                csr, xs, ys, vel, arr, intervals, reach,
-                t_iv, deadlines, arrivals, deadline_max, target_reach,
-                now, local,
-            )
-        return _reachable_uncertain_pairs(
-            xs, ys, vel, arr, intervals, reach, index, keys,
-            t_iv, deadlines, arrivals, deadline_max, target_reach,
-            now, local,
-        )
-
-    # ---- predicted workers x current tasks --------------------------------
-    if k and m:
-        current_target = (
-            ct_csr, task_index, key_to_col, t_intervals, t_deadline, t_arr,
-            t_deadline_max, max_t_reach,
-        )
-        rows, cols, d_stats = _family(
-            (pwx, pwy, pw_vel, pw_arr, pw_intervals, pw_reach), current_target
-        )
-        if rows.size:
-            existence = exist_task[cols]
-            exact_q = (
-                _pair_quality(quality_model, predicted_workers, current_tasks, rows, cols)
-                if exact_predicted_quality
-                else None
-            )
-            quality, keep = _predicted_family_coupling(
-                stats_cc, "task", cols, existence,
-                discount_by_existence, reservation_filter, exact_q,
-            )
-            if keep is not None:
-                rows, cols = rows[keep], cols[keep]
-                if d_stats is not None:
-                    d_stats = tuple(a[keep] for a in d_stats)
-                quality = tuple(a[keep] for a in quality)
-                existence = existence[keep]
-            if d_stats is None:
-                d_stats = _price_distance(pw_intervals, t_intervals, rows, cols, local)
-            _emit_predicted_block(
-                rows, cols, d_stats, quality, existence, worker_offset=n, task_offset=0
-            )
-
-    # ---- current workers x predicted tasks --------------------------------
-    build_pt_blocks = l and (n or (k and include_future_future_pairs))
-    if build_pt_blocks:
-        ptx, pty, pt_deadline, pt_arr = _task_columns(predicted_tasks)
-        pt_intervals = _box_intervals(predicted_tasks)
-        pt_deadline_max = float(pt_deadline.max())
-        max_pt_reach = float(_reach(pt_intervals, ptx, pty).max())
-        pt_gamma = index_gamma or _default_index_gamma(l)
-        if batch_queries:
-            pt_csr = _CandidateCSR.from_coordinates(ptx, pty, pt_gamma)
-            pt_index = None
-        else:
-            pt_csr = None
-            pt_index = _build_task_index(ptx, pty, pt_gamma)
-        predicted_target = (
-            pt_csr, pt_index, None, pt_intervals, pt_deadline, pt_arr,
-            pt_deadline_max, max_pt_reach,
-        )
-    if n and l:
-        cw_intervals = _box_intervals(current_workers)
-        cw_reach = _reach(cw_intervals, wx, wy)
-        rows, cols, d_stats = _family(
-            (wx, wy, w_vel, w_arr, cw_intervals, cw_reach), predicted_target
-        )
-        if rows.size:
-            existence = exist_worker[rows]
-            exact_q = (
-                _pair_quality(quality_model, current_workers, predicted_tasks, rows, cols)
-                if exact_predicted_quality
-                else None
-            )
-            quality, keep = _predicted_family_coupling(
-                stats_cc, "worker", rows, existence,
-                discount_by_existence, reservation_filter, exact_q,
-            )
-            if keep is not None:
-                rows, cols = rows[keep], cols[keep]
-                if d_stats is not None:
-                    d_stats = tuple(a[keep] for a in d_stats)
-                quality = tuple(a[keep] for a in quality)
-                existence = existence[keep]
-            if d_stats is None:
-                d_stats = _price_distance(cw_intervals, pt_intervals, rows, cols, local)
-            _emit_predicted_block(
-                rows, cols, d_stats, quality, existence, worker_offset=0, task_offset=m
-            )
-
-    # ---- predicted workers x predicted tasks -------------------------------
-    if k and l and include_future_future_pairs:
-        existence_value = min(stats_cc.total_valid / max(n * m, 1), 1.0)
-        rows, cols, d_stats = _family(
-            (pwx, pwy, pw_vel, pw_arr, pw_intervals, pw_reach), predicted_target
-        )
-        if rows.size:
-            existence = np.full(rows.size, existence_value)
-            exact_q = (
-                _pair_quality(quality_model, predicted_workers, predicted_tasks, rows, cols)
-                if exact_predicted_quality
-                else None
-            )
-            quality, _ = _predicted_family_coupling(
-                stats_cc, "global", rows, existence,
-                discount_by_existence, reservation_filter, exact_q,
-            )
-            if d_stats is None:
-                d_stats = _price_distance(pw_intervals, pt_intervals, rows, cols, local)
-            _emit_predicted_block(
-                rows, cols, d_stats, quality, existence, worker_offset=n, task_offset=m
-            )
-
-    if stats is not None:
-        stats.merge(local)
-    return ProblemInstance(
-        workers=list(current_workers) + list(predicted_workers),
-        tasks=list(current_tasks) + list(predicted_tasks),
-        num_current_workers=n,
-        num_current_tasks=m,
-        pool=PairPool.concatenate(pools),
-        now=now,
-    )
+    return rows[order], cols[order]

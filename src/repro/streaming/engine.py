@@ -12,7 +12,7 @@ Every round builds its candidate pool through one builder
 is cut into ``K`` spatial tiles (:class:`ShardingConfig`), each tile
 keeps a persistent delta pool over its zone, and a global reconcile
 pass merges the tiles back into the canonical pool — bit-for-bit the
-pool :func:`~repro.model.sparse.build_problem_sparse` would emit.  The
+pool the dense :func:`~repro.model.instance.build_problem` would emit.  The
 default ``K = 1`` runs that pipeline inline on one tile, and builds
 rounds of at most :data:`~repro.streaming.pipeline.DENSE_ROUND_MAX_PAIRS`
 dense pairs with the dense kernel instead (same pool, less fixed

@@ -24,9 +24,8 @@ engine is its K=1 case):
   tile-local emissions into global coordinates, and hands the merged
   triplets to the global reconcile pass (:func:`_reconcile`: merge,
   Section III-B coupling, survivor pricing).  The emitted pool is
-  therefore bit-identical to the fresh builders
-  (:func:`~repro.model.sparse.build_problem_sparse` and the dense
-  :func:`~repro.model.instance.build_problem`).
+  therefore bit-identical to the dense
+  :func:`~repro.model.instance.build_problem`.
 
 Small single-tile rounds skip the tile machinery altogether: when the
 builder runs one inline tile (the default serial K=1 engine) and the
@@ -508,7 +507,7 @@ class _ShardResult:
     """One tile's predicted-family index pairs, in global coordinates.
 
     The expensive delta-method pricing of the predicted families is
-    *deferred*, like in the serial sparse builder, because the
+    *deferred*, like in the dense kernel, because the
     reservation filter (a global decision) usually discards most of
     them — survivors are priced afterwards, in parallel chunks.
     """
@@ -785,8 +784,8 @@ def _reconcile(
 class FusedRoundBuilder:
     """Round builder with persistent per-tile state, fused end to end.
 
-    Same contract (and bit-identical output) as
-    :func:`~repro.model.sparse.build_problem_sparse` on the same
+    Same contract (and bit-identical output) as the dense
+    :func:`~repro.model.instance.build_problem` on the same
     arguments — but steady-state cost O(churn + valid pairs) per
     round, across every backend.  Construct once per stream with the
     engine's maintained task index (the builder subscribes to its

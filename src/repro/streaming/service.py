@@ -36,8 +36,8 @@ class StreamSnapshot:
         available_workers / available_tasks: pool sizes right now.
         assignments / total_quality / total_cost: running totals over
             every materialized assignment.
-        candidate_pairs_examined: pairs the sparse builder actually
-            touched (the output-sensitive work measure).
+        candidate_pairs_examined: pairs the round builds actually
+            priced (the output-sensitive work measure).
         dense_pairs_equivalent: pairs the dense builder would have
             materialized for the same rounds.
         phase_latencies: per-phase latency percentiles from the

@@ -5,7 +5,8 @@ Downstream projects (and this repository's own test/bench suites) need
 quick randomized workers, tasks, predicted samples, and ready-made
 problem instances.  Everything here is deterministic given the numpy
 ``Generator`` / seed passed in.  :class:`ReferenceEngine` runs the
-streaming round loop over the fresh oracle builders and cold
+streaming round loop over a full rebuild every round (a freshly primed
+tile pipeline, or the dense oracle ``build_problem``) and cold
 selection, and :class:`ReferenceGreedy` runs Fig. 5 line by line over
 scalar values: the references the production path is differentially
 tested against.  :func:`fused_rounds` sends the default engine's
@@ -26,7 +27,6 @@ from repro.geo.box import Box
 from repro.geo.point import Point
 from repro.model.entities import Task, Worker
 from repro.model.instance import ProblemInstance, build_problem
-from repro.model.sparse import build_problem_sparse
 from repro.streaming.adapters import load_workload
 from repro.streaming.engine import StreamingEngine
 from repro.streaming import pipeline
@@ -183,11 +183,12 @@ class ReferenceEngine(StreamingEngine):
 
     ``builder`` picks the round build: ``"fused"`` (the production
     build: the tile pipeline, or the dense kernel for small rounds on
-    a serial single tile outside :func:`fused_rounds`), ``"sparse"``
-    (a fresh
-    :func:`~repro.model.sparse.build_problem_sparse` every round) or
-    ``"dense"`` (the full ``W x T`` matrix
-    :func:`~repro.model.instance.build_problem`).  ``warm_select=False``
+    a serial single tile outside :func:`fused_rounds`), ``"fresh"``
+    (a new inline :class:`~repro.streaming.pipeline.FusedRoundBuilder`
+    primed every round, with the same dense switch: the full rebuild
+    the delta cache is measured against) or ``"dense"`` (the full
+    ``W x T`` matrix :func:`~repro.model.instance.build_problem`, the
+    pool oracle).  ``warm_select=False``
     drops the persistent selection state, so every round selects cold.
     Every combination emits the production engine's results bit for
     bit; only the work per round differs.
@@ -196,7 +197,7 @@ class ReferenceEngine(StreamingEngine):
     def __init__(
         self, *args, builder: str = "fused", warm_select: bool = True, **kwargs
     ) -> None:
-        if builder not in ("fused", "sparse", "dense"):
+        if builder not in ("fused", "fresh", "dense"):
             raise ValueError(f"unknown reference builder {builder!r}")
         super().__init__(*args, **kwargs)
         self._reference_builder = builder
@@ -223,27 +224,44 @@ class ReferenceEngine(StreamingEngine):
             )
         self._removed_worker_ids = []
         config = self.config
-        build, extra = build_problem, {}
-        if self._reference_builder == "sparse":
-            build = build_problem_sparse
-            extra = dict(
-                task_index=self._task_index if self._available_tasks else None,
-                index_gamma=config.index_gamma,
-                stats=self.build_stats,
-            )
-        return build(
-            self._available_workers,
-            self._available_tasks,
-            predicted_workers,
-            predicted_tasks,
-            self._quality_model,
-            config.unit_cost,
-            now,
+        flags = dict(
             discount_by_existence=config.discount_by_existence,
             reservation_filter=config.reservation_filter,
             include_future_future_pairs=config.include_future_future_pairs,
-            **extra,
         )
+        if self._reference_builder == "dense":
+            return build_problem(
+                self._available_workers,
+                self._available_tasks,
+                predicted_workers,
+                predicted_tasks,
+                self._quality_model,
+                config.unit_cost,
+                now,
+                **flags,
+            )
+        builder = pipeline.FusedRoundBuilder(
+            self._quality_model,
+            config.unit_cost,
+            self._tiles,
+            self._task_index,
+            index_gamma=config.index_gamma,
+            stats=self.build_stats,
+            **flags,
+        )
+        try:
+            return builder.build_round(
+                self._available_workers,
+                self._available_tasks,
+                predicted_workers,
+                predicted_tasks,
+                now,
+            )
+        finally:
+            builder.close()
+            # Stop the journal the new builder subscribed to: nothing
+            # drains it once this round is built.
+            self._task_index.unsubscribe(builder._log)
 
 
 class ReferenceGreedy(Assigner):

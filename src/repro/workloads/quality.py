@@ -90,8 +90,8 @@ class HashQualityModel:
 
         ``workers[i]`` is paired with ``tasks[i]``; the result is the
         diagonal of :meth:`quality_matrix` without materializing the
-        outer product — the hook the sparse pair builder uses to price
-        only reachable pairs.  Scores are bit-identical to the matrix
+        outer product — the hook the fused pipeline's cell-join path
+        uses to price only reachable pairs.  Scores are bit-identical to the matrix
         entries for the same id pairs.
         """
         if len(workers) != len(tasks):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import greedy, pruning
+from repro.core import greedy, pruning, triplet_select
 from repro.core.exact import exact_assignment
 from repro.core.greedy import GreedyConfig, MQAGreedy
 from repro.geo.point import Point
@@ -175,8 +175,10 @@ def _with_subnormal_pair(problem, dominated):
 
 
 class TestHoistedSignGuard:
-    """``_greedy_select_rescan`` decides Lemma 4.2's sign guard once
-    over its row set; only a set that fails re-checks each window."""
+    """Both selection engines (``_greedy_select_rescan`` and, from
+    ``TRIPLET_MIN_ROWS`` rows, the triplet engine) decide Lemma 4.2's
+    sign guard once over their row set; only a set that fails
+    re-checks each window."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -241,3 +243,69 @@ class TestHoistedSignGuard:
         assert calls["prune"] > 4 * calls["whole_set"]
         # Two whole-set checks per selection, none per window.
         assert calls["window_guard"] == 2 * calls["whole_set"]
+
+    @staticmethod
+    def _count_triplet(monkeypatch):
+        # Every pool takes the triplet engine.
+        monkeypatch.setattr(triplet_select, "TRIPLET_MIN_ROWS", 1)
+        calls = {"window_guard": 0, "whole_set": 0, "prune": 0, "rescan": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            pruning, "_signs_decide", counting("window_guard", pruning._signs_decide)
+        )
+        monkeypatch.setattr(
+            triplet_select, "signs_decide", counting("whole_set", pruning.signs_decide)
+        )
+        monkeypatch.setattr(
+            triplet_select,
+            "probability_prune",
+            counting("prune", pruning.probability_prune),
+        )
+        monkeypatch.setattr(
+            greedy,
+            "_greedy_select_rescan",
+            counting("rescan", greedy._greedy_select_rescan),
+        )
+        return calls
+
+    @pytest.mark.parametrize("dominated", [True, False], ids=["apart", "together"])
+    def test_triplet_failing_set_matches_reference(self, monkeypatch, dominated):
+        for seed in range(4):
+            problem = _with_subnormal_pair(
+                make_problem(seed=seed, num_workers=7, num_tasks=6), dominated
+            )
+            assert not pruning.signs_decide(problem.pool, np.arange(len(problem.pool)))
+            calls = self._count_triplet(monkeypatch)
+            fast = run_greedy(problem, budget_current=10.0)
+            slow = ReferenceGreedy().assign(problem, 10.0, 0.0, RNG)
+            assert calls["rescan"] == 0 and calls["whole_set"] == 1
+            assert fast.rows == slow.rows
+            assert {len(problem.pool) - 2, len(problem.pool) - 1} & set(fast.rows)
+            # The set failed (at most two whole-set checks), so the
+            # windows re-checked their own means.
+            assert calls["window_guard"] > 2
+            monkeypatch.undo()
+
+    def test_triplet_passing_set_skips_the_window_guard(self, monkeypatch):
+        for seed in range(4):
+            problem = make_problem(
+                seed=seed, num_workers=12, num_tasks=10, num_predicted_workers=4,
+                num_predicted_tasks=4,
+            )
+            assert pruning.signs_decide(problem.pool, np.arange(len(problem.pool)))
+            calls = self._count_triplet(monkeypatch)
+            fast = run_greedy(problem, budget_current=10.0, budget_future=5.0)
+            slow = ReferenceGreedy().assign(problem, 10.0, 5.0, RNG)
+            assert calls["rescan"] == 0 and calls["whole_set"] == 1
+            assert fast.rows == slow.rows
+            assert calls["prune"] > 1
+            # Two whole-set checks for the one selection, none per window.
+            assert calls["window_guard"] == 2
+            monkeypatch.undo()

@@ -9,8 +9,9 @@ Blocks run under a temporary working directory so a snippet that
 writes files can never pollute the repo.
 
 ``tools/check_docs.py`` (link existence, architecture package
-coverage, documents named in ``src/`` exist) is also exercised here so
-link rot fails tier-1, not just the CI docs job.
+coverage, documents named in ``src/`` exist, Sphinx-role references
+in ``src/`` resolve) is also exercised here so link rot fails tier-1,
+not just the CI docs job.
 """
 
 from __future__ import annotations
@@ -73,9 +74,7 @@ def test_docs_site_is_complete():
         assert f"docs/{guide}.md" in readme, f"README must link docs/{guide}.md"
 
 
-def test_check_docs_lint_is_clean(capsys):
-    """tools/check_docs.py: links resolve, every package documented,
-    every document named in src/ exists."""
+def _check_docs_module():
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
@@ -83,8 +82,32 @@ def test_check_docs_lint_is_clean(capsys):
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_check_docs_lint_is_clean(capsys):
+    """tools/check_docs.py: links resolve, every package documented,
+    every document named in src/ exists, every code reference in src/
+    resolves."""
+    module = _check_docs_module()
     rc = module.main()
     captured = capsys.readouterr()
     assert rc == 0, f"docs lint failed:\n{captured.err}"
     packages = module.repro_packages()
     assert "repro.streaming" in packages and "repro.obs" in packages
+
+
+def test_check_docs_flags_a_dangling_code_reference(tmp_path, monkeypatch):
+    """A reference to a name that does not exist fails the lint; a
+    wrapped reference to one that does passes."""
+    module = _check_docs_module()
+    planted = tmp_path / "src" / "planted.py"
+    planted.parent.mkdir()
+    planted.write_text(
+        '"""See :func:`~repro.model.instance.build_problem_gone` and\n'
+        ':class:`~repro.geo.spatial_index.\n    SpatialIndex`."""\n'
+    )
+    monkeypatch.setattr(module, "REPO", tmp_path)
+    assert module.check_code_references() == [
+        "src/planted.py: dangling reference repro.model.instance.build_problem_gone"
+    ]

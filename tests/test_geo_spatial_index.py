@@ -1,4 +1,11 @@
-"""Tests for repro.geo.spatial_index."""
+"""Tests for repro.geo.spatial_index and the cell-join radius queries.
+
+The index is a journaled keyed point store.  Radius queries over a
+point set run as cell joins against a cell-grouped CSR
+(``repro.model.sparse._CandidateCSR``), the primitive the pool
+builders gather candidates with; ``TestQueries`` checks them against
+brute force.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +15,7 @@ from hypothesis import strategies as st
 from repro.geo.grid import GridIndex
 from repro.geo.point import Point
 from repro.geo.spatial_index import SpatialIndex
+from repro.model.sparse import SparseBuildStats, _CandidateCSR
 
 coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -47,8 +55,10 @@ class TestLifecycle:
         index = SpatialIndex(4)
         index.insert(7, Point(0.3, 0.3))
         index.remove(7)
+        log = index.subscribe()
         index.insert(7, Point(0.8, 0.8))
-        assert index.location(7) == Point(0.8, 0.8)
+        assert 7 in index and len(index) == 1
+        assert log.drain() == ([("insert", 7, 0.8, 0.8)], False)
 
     def test_gamma_shortcut_constructor(self):
         assert SpatialIndex(8).grid.gamma == 8
@@ -58,34 +68,51 @@ class TestLifecycle:
             SpatialIndex(4).insert(0, Point(1.5, 0.5))
 
 
-class TestQueries:
-    def test_empty_index(self):
-        index = SpatialIndex(4)
-        assert index.query_radius(Point(0.5, 0.5), 1.0).size == 0
-        assert index.candidates_in_radius(Point(0.5, 0.5), 1.0).size == 0
+def _points(rng, count):
+    return {key: Point(float(rng.uniform()), float(rng.uniform())) for key in range(count)}
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            SpatialIndex(4).query_radius(Point(0.5, 0.5), -1.0)
+
+def _csr(points: dict[int, Point], gamma: int) -> _CandidateCSR:
+    xs = np.array([points[key].x for key in range(len(points))])
+    ys = np.array([points[key].y for key in range(len(points))])
+    return _CandidateCSR.from_coordinates(xs, ys, gamma)
+
+
+def _candidates(csr: _CandidateCSR, center: Point, radius: float) -> list[int]:
+    """Columns the cell join gathers for one query disc (a superset)."""
+    _, cols = csr.join(
+        np.array([center.x]), np.array([center.y]), np.array([radius]),
+        SparseBuildStats(),
+    )
+    return sorted(cols.tolist())
+
+
+def _within(points: dict[int, Point], csr, center: Point, radius: float) -> list[int]:
+    """The exact query: gathered columns cut by the true distance."""
+    return [
+        key
+        for key in _candidates(csr, center, radius)
+        if np.hypot(points[key].x - center.x, points[key].y - center.y) <= radius
+    ]
+
+
+class TestQueries:
+    """Radius queries as cell joins over a cell-grouped point set."""
+
+    def test_empty_index(self):
+        csr = _csr({}, 4)
+        assert _candidates(csr, Point(0.5, 0.5), 1.0) == []
 
     def test_exact_query_small(self):
-        index = SpatialIndex(5)
-        index.insert(1, Point(0.1, 0.1))
-        index.insert(2, Point(0.15, 0.1))
-        index.insert(3, Point(0.9, 0.9))
-        found = index.query_radius(Point(0.1, 0.1), 0.1)
-        assert found.tolist() == [1, 2]
+        points = {0: Point(0.1, 0.1), 1: Point(0.15, 0.1), 2: Point(0.9, 0.9)}
+        csr = _csr(points, 5)
+        assert _within(points, csr, Point(0.1, 0.1), 0.1) == [0, 1]
 
     def test_candidates_superset_of_exact(self, rng):
-        index = SpatialIndex(6)
-        points = {}
-        for key in range(60):
-            p = Point(float(rng.uniform()), float(rng.uniform()))
-            points[key] = p
-            index.insert(key, p)
+        points = _points(rng, 60)
         center = Point(0.4, 0.6)
-        exact = set(index.query_radius(center, 0.2).tolist())
-        candidates = set(index.candidates_in_radius(center, 0.2).tolist())
+        exact = set(brute_force(points, center, 0.2))
+        candidates = set(_candidates(_csr(points, 6), center, 0.2))
         assert exact <= candidates
 
     @given(
@@ -98,31 +125,25 @@ class TestQueries:
     )
     @settings(max_examples=60, deadline=None)
     def test_query_matches_brute_force(self, gamma, seed, count, cx, cy, radius):
-        rng = np.random.default_rng(seed)
-        index = SpatialIndex(GridIndex(gamma))
-        points = {}
-        for key in range(count):
-            p = Point(float(rng.uniform()), float(rng.uniform()))
-            points[key] = p
-            index.insert(key, p)
+        points = _points(np.random.default_rng(seed), count)
         center = Point(cx, cy)
-        assert index.query_radius(center, radius).tolist() == brute_force(
+        assert _within(points, _csr(points, gamma), center, radius) == brute_force(
             points, center, radius
         )
 
     def test_query_reflects_removals(self, rng):
-        index = SpatialIndex(5)
-        points = {}
-        for key in range(30):
-            p = Point(float(rng.uniform()), float(rng.uniform()))
-            points[key] = p
-            index.insert(key, p)
-        for key in range(0, 30, 3):
-            index.remove(key)
-            del points[key]
+        points = _points(rng, 30)
+        keep = np.ones(30, dtype=bool)
+        keep[::3] = False
+        csr = _csr(points, 5).remove_columns(keep)
+        # Surviving columns are renumbered in order, as the caller's
+        # aligned arrays are compacted.
+        survivors = {
+            new: points[old] for new, old in enumerate(np.flatnonzero(keep).tolist())
+        }
         center = Point(0.5, 0.5)
-        assert index.query_radius(center, 0.4).tolist() == brute_force(
-            points, center, 0.4
+        assert _within(survivors, csr, center, 0.4) == brute_force(
+            survivors, center, 0.4
         )
 
 

@@ -7,8 +7,8 @@ plus the global reconcile pass — so that is what these tests drive:
 :class:`~repro.streaming.pipeline.FusedRoundBuilder` over
 ``TileGrid(1, 1)``.  Random event sequences — arrivals, expiries,
 assignments and relocations (a retire plus a re-arrival under a fresh
-id) — must leave it emitting pools bit-identical to a fresh
-:func:`~repro.model.sparse.build_problem_sparse` build every round,
+id) — must leave it emitting pools bit-identical to a fresh dense
+:func:`~repro.model.instance.build_problem` build every round,
 for both prediction legs, with trusted churn hints and with the
 builder deriving the diff itself.  The fallback triggers (clock
 regression, journal overflow, churn ratio, list/journal disagreement,
@@ -27,7 +27,7 @@ from repro.geo.grid import GridIndex
 from repro.geo.spatial_index import SpatialIndex
 from repro.geo.tiles import TileGrid
 from repro.model.delta import ChurnRecord
-from repro.model.sparse import build_problem_sparse
+from repro.model.instance import build_problem
 from repro.streaming.pipeline import FusedRoundBuilder
 from repro.testing import make_predicted_workers
 from repro.workloads.quality import HashQualityModel
@@ -86,7 +86,7 @@ def _random_round(world) -> None:
 
 def _check_round(world, builder: FusedRoundBuilder, qm, use_prediction: bool):
     predicted_workers, predicted_tasks = world.predicted(use_prediction)
-    fresh = build_problem_sparse(
+    fresh = build_problem(
         world.workers,
         world.tasks,
         predicted_workers,
@@ -94,8 +94,6 @@ def _check_round(world, builder: FusedRoundBuilder, qm, use_prediction: bool):
         qm,
         _UNIT_COST,
         world.now,
-        task_index=world.index if world.tasks else None,
-        index_gamma=_GAMMA,
     )
     maintained = builder.build_round(
         world.workers, world.tasks, predicted_workers, predicted_tasks, world.now
@@ -113,7 +111,7 @@ def test_delta_bit_identical_under_random_event_sequences(
     churn_world_cls, seed, rounds, use_prediction
 ):
     """The core differential: every round of a random lifecycle and
-    relocation stream emits a pool bit-identical to a fresh sparse
+    relocation stream emits a pool bit-identical to a fresh dense
     build."""
     rng = np.random.default_rng(seed)
     qm = HashQualityModel((0.0, 1.0), seed=3)
@@ -174,9 +172,8 @@ def test_delta_trusted_hints_match_selfdiff(churn_world_cls, seed):
     world.remove_tasks(2)
     world.arrive_tasks(3)
 
-    fresh = build_problem_sparse(
-        world.workers, world.tasks, [], [], qm, _UNIT_COST, world.now,
-        task_index=world.index if world.tasks else None, index_gamma=_GAMMA,
+    fresh = build_problem(
+        world.workers, world.tasks, [], [], qm, _UNIT_COST, world.now
     )
     maintained = builder.build_round(
         world.workers, world.tasks, [], [], world.now,
@@ -243,9 +240,8 @@ class TestFallbackTriggers:
         orphan = world.tasks.pop()
         world.now += 0.1
         predicted = ([], [])
-        fresh = build_problem_sparse(
-            world.workers, world.tasks, *predicted, qm, _UNIT_COST, world.now,
-            index_gamma=_GAMMA,
+        fresh = build_problem(
+            world.workers, world.tasks, *predicted, qm, _UNIT_COST, world.now
         )
         maintained = builder.build_round(
             world.workers, world.tasks, *predicted, world.now

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core import MQAGreedy
 from repro.model.entities import Task, Worker
-from repro.model.sparse import build_problem_sparse
+from repro.model.instance import build_problem
 from repro.streaming import (
     ShardingConfig,
     StreamConfig,
@@ -239,7 +239,7 @@ class TestChurnSplitter:
 class TestFusedAdversarialCorpus:
     """The named worst-case churn scripts, against per-tile pools:
     every round of every scenario must emit a merged pool
-    bit-identical to a from-scratch sparse build."""
+    bit-identical to a from-scratch dense build."""
 
     @pytest.mark.parametrize("num_tiles", [1, 4])
     @given(
@@ -260,10 +260,8 @@ class TestFusedAdversarialCorpus:
         for i in range(adversarial_scenario.num_rounds):
             adversarial_scenario.drive(world, i)
             pw, pt = world.predicted(use_prediction)
-            fresh = build_problem_sparse(
-                world.workers, world.tasks, pw, pt, qm, _UNIT_COST, world.now,
-                task_index=world.index if world.tasks else None,
-                index_gamma=_GAMMA,
+            fresh = build_problem(
+                world.workers, world.tasks, pw, pt, qm, _UNIT_COST, world.now
             )
             fused = builder.build_round(
                 world.workers, world.tasks, pw, pt, world.now
@@ -312,10 +310,8 @@ class TestFusedAdversarialCorpus:
             movers.add(task.id)
 
         def check():
-            fresh = build_problem_sparse(
-                world.workers, world.tasks, [], [], qm, _UNIT_COST, world.now,
-                task_index=world.index if world.tasks else None,
-                index_gamma=_GAMMA,
+            fresh = build_problem(
+                world.workers, world.tasks, [], [], qm, _UNIT_COST, world.now
             )
             fused = builder.build_round(
                 world.workers, world.tasks, [], [], world.now

@@ -377,9 +377,10 @@ class TestStreamingScenariosEndToEnd:
 
 @pytest.mark.usefixtures("fused_rounds")
 class TestDeltaBuilderEngineIntegration:
-    """The delta-maintained build path must reproduce the full-rebuild
-    reference exactly and repair (not rebuild) the steady-state rounds
-    (pinned to the fused path: rounds this small would build dense)."""
+    """The delta-maintained build path must reproduce the dense
+    reference builder exactly and repair (not rebuild) the steady-state
+    rounds (pinned to the fused path: rounds this small would build
+    dense)."""
 
     def _run(self, use_delta: bool, use_prediction: bool = True):
         workload = SyntheticWorkload(
@@ -393,7 +394,7 @@ class TestDeltaBuilderEngineIntegration:
             workload,
             MQAGreedy(),
             config,
-            builder="fused" if use_delta else "sparse",
+            builder="fused" if use_delta else "dense",
             seed=11,
         )
 

@@ -6,8 +6,8 @@ Two contracts are enforced bit-for-bit:
    reproduces the batch :class:`SimulationEngine`'s
    :class:`SimulationResult` exactly (assignments, quality, costs,
    budget accounting, prediction errors) on seeded workloads;
-2. ``build_problem_sparse`` emits a pool row-for-row identical to the
-   dense ``build_problem`` on the same inputs.
+2. the fused tile builder's cell-join path emits a pool row-for-row
+   identical to the dense ``build_problem`` on the same inputs.
 
 ``cpu_seconds`` is wall-clock and is the only field excluded.
 """
@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import MQADivideConquer, MQAGreedy, RandomAssigner
 from repro.model.instance import build_problem
-from repro.model.sparse import SparseBuildStats, build_problem_sparse
+from repro.geo import TileGrid
+from repro.geo.spatial_index import SpatialIndex
+from repro.model.sparse import SparseBuildStats
 from repro.simulation import EngineConfig, SimulationEngine
 from repro.streaming import StreamConfig, run_stream
+from repro.streaming.pipeline import FusedRoundBuilder
 from repro.testing import (
     ReferenceEngine,
     make_predicted_tasks,
@@ -83,6 +84,25 @@ def assert_pools_identical(dense, sparse):
         )
     assert dense.num_current_workers == sparse.num_current_workers
     assert dense.num_current_tasks == sparse.num_current_tasks
+
+
+def fused_build(
+    workers, tasks, predicted_workers, predicted_tasks, quality_model, tiles,
+    executor=None, stats=None, **flags,
+):
+    """One round of the fused per-tile builder over a fresh task index."""
+    index = SpatialIndex(16)
+    for task in tasks:
+        index.insert(task.id, task.location)
+    builder = FusedRoundBuilder(
+        quality_model, 10.0, tiles, index, executor=executor, stats=stats, **flags
+    )
+    try:
+        return builder.build_round(
+            workers, tasks, predicted_workers, predicted_tasks, 0.0
+        )
+    finally:
+        builder.close()
 
 
 class TestStreamingReproducesBatch:
@@ -242,73 +262,52 @@ class TestLastRoundPredictionCutoff:
 
 
 class TestSparseBuilderEquivalence:
-    """``build_problem_sparse`` is pair-for-pair the dense builder."""
+    """The fused builder's cell-join (sparse) path, one inline tile
+    under ``fused_rounds``, against the dense builder: its work
+    counters and its quality-model fallback.  The pool property over
+    every K lives in ``test_streaming_sharding``."""
 
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        n=st.integers(min_value=0, max_value=18),
-        m=st.integers(min_value=0, max_value=18),
-        k=st.integers(min_value=0, max_value=7),
-        l=st.integers(min_value=0, max_value=7),
-        velocity=st.floats(min_value=0.02, max_value=0.6),
-        deadline_offset=st.floats(min_value=0.1, max_value=2.5),
-        discount=st.booleans(),
-        reservation=st.booleans(),
-        future_future=st.booleans(),
-        exact=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_pools_identical_property(
-        self,
-        seed,
-        n,
-        m,
-        k,
-        l,
-        velocity,
-        deadline_offset,
-        discount,
-        reservation,
-        future_future,
-        exact,
-    ):
-        rng = np.random.default_rng(seed)
-        workers = make_workers(rng, n, velocity=velocity)
-        tasks = make_tasks(rng, m, deadline_offset=deadline_offset)
-        predicted_workers = make_predicted_workers(rng, k)
-        predicted_tasks = make_predicted_tasks(rng, l)
-        quality_model = HashQualityModel((1.0, 2.0), seed=seed)
-        kwargs = dict(
-            discount_by_existence=discount,
-            reservation_filter=reservation,
-            include_future_future_pairs=future_future,
-            exact_predicted_quality=exact,
-        )
-        dense = build_problem(
-            workers, tasks, predicted_workers, predicted_tasks,
-            quality_model, 10.0, 0.0, **kwargs,
-        )
-        sparse = build_problem_sparse(
-            workers, tasks, predicted_workers, predicted_tasks,
-            quality_model, 10.0, 0.0, **kwargs,
-        )
-        assert_pools_identical(dense, sparse)
-
+    @pytest.mark.usefixtures("fused_rounds")
     def test_sparse_examines_fewer_candidates_when_sparse(self):
-        """Low velocity + short deadlines: the index pays off."""
+        """Low velocity + short deadlines: the cell join pays off."""
         rng = np.random.default_rng(5)
         workers = make_workers(rng, 200, velocity=0.05)
         tasks = make_tasks(rng, 200, deadline_offset=0.6)
         quality_model = HashQualityModel((1.0, 2.0), seed=5)
         stats = SparseBuildStats()
-        sparse = build_problem_sparse(
-            workers, tasks, [], [], quality_model, 10.0, 0.0, stats=stats
+        sparse = fused_build(
+            workers, tasks, [], [], quality_model, TileGrid(1, 1), stats=stats
         )
         dense = build_problem(workers, tasks, [], [], quality_model, 10.0, 0.0)
         assert_pools_identical(dense, sparse)
         assert stats.dense_equivalent == 200 * 200
         assert stats.candidates < stats.dense_equivalent / 5
         assert stats.emitted == len(sparse.pool)
+
+    @pytest.mark.usefixtures("fused_rounds")
+    def test_batched_counters_are_consistent(self):
+        """gathered >= candidates >= emitted: the cheap scan gathers a
+        superset, the exact predicate cuts it to the priced pairs, and
+        only those that survive every filter enter the pool."""
+        rng = np.random.default_rng(11)
+        workers = make_workers(rng, 150, velocity=0.06)
+        tasks = make_tasks(rng, 150, deadline_offset=0.7)
+        predicted_workers = make_predicted_workers(rng, 40)
+        predicted_tasks = make_predicted_tasks(rng, 40)
+        quality_model = HashQualityModel((1.0, 2.0), seed=11)
+        stats = SparseBuildStats()
+        sparse = fused_build(
+            workers, tasks, predicted_workers, predicted_tasks,
+            quality_model, TileGrid(1, 1), stats=stats,
+        )
+        dense = build_problem(
+            workers, tasks, predicted_workers, predicted_tasks,
+            quality_model, 10.0, 0.0,
+        )
+        assert_pools_identical(dense, sparse)
+        assert stats.gathered >= stats.candidates >= stats.emitted
+        assert stats.emitted == len(sparse.pool)
+        assert stats.dense_equivalent == 150 * 150 + 2 * 40 * 150 + 40 * 40
 
     def test_quality_pairs_matches_matrix(self):
         rng = np.random.default_rng(9)
@@ -329,6 +328,7 @@ class TestSparseBuilderEquivalence:
         with pytest.raises(ValueError):
             model.quality_pairs(make_workers(rng, 2), make_tasks(rng, 3))
 
+    @pytest.mark.usefixtures("fused_rounds")
     def test_generic_quality_model_fallback(self):
         """Without a quality_pairs hook the per-worker fallback is used."""
 
@@ -347,37 +347,7 @@ class TestSparseBuilderEquivalence:
         tasks = make_tasks(rng, 15)
         inner = HashQualityModel((1.0, 2.0), seed=17)
         dense = build_problem(workers, tasks, [], [], inner, 10.0, 0.0)
-        sparse = build_problem_sparse(
-            workers, tasks, [], [], MatrixOnlyModel(inner), 10.0, 0.0
+        sparse = fused_build(
+            workers, tasks, [], [], MatrixOnlyModel(inner), TileGrid(1, 1)
         )
         assert_pools_identical(dense, sparse)
-
-    def test_maintained_index_keyed_by_task_id(self):
-        from repro.geo import GridIndex, SpatialIndex
-
-        rng = np.random.default_rng(8)
-        workers = make_workers(rng, 30, velocity=0.2)
-        tasks = make_tasks(rng, 25)
-        index = SpatialIndex(GridIndex(8))
-        for task in tasks:
-            index.insert(task.id, task.location)
-        quality_model = HashQualityModel((1.0, 2.0), seed=8)
-        dense = build_problem(workers, tasks, [], [], quality_model, 10.0, 0.0)
-        sparse = build_problem_sparse(
-            workers, tasks, [], [], quality_model, 10.0, 0.0, task_index=index
-        )
-        assert_pools_identical(dense, sparse)
-
-    def test_out_of_sync_index_rejected(self):
-        from repro.geo import GridIndex, SpatialIndex
-
-        rng = np.random.default_rng(8)
-        workers = make_workers(rng, 5, velocity=0.4)
-        tasks = make_tasks(rng, 5)
-        index = SpatialIndex(GridIndex(4))
-        index.insert(999, tasks[0].location)
-        quality_model = HashQualityModel((1.0, 2.0))
-        with pytest.raises(ValueError):
-            build_problem_sparse(
-                workers, tasks, [], [], quality_model, 10.0, 0.0, task_index=index
-            )

@@ -4,9 +4,9 @@ Two layers of bit-identity are enforced:
 
 1. **Pool level** — the fused per-tile builder
    (:class:`~repro.streaming.pipeline.FusedRoundBuilder`) emits a pool
-   row-for-row, bit-for-bit identical to ``build_problem_sparse`` (and
-   therefore to the dense ``build_problem``) for every K, every flag
-   combination, and arbitrary entity sets (hypothesis).
+   row-for-row, bit-for-bit identical to the dense ``build_problem``
+   for every K, every flag combination, and arbitrary entity sets
+   (hypothesis).
 2. **Engine level** — a :class:`StreamingEngine` built with any
    :class:`ShardingConfig` reproduces the default engine's
    :class:`SimulationResult` exactly (assignments, quality/cost
@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 
 from repro.core import MQADivideConquer, MQAGreedy, RandomAssigner
 from repro.geo import TileGrid
-from repro.geo.spatial_index import SpatialIndex
-from repro.model.sparse import SparseBuildStats, build_problem_sparse
+from repro.model.instance import build_problem
+from repro.model.sparse import SparseBuildStats
 from repro.streaming import (
     ShardingConfig,
     StreamConfig,
@@ -40,7 +40,6 @@ from repro.streaming import (
     prepared_engine,
     run_stream,
 )
-from repro.streaming.pipeline import FusedRoundBuilder
 from repro.testing import (
     make_predicted_tasks,
     make_predicted_workers,
@@ -55,7 +54,11 @@ from repro.workloads import (
 )
 from repro.workloads.quality import HashQualityModel
 
-from test_streaming_equivalence import assert_pools_identical, assert_results_identical
+from test_streaming_equivalence import (
+    assert_pools_identical,
+    assert_results_identical,
+    fused_build,
+)
 
 _SCENARIO_PARAMS = WorkloadParams(
     num_workers=200,
@@ -66,28 +69,9 @@ _SCENARIO_PARAMS = WorkloadParams(
 )
 
 
-def _fused_build(
-    workers, tasks, predicted_workers, predicted_tasks, quality_model, tiles,
-    executor=None, stats=None, **flags,
-):
-    """One round of the fused per-tile builder over a fresh task index."""
-    index = SpatialIndex(16)
-    for task in tasks:
-        index.insert(task.id, task.location)
-    builder = FusedRoundBuilder(
-        quality_model, 10.0, tiles, index, executor=executor, stats=stats, **flags
-    )
-    try:
-        return builder.build_round(
-            workers, tasks, predicted_workers, predicted_tasks, 0.0
-        )
-    finally:
-        builder.close()
-
-
 @pytest.mark.usefixtures("fused_rounds")
 class TestShardedPoolEquivalence:
-    """FusedRoundBuilder == build_problem_sparse, bit for bit."""
+    """FusedRoundBuilder == the dense build_problem, bit for bit."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -128,29 +112,31 @@ class TestShardedPoolEquivalence:
             reservation_filter=reservation,
             include_future_future_pairs=future_future,
         )
-        sparse = build_problem_sparse(
+        dense = build_problem(
             workers, tasks, predicted_workers, predicted_tasks,
             quality_model, 10.0, 0.0, **kwargs,
         )
-        fused = _fused_build(
+        fused = fused_build(
             workers, tasks, predicted_workers, predicted_tasks, quality_model,
             TileGrid.from_shard_count(num_shards), **kwargs,
         )
-        assert_pools_identical(sparse, fused)
+        assert_pools_identical(dense, fused)
 
     def test_candidate_and_emitted_counters_match_serial(self):
-        """candidates/emitted/dense_equivalent are partition-invariant
-        (gathered/queries legitimately differ per tile layout)."""
+        """candidates/emitted/dense_equivalent are partition-invariant:
+        K=4 counts what K=1 counts (gathered/queries legitimately
+        differ per tile layout)."""
         rng = np.random.default_rng(4)
         workers = make_workers(rng, 150, velocity=0.08)
         tasks = make_tasks(rng, 150, deadline_offset=0.8)
         quality_model = HashQualityModel((1.0, 2.0), seed=4)
         serial_stats = SparseBuildStats()
-        build_problem_sparse(
-            workers, tasks, [], [], quality_model, 10.0, 0.0, stats=serial_stats
+        fused_build(
+            workers, tasks, [], [], quality_model, TileGrid(1, 1),
+            stats=serial_stats,
         )
         fused_stats = SparseBuildStats()
-        _fused_build(
+        fused_build(
             workers, tasks, [], [], quality_model, TileGrid.from_shard_count(4),
             stats=fused_stats,
         )
@@ -167,16 +153,16 @@ class TestShardedPoolEquivalence:
         predicted_workers = make_predicted_workers(rng, 15)
         predicted_tasks = make_predicted_tasks(rng, 15)
         quality_model = HashQualityModel((1.0, 2.0), seed=9)
-        sparse = build_problem_sparse(
+        dense = build_problem(
             workers, tasks, predicted_workers, predicted_tasks,
             quality_model, 10.0, 0.0,
         )
         for num_shards in (2, 4, 6, 9):
-            fused = _fused_build(
+            fused = fused_build(
                 workers, tasks, predicted_workers, predicted_tasks,
                 quality_model, TileGrid.from_shard_count(num_shards),
             )
-            assert_pools_identical(sparse, fused)
+            assert_pools_identical(dense, fused)
 
     def test_chunked_survivor_pricing_is_identical(self, monkeypatch):
         """Force the reconcile pass's chunked pricing dispatch
@@ -191,16 +177,16 @@ class TestShardedPoolEquivalence:
         predicted_workers = make_predicted_workers(rng, 20)
         predicted_tasks = make_predicted_tasks(rng, 20)
         quality_model = HashQualityModel((1.0, 2.0), seed=44)
-        sparse = build_problem_sparse(
+        dense = build_problem(
             workers, tasks, predicted_workers, predicted_tasks,
             quality_model, 10.0, 0.0,
         )
         with ThreadPoolExecutor(max_workers=4) as executor:
-            fused = _fused_build(
+            fused = fused_build(
                 workers, tasks, predicted_workers, predicted_tasks,
                 quality_model, TileGrid(2, 2), executor=executor,
             )
-        assert_pools_identical(sparse, fused)
+        assert_pools_identical(dense, fused)
 
     def test_matrix_only_quality_model_falls_back_globally(self):
         """Models without the by-ids hook still work (each tile scores
@@ -223,11 +209,11 @@ class TestShardedPoolEquivalence:
         workers = make_workers(rng, 50, velocity=0.15)
         tasks = make_tasks(rng, 50, deadline_offset=0.9)
         inner = HashQualityModel((1.0, 2.0), seed=31)
-        sparse = build_problem_sparse(workers, tasks, [], [], inner, 10.0, 0.0)
-        fused = _fused_build(
+        dense = build_problem(workers, tasks, [], [], inner, 10.0, 0.0)
+        fused = fused_build(
             workers, tasks, [], [], MatrixOnlyModel(inner), TileGrid(2, 2)
         )
-        assert_pools_identical(sparse, fused)
+        assert_pools_identical(dense, fused)
 
 
 class TestShardedEngineEquivalence:

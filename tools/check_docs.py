@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs lint: links resolve, the architecture guide covers the code.
 
-Three checks, all cheap enough for every CI run:
+Four checks, all cheap enough for every CI run:
 
 1. **Link existence** — every relative markdown link in README.md,
    EXPERIMENTS.md and docs/*.md must point at a file or directory
@@ -16,6 +16,13 @@ Three checks, all cheap enough for every CI run:
    ``src/`` file must exist, at the repo root or under ``docs/``
    (a path with a directory resolves from the repo root), so a
    docstring cannot send its reader to a document that is not there.
+4. **Code references** — every Sphinx-role reference to a ``repro``
+   name in a ``src/`` file (``:func:``, ``:class:``, ``:meth:``,
+   ``:data:``, ``:attr:`` or ``:mod:`` followed by a backticked
+   ``repro.`` path, ``~`` prefix allowed, line breaks inside the
+   backticks ignored) must resolve: the longest importable module
+   prefix, then ``getattr`` for the rest.  A deleted or renamed name
+   cannot leave docstrings pointing at it.
 
 Exit status 0 when clean, 1 with one line per violation — the CI
 docs job runs this before executing the documented snippets
@@ -24,6 +31,7 @@ docs job runs this before executing the documented snippets
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -105,8 +113,57 @@ def check_source_references() -> list[str]:
     return errors
 
 
+#: A Sphinx-role reference to a ``repro`` name; the path may wrap lines.
+_CODE_REF = re.compile(r":(?:func|class|meth|data|attr|mod):`~?(repro\.[\w.\s]+?)`")
+
+
+def resolve_reference(dotted: str) -> bool:
+    """True when ``dotted`` names an importable module or an attribute
+    reachable from one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def code_references(path: Path) -> list[str]:
+    """Every ``repro.`` path a Sphinx role in ``path`` names."""
+    return [
+        re.sub(r"\s+", "", match.group(1))
+        for match in _CODE_REF.finditer(path.read_text())
+    ]
+
+
+def check_code_references() -> list[str]:
+    """Dangling references; ``repro`` must be importable."""
+    errors = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for dotted in sorted(set(code_references(path))):
+            if not resolve_reference(dotted):
+                errors.append(
+                    f"{path.relative_to(REPO)}: dangling reference {dotted}"
+                )
+    return errors
+
+
 def main() -> int:
-    errors = check_links() + check_architecture_coverage() + check_source_references()
+    src = str(REPO / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    errors = (
+        check_links()
+        + check_architecture_coverage()
+        + check_source_references()
+        + check_code_references()
+    )
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
