@@ -24,17 +24,19 @@ switches for the ablation benches.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.base import Assigner, AssignmentResult
-from repro.core.pruning import probability_prune, signs_decide
-from repro.core.selection import (
-    budget_confident_rows,
-    feasible_rows,
-    select_best_row,
+from repro.core.pruning import (
+    probability_prune,
+    signs_decide,
+    sweep_blockers,
+    sweep_prune,
 )
+from repro.core.selection import _EPS, eq9_keep, eq9_lanes, pick_best, select_best_row
 from repro.core import triplet_select
 from repro.model.instance import ProblemInstance
 from repro.model.pairs import PairPool
@@ -104,9 +106,10 @@ def greedy_select(
     never materializes an ``n x m`` matrix.  Large row sets run on the
     amortized engine of :mod:`repro.core.triplet_select` — sorted pool
     orders, worker/task occupancy groups, monotone budget sweeps —
-    while small sets (and deltas outside the z-threshold shortcut) use
-    the per-iteration rescan loop below.  Both produce identical
-    selections; the differential suite cross-validates them.
+    while small sets (every served round, and deltas outside the
+    z-threshold shortcut) use the mask-based rescan loop below.  Both
+    produce identical selections; the differential suites
+    cross-validate them.
     """
     num_pairs = len(pool)
     if num_pairs == 0 or len(rows) == 0:
@@ -143,105 +146,133 @@ def _greedy_select_rescan(
     budget_max: float,
     config: GreedyConfig,
 ) -> list[int]:
-    """Reference selection loop: rescans the survivors every iteration.
+    """The selection loop for row sets under ``TRIPLET_MIN_ROWS``.
 
-    ``rows`` must be unique and ascending.  Kept both as the
-    small-problem fast path and as the differential baseline for the
-    amortized engine.
+    ``rows`` must be unique and ascending.  Every stage works on
+    boolean masks over one frame, the rows in ``(cost_ub, row)`` order
+    gathered once, so an iteration costs a few dozen NumPy calls:
+
+    - feasibility is monotone in the spend, so each budget share's
+      failing rows are a suffix of its cost order, found by bisection;
+    - Eq. 9 is one z test over the frame (:func:`eq9_lanes`); only
+      rows it cannot decide from ``z`` alone take the exact CDF;
+    - the Lemma 4.1 skyline is a masked prefix max with the cut of
+      each position computed once;
+    - the candidate window is the first ``candidate_cap`` skyline rows
+      in weight order, and Lemma 4.2 over it is a prefix-minimum sweep
+      wherever :func:`sweep_blockers` allows (else the shared
+      :func:`probability_prune`);
+    - the occupancy cut clears the winner's worker and task groups.
+
+    The differential suites pin its selections to ``ReferenceGreedy``
+    and the triplet engine.
     """
-    num_pairs = len(pool)
-    # Survivors sorted by (cost_ub, row) once; filtering preserves the
-    # order, so the dominance skyline never re-sorts.
-    alive = pool.order_by_cost_ub(rows)
-    # Global candidate-cap order over the same rows; per-iteration
-    # caps reduce to one membership gather along it.
-    weight_order = pool.order_by_weight(rows)
-    member = np.zeros(num_pairs, dtype=bool)
+    order = pool.order_by_cost_ub(rows)
+    cost_mean = pool.cost_mean[order]
+    # Cost, quality mean and variance of a position: the Eq. 10 inputs.
+    scoring = np.stack((cost_mean, pool.quality_mean[order], pool.quality_var[order]))
+    # Weight order (the candidate-cap order) over positions.
+    weight_positions = np.lexsort((order, cost_mean, -scoring[1]))
+    alive = cost_mean == cost_mean  # a NaN cost never fits its budget
+
+    # Feasibility: a current pair's cost must fit the current-instance
+    # budget (Definition 4), a predicted pair's the future share.
+    lanes = []
+    for members in (alive & pool.is_current[order], alive > pool.is_current[order]):
+        lane = np.flatnonzero(members)
+        lane = lane[np.argsort(cost_mean[lane], kind="stable")]
+        lanes.append([lane, cost_mean[lane].tolist(), lane.size])
+
+    std, z_lo, z_hi = eq9_lanes(pool.cost_var[order], config.delta)
 
     if config.use_dominance_pruning:
-        # Fixed-position skyline scaffolding: positions in the initial
-        # cost_ub order never move, so the Lemma 4.1 prefix boundary
-        # (first position with cost_ub >= cost_lb[j]) is computed once;
-        # per iteration only a masked prefix-max remains.  Masking dead
-        # positions to -inf makes the prefix max range over exactly the
-        # iteration's candidate set, so the pruned set is identical to
-        # dominance_skyline over that set.
-        position_of = np.empty(num_pairs, dtype=np.int64)
-        position_of[alive] = np.arange(alive.size)
-        cost_ub_sorted = pool.cost_ub[alive]
-        quality_lb_sorted = pool.quality_lb[alive]
-        quality_ub_sorted = pool.quality_ub[alive]
-        cut = np.searchsorted(cost_ub_sorted, pool.cost_lb[alive], side="left")
-        cut_of = np.empty(num_pairs, dtype=np.int64)
-        cut_of[alive] = cut
-        masked_lb = np.full(alive.size, -np.inf)
+        # Lemma 4.1 in the fixed frame: the dominators of a position
+        # lie before its cut (first position with cost_ub >= its
+        # cost_lb); masking dead positions to -inf makes the prefix max
+        # range over exactly the live set.  best_before[0] stays -inf.
+        cut = np.searchsorted(pool.cost_ub[order], pool.cost_lb[order], side="left")
+        quality_lb = pool.quality_lb[order]
+        quality_ub = pool.quality_ub[order]
+        best_before = np.full(order.size + 1, -np.inf)
 
     # Lemma 4.2's sign guard, decided once: a candidate window is a
-    # subset of ``rows``, so a pass here holds for every window.
+    # subset of ``rows``, so a pass here holds for every window, and
+    # where the blockers allow, every window is pruned by the sweep.
     signs_decided = config.use_probability_pruning and signs_decide(pool, rows)
+    blockers = sweep_blockers(pool, order) if signs_decided else None
+    if blockers is not None:
+        sweep_frame = np.stack((cost_mean, scoring[1], blockers))
 
+    by_worker = np.argsort(pool.worker_idx[order], kind="stable")
+    worker_keys = pool.worker_idx[order][by_worker].tolist()
+    by_task = np.argsort(pool.task_idx[order], kind="stable")
+    task_keys = pool.task_idx[order][by_task].tolist()
+
+    cap = config.candidate_cap
     budget_future = max(budget_max - budget_current, 0.0)
     spent_current = 0.0
     spent_future = 0.0
     spent_lower_bound = 0.0
     selected: list[int] = []
 
-    while alive.size:
-        # Hard per-instance constraint for materializable pairs;
-        # future-share constraint for predicted pairs.  Both filters
-        # are monotone in the spend, so failures are permanent and the
-        # survivor set only shrinks.
-        alive = feasible_rows(
-            pool,
-            alive,
-            budget_current - spent_current,
-            budget_future - spent_future,
-        )
-        if alive.size == 0:
-            break
-        alive = budget_confident_rows(
-            pool, alive, spent_lower_bound, budget_max, config.delta
-        )
-        if alive.size == 0:
-            break
+    while True:
+        for lane, left in zip(
+            lanes, (budget_current - spent_current, budget_future - spent_future)
+        ):
+            threshold = left + _EPS  # a NaN budget fits nothing
+            end = bisect_right(lane[1], threshold, 0, lane[2]) if threshold == threshold else 0
+            if end < lane[2]:
+                alive[lane[0][end : lane[2]]] = False
+                lane[2] = end
+        # Eq. 9: failures are permanent, as for feasibility.
+        z = (budget_max - spent_lower_bound - cost_mean) / std
+        doubt = alive > (z > z_hi)
+        if np.count_nonzero(doubt):
+            doubt = doubt.nonzero()[0]
+            alive[doubt] = eq9_keep(z[doubt], z_lo[doubt], z_hi[doubt], config.delta)
 
-        candidate_rows = alive
+        candidates = alive
         if config.use_dominance_pruning:
-            positions = position_of[alive]
-            masked_lb[positions] = quality_lb_sorted[positions]
-            prefix_max = np.maximum.accumulate(masked_lb)
-            cuts = cut_of[alive]
-            best_before = np.where(cuts > 0, prefix_max[np.maximum(cuts - 1, 0)], -np.inf)
-            dominated = best_before > quality_ub_sorted[positions]
-            masked_lb[positions] = -np.inf
-            candidate_rows = alive[~dominated]
+            np.maximum.accumulate(np.where(alive, quality_lb, -np.inf), out=best_before[1:])
+            candidates = alive > (best_before[cut] > quality_ub)
+        window = weight_positions[candidates[weight_positions]]
+        if window.size == 0:
+            if np.count_nonzero(alive):
+                raise ValueError("cannot select from an empty candidate set")
+            break
         # Canonical candidate order: the Eq. 10 scores sum float
         # probabilities in array order, so the order fed to the
-        # selection stages is part of the contract — ascending rows
-        # when the cap is loose, quality-weight order when it binds.
-        if candidate_rows.size > config.candidate_cap:
-            member[candidate_rows] = True
-            capped = weight_order[member[weight_order]][: config.candidate_cap]
-            member[candidate_rows] = False
-            candidate_rows = capped
-        else:
-            candidate_rows = np.sort(candidate_rows)
-        if config.use_probability_pruning:
+        # selection stages is part of the contract — quality-weight
+        # order when the cap binds, ascending rows when it does not.
+        capped = window.size > cap
+        if capped:
+            window = window[:cap]
+        if blockers is None and config.use_probability_pruning:
+            candidate_rows = order[window] if capped else np.sort(order[window])
             candidate_rows = probability_prune(pool, candidate_rows, signs_decided)
+            best = select_best_row(pool, candidate_rows, config.selection_objective)
+        else:
+            if blockers is not None:
+                window = window[sweep_prune(*sweep_frame[:, window])]
+            if window.size == 1:
+                best = int(order[window[0]])
+            else:
+                if not capped:
+                    window = window[np.argsort(order[window])]
+                best = pick_best(order[window], *scoring[:, window], config.selection_objective)
 
-        best = select_best_row(pool, candidate_rows, config.selection_objective)
         selected.append(best)
         spent_lower_bound += float(pool.cost_lb[best])
         if pool.is_current[best]:
             spent_current += float(pool.cost_mean[best])
         else:
             spent_future += float(pool.cost_mean[best])
-        # Occupancy cut: drop every pair sharing the winner's worker or
-        # task (one pass over the survivors, not the pool).
-        keep = (pool.worker_idx[alive] != pool.worker_idx[best]) & (
-            pool.task_idx[alive] != pool.task_idx[best]
-        )
-        alive = alive[keep]
+        # Occupancy cut: every pair sharing the winner's worker or task.
+        for group, keys, key in (
+            (by_worker, worker_keys, int(pool.worker_idx[best])),
+            (by_task, task_keys, int(pool.task_idx[best])),
+        ):
+            alive[group[bisect_left(keys, key) : bisect_right(keys, key)]] = False
 
     return selected
 

@@ -88,11 +88,13 @@ def probability_prune(
     ``q_var[i] + q_var[j]`` above the variance floor.  Such a tie gives
     ``Pr = 0.5 - 5e-10``, probably worse both ways; only the strict
     cost order rules out mutual elimination.  Cost variance never
-    matters.  Windows where the signs may not decide (a mean that is
-    not finite, or a gap so small that ``gap / std`` underflows to a
-    signed zero) evaluate Eqs. 7-8 on every pair instead.
-    ``signs_decided=True`` skips that check: the caller has passed
-    :func:`signs_decide` on a superset of ``rows``.
+    matters.  Where the signs decide, the rows are pruned by
+    :func:`sweep_prune` in weight order.  Windows where the signs may
+    not decide (a mean that is not finite, or a gap so small that
+    ``gap / std`` underflows to a signed zero), or whose ties
+    :func:`sweep_blockers` cannot clear, evaluate Eqs. 7-8 on every
+    pair instead.  ``signs_decided=True`` skips the sign check: the
+    caller has passed :func:`signs_decide` on a superset of ``rows``.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size <= 1:
@@ -102,31 +104,74 @@ def probability_prune(
     q_var = pool.quality_var[rows]
     c_mean = pool.cost_mean[rows]
     c_var = pool.cost_var[rows]
-    by_quality = np.lexsort((q_var, q_mean))
-    by_cost = np.argsort(c_mean, kind="stable")
-    sorted_cost = c_mean[by_cost]
-    if not (
-        signs_decided
-        or (_signs_decide(q_mean[by_quality], q_var) and _signs_decide(sorted_cost, c_var))
+    blockers = None
+    if signs_decided or (
+        _signs_decide(np.sort(q_mean), q_var) and _signs_decide(np.sort(c_mean), c_var)
     ):
+        blockers = sweep_blockers(pool, rows)
+    if blockers is None:
         worse = (prob_greater_vec(q_mean[:, None], q_var[:, None], q_mean, q_var) < 0.5) & (
             prob_less_or_equal_vec(c_mean[:, None], c_var[:, None], c_mean, c_var) < 0.5
         )
         np.fill_diagonal(worse, False)
         return rows[~worse.any(axis=1)]
 
-    # A sweep in cost order, as in dominance_skyline.  Of the rows
-    # strictly cheaper than row i only the largest (q_mean, q_var)
-    # matters: it beats i's quality if any does, and on a quality tie
-    # it carries the largest variance, to which the tie test is monotone.
-    rank = np.empty(rows.size, dtype=np.int64)
-    rank[by_quality] = np.arange(rows.size)
-    best_rank = np.maximum.accumulate(rank[by_cost])
-    cheaper = np.searchsorted(sorted_cost, c_mean, side="left")
-    best = by_quality[best_rank[np.maximum(cheaper - 1, 0)]]
-    q_best = q_mean[best]
-    tie = (q_best == q_mean) & (q_var + q_var[best] > _VARIANCE_FLOOR)
-    return rows[~((cheaper > 0) & ((q_best > q_mean) | tie))]
+    by_weight = np.lexsort((rows, c_mean, -q_mean))
+    keep = np.empty(rows.size, dtype=bool)
+    keep[by_weight] = sweep_prune(c_mean[by_weight], q_mean[by_weight], blockers[by_weight])
+    return rows[keep]
+
+
+def sweep_blockers(pool: PairPool, rows: np.ndarray) -> np.ndarray | None:
+    """Rows that :func:`sweep_prune` must treat apart, or ``None``.
+
+    Once :func:`signs_decide` has passed on ``rows``, Lemma 4.2 over a
+    window in weight order (the candidate-cap order) prunes row ``i``
+    iff an earlier row is strictly cheaper: a row with a mean at least
+    as high comes first, and with non-negative variances a quality tie
+    fails the variance test only between two rows at or below the
+    floor.  The mask (aligned with ``rows``) flags such tied rows — in
+    served pools, current pairs at one score and predicted pairs
+    discounted to quality 0.  They must have zero variance, so they
+    never prune each other; else (or on a negative variance) ``None``:
+    no window may sweep.
+    """
+    q_var = pool.quality_var[rows]
+    if not (q_var >= 0.0).all():
+        return None
+    tight = np.flatnonzero(q_var <= _VARIANCE_FLOOR)
+    means = pool.quality_mean[rows][tight]
+    order = np.argsort(means, kind="stable")
+    tied = means[order[1:]] == means[order[:-1]]
+    blockers = np.zeros(q_var.size, dtype=bool)
+    blockers[tight[order[1:][tied]]] = True
+    blockers[tight[order[:-1][tied]]] = True
+    if (q_var[blockers] != 0.0).any():
+        return None
+    return blockers
+
+
+def sweep_prune(
+    cost_mean: np.ndarray, quality_mean: np.ndarray, blockers: np.ndarray
+) -> np.ndarray:
+    """Keep mask of Lemma 4.2 over a window in weight order.
+
+    ``blockers`` (nonzero = flagged) is :func:`sweep_blockers`' mask
+    over the window.  A row survives iff no earlier row is strictly
+    cheaper, where a flagged row disregards the flagged rows of its own
+    quality run.
+    """
+    cheapest = np.minimum.accumulate(cost_mean)
+    keep = cost_mean <= cheapest
+    if np.count_nonzero(blockers):
+        negated = -quality_mean
+        run_start = np.searchsorted(negated, negated, side="left")
+        before_run = np.concatenate(([np.inf], cheapest))[run_start]
+        unflagged = np.minimum.accumulate(np.where(blockers, np.inf, cost_mean))
+        keep = np.where(
+            blockers, (cost_mean <= before_run) & (cost_mean <= unflagged), keep
+        )
+    return keep
 
 
 def signs_decide(pool: PairPool, rows: np.ndarray) -> bool:

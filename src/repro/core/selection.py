@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.model.pairs import PairPool
-from repro.uncertainty.vector import phi_vec, prob_greater_vec
+from repro.uncertainty.vector import phi_vec
 
 _VARIANCE_FLOOR = 1e-24
 _EPS = 1e-9
@@ -60,30 +60,34 @@ def _phi_threshold(delta: float) -> tuple[float, float] | None:
     return result
 
 
-def feasible_rows(
-    pool: PairPool,
-    rows: np.ndarray,
-    budget_current_left: float,
-    budget_future_left: float,
-) -> np.ndarray:
-    """Rows whose expected cost fits their budget share, in bulk.
+def eq9_lanes(cost_var: np.ndarray, delta: float) -> tuple[np.ndarray, ...]:
+    """Per-row ``(std, z_lo, z_hi)`` that reduce Eq. 9 to z tests.
 
-    A *current* pair charges the remaining current-instance budget (the
-    hard Definition 4 constraint); a pair involving predicted entities
-    charges the remaining future share.  Computed as one masked
-    comparison over the pool columns restricted to ``rows`` — the
-    per-iteration feasibility scan of the greedy loop.
+    See :func:`eq9_keep`.  A deterministic row gets ``std = 1`` and the
+    degenerate band ``[0, 0]``: it passes iff its headroom is ``>= 0``
+    (signed zeros included); a ``delta`` too extreme for the shortcut
+    widens every stochastic band to the whole line.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return rows
-    cost = pool.cost_mean[rows]
-    fits = np.where(
-        pool.is_current[rows],
-        cost <= budget_current_left + _EPS,
-        cost <= budget_future_left + _EPS,
-    )
-    return rows[fits]
+    deterministic = cost_var <= _VARIANCE_FLOOR
+    thresholds = _phi_threshold(delta)
+    z_lo, z_hi = thresholds if thresholds is not None else (-np.inf, np.inf)
+    std = np.sqrt(np.where(deterministic, 1.0, cost_var))
+    return std, np.where(deterministic, 0.0, z_lo), np.where(deterministic, 0.0, z_hi)
+
+
+def eq9_keep(z: np.ndarray, z_lo: np.ndarray, z_hi: np.ndarray, delta: float) -> np.ndarray:
+    """Eq. 9 outcome per lane, ``z = headroom / std``.
+
+    Outside ``[z_lo, z_hi]`` the outcome is certain from ``z`` alone;
+    only band lanes pay for ``phi_vec`` (bit-identical, see
+    :func:`_phi_threshold`).  A degenerate band (a deterministic lane
+    at ``z = +-0``) passes: the exact indicator, ``headroom >= 0``.
+    """
+    keep = z > z_hi
+    band = np.flatnonzero((z >= z_lo) > keep)
+    if band.size:
+        keep[band] = (z_lo[band] == z_hi[band]) | (phi_vec(z[band]) > delta)
+    return keep
 
 
 def budget_confident_rows(
@@ -103,29 +107,8 @@ def budget_confident_rows(
     if rows.size == 0:
         return rows
     headroom = budget_max - selected_lower_bound_sum - pool.cost_mean[rows]
-    variance = pool.cost_var[rows]
-    deterministic = variance <= _VARIANCE_FLOOR
-    # Deterministic lanes degenerate to the exact indicator: for any
-    # delta in [0, 1), prob {0, 1} > delta iff the headroom fits.
-    keep = headroom >= 0.0
-    stochastic = np.nonzero(~deterministic)[0]
-    if stochastic.size:
-        z = headroom[stochastic] / np.sqrt(variance[stochastic])
-        thresholds = _phi_threshold(delta)
-        if thresholds is None:
-            keep[stochastic] = phi_vec(z) > delta
-        else:
-            # The comparison outcome is determined by z alone outside
-            # a narrow band around the threshold; only band lanes pay
-            # for the exact CDF.  Bit-identical to evaluating phi_vec
-            # everywhere (see _phi_threshold).
-            z_lo, z_hi = thresholds
-            outcome = z > z_hi
-            band = np.nonzero((z >= z_lo) & ~outcome)[0]
-            if band.size:
-                outcome[band] = phi_vec(z[band]) > delta
-            keep[stochastic] = outcome
-    return rows[keep]
+    std, z_lo, z_hi = eq9_lanes(pool.cost_var[rows], delta)
+    return rows[eq9_keep(headroom / std, z_lo, z_hi, delta)]
 
 
 #: Cost floor for the efficiency objective: a co-located pair (cost 0)
@@ -159,24 +142,47 @@ def select_best_row(pool: PairPool, rows: np.ndarray, objective: str = "probabil
         raise ValueError(f"unknown selection objective {objective!r}")
     if rows.size == 1:
         return int(rows[0])
+    columns = (pool.cost_mean[rows], pool.quality_mean[rows], pool.quality_var[rows])
+    return pick_best(rows, *columns, objective)
 
+
+def pick_best(rows, cost_mean, quality_mean, quality_var, objective: str) -> int:
+    """:func:`select_best_row` over gathered columns (two or more rows,
+    in the canonical candidate order the scores are summed in)."""
     if objective == "efficiency":
-        scores = pool.quality_mean[rows] / np.maximum(
-            pool.cost_mean[rows], _EFFICIENCY_COST_FLOOR
-        )
+        scores = quality_mean / np.maximum(cost_mean, _EFFICIENCY_COST_FLOOR)
     else:
-        q_mean = pool.quality_mean[rows]
-        q_var = pool.quality_var[rows]
-        probabilities = prob_greater_vec(
-            q_mean[:, None], q_var[:, None], q_mean[None, :], q_var[None, :]
-        )
-        np.fill_diagonal(probabilities, 1.0)
-        # log(0) lanes are meaningful (-inf kills the product); mask
-        # them explicitly instead of paying for an errstate context.
-        positive = probabilities > 0.0
-        logs = np.full_like(probabilities, -np.inf)
-        logs[positive] = np.log(probabilities[positive])
-        scores = logs.sum(axis=1)
+        scores = superiority_scores(quality_mean, quality_var)
+    return int(rows[np.lexsort((rows, cost_mean, -scores))[0]])
 
-    order = np.lexsort((rows, pool.cost_mean[rows], -scores))
-    return int(rows[order[0]])
+
+def superiority_scores(quality_mean: np.ndarray, quality_var: np.ndarray) -> np.ndarray:
+    """Eq. 10 log-scores: ``sum_{a != i} log Pr{q_i > q_a}`` per row.
+
+    ``prob_greater_vec`` over the ``K x K`` pairs, bit for bit, except
+    that an all-deterministic or all-stochastic window skips the other
+    lane kind's arithmetic.  ``-gap`` is formed as ``q_a - q_i``: the
+    same float, but ``+0.0`` for a tie's ``-0.0``, which ``phi_vec``
+    treats alike.
+    """
+    combined = quality_var[:, None] + quality_var
+    deterministic = combined <= _VARIANCE_FLOOR
+    lanes = np.count_nonzero(deterministic)
+    negated_gap = quality_mean - quality_mean[:, None]
+    if lanes < deterministic.size:
+        if lanes:
+            combined = np.where(deterministic, 1.0, combined)
+        probabilities = 1.0 - phi_vec(negated_gap / np.sqrt(combined))
+    if lanes:
+        indicator = np.where(negated_gap < 0.0, 1.0, np.where(negated_gap > 0.0, 0.0, 0.5))
+        probabilities = (
+            indicator if lanes == deterministic.size
+            else np.where(deterministic, indicator, probabilities)
+        )
+    # A zero factor is meaningful (-inf kills the product); the
+    # diagonal's Pr = 1 contributes log 1 = 0.
+    logs = np.empty_like(probabilities)
+    logs.fill(-np.inf)
+    np.log(probabilities, out=logs, where=probabilities > 0.0)
+    logs.flat[:: quality_mean.size + 1] = 0.0
+    return np.add.reduce(logs, axis=1)

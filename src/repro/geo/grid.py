@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from repro.geo.point import Point
 #: radius a round issues (the candidate index and the grid predictor
 #: both re-query the same few radii every round).
 _STENCIL_CACHE_SIZE = 16
+
+_X = attrgetter("x")
+_Y = attrgetter("y")
 
 
 class GridIndex:
@@ -119,10 +123,11 @@ class GridIndex:
         This is the per-instance per-cell count the prediction sliding
         window is built from (``|W_p^{(i)}|`` in Section III-A).
         """
-        counts = np.zeros(self.num_cells, dtype=np.int64)
-        for point in points:
-            counts[self.cell_of(point)] += 1
-        return counts
+        points = list(points)
+        return self.count_coordinates(
+            np.fromiter(map(_X, points), dtype=float, count=len(points)),
+            np.fromiter(map(_Y, points), dtype=float, count=len(points)),
+        )
 
     def cells_of_coordinates(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`cell_of` over coordinate arrays.
@@ -135,7 +140,9 @@ class GridIndex:
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape:
             raise ValueError("xs and ys must have the same shape")
-        if xs.size and (xs.min() < 0.0 or xs.max() > 1.0 or ys.min() < 0.0 or ys.max() > 1.0):
+        if not (
+            ((xs >= 0.0) & (xs <= 1.0)).all() and ((ys >= 0.0) & (ys <= 1.0)).all()
+        ):
             raise ValueError("coordinates outside the unit square")
         cols = self._clamp_axis_vec(xs)
         rows = self._clamp_axis_vec(ys)
@@ -253,18 +260,36 @@ class GridIndex:
         r_idx, c_idx = np.nonzero(near)
         return ((rows[r_idx]) * gamma + cols[c_idx]).astype(np.int64)
 
-    def sample_in_cell(self, cell: int, rng: np.random.Generator, size: int) -> list[Point]:
-        """Draw ``size`` points uniformly inside cell ``cell``.
+    def sample_cells(
+        self, cells: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``sizes[i]`` uniform points inside each ``cells[i]``, in bulk.
 
-        Sampling is with replacement across calls, matching the paper's
-        "sampling with replacement" of predicted worker/task samples.
+        Sampling is with replacement, matching the paper's "sampling
+        with replacement" of predicted worker/task samples.  Returns the
+        ``(xs, ys)`` coordinate arrays, cell by cell.  One
+        ``rng.uniform`` call with per-draw bounds consumes the generator
+        exactly as per-cell ``uniform(x_lo, x_hi, size)`` then
+        ``uniform(y_lo, y_hi, size)`` draws would, so the samples are
+        bit-identical to sampling cell by cell.
         """
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        box = self.cell_box(cell)
-        xs = rng.uniform(box.x_lo, box.x_hi, size=size)
-        ys = rng.uniform(box.y_lo, box.y_hi, size=size)
-        return [Point(float(x), float(y)) for x, y in zip(xs, ys)]
+        cells = np.asarray(cells, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if cells.size and (cells.min() < 0 or cells.max() >= self.num_cells):
+            raise IndexError(f"cell out of range for gamma={self._gamma}")
+        if sizes.size and sizes.min() < 0:
+            raise ValueError("sizes must be non-negative")
+        # Per cell: its column (x draws), then its row (y draws), each
+        # repeated once per draw.
+        axis_index = np.empty((cells.size, 2), dtype=np.int64)
+        axis_index[:, 1], axis_index[:, 0] = np.divmod(cells, self._gamma)
+        repeats = sizes.repeat(2)
+        axis_index = axis_index.ravel().repeat(repeats)
+        draws = rng.uniform(axis_index * self._side, (axis_index + 1) * self._side)
+        is_x = np.zeros(2 * cells.size, dtype=bool)
+        is_x[::2] = True
+        is_x = is_x.repeat(repeats)
+        return draws[is_x], draws[~is_x]
 
     def __repr__(self) -> str:
         return f"GridIndex(gamma={self._gamma})"

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -81,28 +82,27 @@ class ProblemInstance:
         return len(self.pool)
 
 
+def _columns(entities, *fields: str) -> tuple[np.ndarray, ...]:
+    """One float array per attribute path in ``fields``, in bulk."""
+    return tuple(
+        np.fromiter(map(attrgetter(field), entities), dtype=float, count=len(entities))
+        for field in fields
+    )
+
+
 def _worker_columns(workers: Sequence[Worker]):
-    xs = np.array([w.location.x for w in workers], dtype=float)
-    ys = np.array([w.location.y for w in workers], dtype=float)
-    velocity = np.array([w.velocity for w in workers], dtype=float)
-    arrival = np.array([w.arrival for w in workers], dtype=float)
-    return xs, ys, velocity, arrival
+    """``(x, y, velocity, arrival)`` arrays."""
+    return _columns(workers, "location.x", "location.y", "velocity", "arrival")
 
 
 def _task_columns(tasks: Sequence[Task]):
-    xs = np.array([t.location.x for t in tasks], dtype=float)
-    ys = np.array([t.location.y for t in tasks], dtype=float)
-    deadline = np.array([t.deadline for t in tasks], dtype=float)
-    arrival = np.array([t.arrival for t in tasks], dtype=float)
-    return xs, ys, deadline, arrival
+    """``(x, y, deadline, arrival)`` arrays."""
+    return _columns(tasks, "location.x", "location.y", "deadline", "arrival")
 
 
 def _box_intervals(entities: Sequence[Worker] | Sequence[Task]):
-    x_lo = np.array([e.box.x_lo for e in entities], dtype=float)
-    x_hi = np.array([e.box.x_hi for e in entities], dtype=float)
-    y_lo = np.array([e.box.y_lo for e in entities], dtype=float)
-    y_hi = np.array([e.box.y_hi for e in entities], dtype=float)
-    return x_lo, x_hi, y_lo, y_hi
+    """``(x_lo, x_hi, y_lo, y_hi)`` arrays of the support boxes."""
+    return _columns(entities, "box.x_lo", "box.x_hi", "box.y_lo", "box.y_hi")
 
 
 @dataclass(frozen=True)
@@ -498,18 +498,21 @@ def build_problem(
                 _Family(rows, cols, w_iv, t_iv, quality, existence, worker_offset, task_offset)
             )
 
+    # Predicted entities are priced from their boxes, their sample
+    # points never read; a current entity is a point (its box is
+    # degenerate), priced from its location as in the fused pipeline.
     if k:
-        _, _, pw_vel, pw_arr = _worker_columns(predicted_workers)
+        pw_vel, pw_arr = _columns(predicted_workers, "velocity", "arrival")
         pw = (predicted_workers, _box_intervals(predicted_workers), pw_vel, pw_arr)
     if l:
-        _, _, pt_deadline, pt_arr = _task_columns(predicted_tasks)
+        pt_deadline, pt_arr = _columns(predicted_tasks, "deadline", "arrival")
         pt = (predicted_tasks, _box_intervals(predicted_tasks), pt_deadline, pt_arr)
     if k and m:
-        ct = (current_tasks, _box_intervals(current_tasks), t_deadline, t_arr)
+        ct = (current_tasks, (tx, tx, ty, ty), t_deadline, t_arr)
         exist_task = np.minimum(stats.task_count / max(n, 1), 1.0)
         _family(pw, ct, "task", exist_task, n, 0)
     if n and l:
-        cw = (current_workers, _box_intervals(current_workers), w_vel, w_arr)
+        cw = (current_workers, (wx, wx, wy, wy), w_vel, w_arr)
         exist_worker = np.minimum(stats.worker_count / max(m, 1), 1.0)
         _family(cw, pt, "worker", exist_worker, 0, m)
     if k and l and include_future_future_pairs:

@@ -21,7 +21,7 @@ from repro.prediction.predictors import (
 from repro.prediction.kde import (
     UNIFORM_KERNEL_CONSTANT,
     kde_bandwidth,
-    sample_boxes,
+    kernel_bounds,
 )
 from repro.prediction.grid_predictor import GridPredictor, PredictedArrivals
 from repro.prediction.accuracy import relative_errors, average_relative_error
@@ -38,7 +38,7 @@ __all__ = [
     "make_predictor",
     "UNIFORM_KERNEL_CONSTANT",
     "kde_bandwidth",
-    "sample_boxes",
+    "kernel_bounds",
     "GridPredictor",
     "PredictedArrivals",
     "relative_errors",

@@ -10,6 +10,9 @@ of counts, and predicts the next instance's arrivals:
 3. draw that many uniform samples inside the cell (with replacement);
 4. attach a uniform-kernel box to every sample (Section III-A KDE).
 
+Steps 3-4 run in bulk over arrays: one generator call samples every
+cell, and the kernel boxes are four bound arrays.
+
 One predictor instance tracks one entity kind; the simulation engine
 runs two (workers and tasks).
 """
@@ -22,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geo.box import Box
 from repro.geo.grid import GridIndex
 from repro.geo.point import Point
-from repro.prediction.kde import kde_bandwidth, sample_boxes
+from repro.prediction.kde import kde_bandwidth, kernel_bounds
 from repro.prediction.predictors import CountPredictor, LinearRegressionPredictor
 
 
@@ -34,16 +36,18 @@ class PredictedArrivals:
     """Output of one prediction step.
 
     Attributes:
-        samples: predicted entity locations (discrete samples).
-        boxes: one uniform-kernel support box per sample.
+        xs / ys: predicted entity locations (discrete samples).
+        bounds: ``(x_lo, x_hi, y_lo, y_hi)`` of each sample's
+            uniform-kernel support box.
         counts: predicted per-cell counts (after rounding), length
             ``grid.num_cells``.
         raw_counts: predictor outputs before rounding/clamping; kept
             for the accuracy experiment (Fig. 10).
     """
 
-    samples: list[Point]
-    boxes: list[Box]
+    xs: np.ndarray
+    ys: np.ndarray
+    bounds: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     counts: np.ndarray
     raw_counts: np.ndarray
 
@@ -147,29 +151,31 @@ class GridPredictor:
     def predict(
         self,
         rng: np.random.Generator,
+        forecast: tuple[np.ndarray, np.ndarray],
         location_std: tuple[float, float] | None = None,
     ) -> PredictedArrivals:
         """Full prediction step: counts, samples, kernel boxes.
 
         Args:
             rng: random source for the uniform in-cell sampling.
+            forecast: this step's :meth:`predict_counts` result
+                ``(counts, raw_counts)``.
             location_std: per-dimension standard deviation of *current*
                 entity locations, used for the KDE bandwidth.  When
                 omitted, it is estimated from the latest observed
                 window by treating cell centers as point masses.
         """
-        counts, raw = self.predict_counts()
-        samples: list[Point] = []
-        for cell in np.nonzero(counts)[0]:
-            samples.extend(self._grid.sample_in_cell(int(cell), rng, int(counts[cell])))
+        counts, raw = forecast
+        cells = np.flatnonzero(counts)
+        xs, ys = self._grid.sample_cells(cells, counts[cells], rng)
 
         if location_std is None:
             location_std = self._estimate_location_std()
-        n = len(samples)
+        n = xs.size
         bandwidth_x = kde_bandwidth(location_std[0], n)
         bandwidth_y = kde_bandwidth(location_std[1], n)
-        boxes = sample_boxes(samples, bandwidth_x, bandwidth_y)
-        return PredictedArrivals(samples=samples, boxes=boxes, counts=counts, raw_counts=raw)
+        bounds = kernel_bounds(xs, ys, bandwidth_x, bandwidth_y)
+        return PredictedArrivals(xs=xs, ys=ys, bounds=bounds, counts=counts, raw_counts=raw)
 
     def _estimate_location_std(self) -> tuple[float, float]:
         """Std of locations implied by the latest count vector.

@@ -17,10 +17,7 @@ current worker/task locations and ``n`` the sample count.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from repro.geo.box import Box
-from repro.geo.point import Point
+import numpy as np
 
 # C_v(k) for the uniform kernel with kernel order v = 2 (paper value).
 UNIFORM_KERNEL_CONSTANT = 1.8431
@@ -49,21 +46,24 @@ def kde_bandwidth(sample_std: float, n: int) -> float:
     return sample_std * UNIFORM_KERNEL_CONSTANT * float(n) ** _BANDWIDTH_EXPONENT
 
 
-def sample_boxes(
-    samples: Sequence[Point],
+def kernel_bounds(
+    xs: np.ndarray,
+    ys: np.ndarray,
     bandwidth_x: float,
     bandwidth_y: float,
     clip: bool = True,
-) -> list[Box]:
-    """Uniform-kernel support boxes for predicted samples.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform-kernel support boxes of predicted samples, in bulk.
 
-    Each sample becomes the box ``[s.x +- h_x] x [s.y +- h_y]``,
+    Each sample ``(x, y)`` gets the box ``[x +- h_x] x [y +- h_y]``,
     clipped to the unit square by default so that predicted locations
-    stay inside the data space.
+    stay inside the data space.  Returns the ``(x_lo, x_hi, y_lo,
+    y_hi)`` bound arrays: the same floats as
+    ``Box.from_center(...).clipped()`` per sample.
     """
     if bandwidth_x < 0.0 or bandwidth_y < 0.0:
         raise ValueError("bandwidths must be non-negative")
-    boxes = [Box.from_center(s, bandwidth_x, bandwidth_y) for s in samples]
+    bounds = (xs - bandwidth_x, xs + bandwidth_x, ys - bandwidth_y, ys + bandwidth_y)
     if clip:
-        boxes = [box.clipped() for box in boxes]
-    return boxes
+        bounds = tuple(np.minimum(np.maximum(axis, 0.0), 1.0) for axis in bounds)
+    return bounds

@@ -22,12 +22,14 @@ at ``p`` are scored against the actual new arrivals of ``p + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from repro.core.base import Assigner
+from repro.geo.box import Box
 from repro.geo.grid import GridIndex
-from repro.geo.point import euclidean_distance
+from repro.geo.point import Point, euclidean_distance
 from repro.model.entities import Task, Worker
 from repro.model.instance import build_problem
 from repro.obs.metrics import monotonic
@@ -42,6 +44,8 @@ from repro.simulation.metrics import (
 from repro.workloads.base import Workload
 
 _PREDICTED_ID_BASE = 10_000_000_000
+_X = attrgetter("x")
+_Y = attrgetter("y")
 
 
 @dataclass(frozen=True)
@@ -199,11 +203,15 @@ class SimulationEngine:
                 last_worker_prediction = None
                 last_task_prediction = None
             elif predicting:
-                predicted_workers, predicted_tasks = self._predict_entities(
-                    rng, now, current_workers, current_tasks
+                forecasts = (
+                    self._worker_predictor.predict_counts(),
+                    self._task_predictor.predict_counts(),
                 )
-                last_worker_prediction = self._last_counts(self._worker_predictor)
-                last_task_prediction = self._last_counts(self._task_predictor)
+                predicted_workers, predicted_tasks = self._predict_entities(
+                    rng, now, current_workers, current_tasks, forecasts
+                )
+                last_worker_prediction = forecasts[0][0]
+                last_task_prediction = forecasts[1][0]
             else:
                 last_worker_prediction = None
                 last_task_prediction = None
@@ -310,6 +318,7 @@ class SimulationEngine:
         now: float,
         current_workers: list[Worker],
         current_tasks: list[Task],
+        forecasts: tuple,
     ) -> tuple[list[Worker], list[Task]]:
         """Materialize ``W_{p+1}`` and ``T_{p+1}`` from the predictors."""
         config = self._config
@@ -320,26 +329,18 @@ class SimulationEngine:
             current_tasks,
             self._worker_predictor,
             self._task_predictor,
+            forecasts,
             default_velocity=config.default_velocity,
             default_deadline_offset=config.default_deadline_offset,
         )
-
-    @staticmethod
-    def _location_std(points) -> tuple[float, float]:
-        return location_std(points)
-
-    @staticmethod
-    def _last_counts(predictor: GridPredictor) -> np.ndarray:
-        counts, _ = predictor.predict_counts()
-        return counts
 
 
 def location_std(points) -> tuple[float, float]:
     """Per-dimension standard deviation of a point set (KDE bandwidth)."""
     if not points:
         return (0.0, 0.0)
-    xs = np.array([p.x for p in points])
-    ys = np.array([p.y for p in points])
+    xs = np.fromiter(map(_X, points), dtype=float, count=len(points))
+    ys = np.fromiter(map(_Y, points), dtype=float, count=len(points))
     return (float(xs.std()), float(ys.std()))
 
 
@@ -350,6 +351,7 @@ def predict_entities(
     current_tasks: list[Task],
     worker_predictor: GridPredictor,
     task_predictor: GridPredictor,
+    forecasts: tuple,
     default_velocity: float,
     default_deadline_offset: float,
     step: float = 1.0,
@@ -360,11 +362,14 @@ def predict_entities(
     ahead) and the streaming engine, whose look-ahead is its round
     interval.  Velocity and deadline offsets are estimated from the
     current population, falling back to the configured defaults.
+    ``forecasts`` holds both predictors' :meth:`~repro.prediction.
+    GridPredictor.predict_counts` results for this step.
     """
+    worker_forecast, task_forecast = forecasts
     worker_std = location_std([w.location for w in current_workers])
     task_std = location_std([t.location for t in current_tasks])
-    predicted_w = worker_predictor.predict(rng, worker_std)
-    predicted_t = task_predictor.predict(rng, task_std)
+    predicted_w = worker_predictor.predict(rng, worker_forecast, worker_std)
+    predicted_t = task_predictor.predict(rng, task_forecast, task_std)
 
     if current_workers:
         velocity = sum(w.velocity for w in current_workers) / len(current_workers)
@@ -377,30 +382,26 @@ def predict_entities(
     else:
         offset = default_deadline_offset
 
+    # Positional fields (id, location, velocity or deadline, arrival,
+    # predicted, box): a keyword call costs a third more per entity.
+    arrival = now + step
     workers = [
-        Worker(
-            id=_PREDICTED_ID_BASE + i,
-            location=sample,
-            velocity=velocity,
-            arrival=now + step,
-            predicted=True,
-            box=box,
-        )
-        for i, (sample, box) in enumerate(
-            zip(predicted_w.samples, predicted_w.boxes)
-        )
+        Worker(_PREDICTED_ID_BASE + i, Point(x, y), velocity, arrival, True, Box(*bounds))
+        for i, (x, y, *bounds) in enumerate(_sample_columns(predicted_w))
     ]
+    base = _PREDICTED_ID_BASE + len(workers)
+    deadline = now + step + offset
     tasks = [
-        Task(
-            id=_PREDICTED_ID_BASE + len(workers) + j,
-            location=sample,
-            deadline=now + step + offset,
-            arrival=now + step,
-            predicted=True,
-            box=box,
-        )
-        for j, (sample, box) in enumerate(
-            zip(predicted_t.samples, predicted_t.boxes)
-        )
+        Task(base + j, Point(x, y), deadline, arrival, True, Box(*bounds))
+        for j, (x, y, *bounds) in enumerate(_sample_columns(predicted_t))
     ]
     return workers, tasks
+
+
+def _sample_columns(predicted):
+    """Per-sample ``(x, y, x_lo, x_hi, y_lo, y_hi)`` of a prediction."""
+    return zip(
+        predicted.xs.tolist(),
+        predicted.ys.tolist(),
+        *(axis.tolist() for axis in predicted.bounds),
+    )

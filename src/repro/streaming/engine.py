@@ -797,6 +797,10 @@ class StreamingEngine:
         predicted_workers: list[Worker] = []
         predicted_tasks: list[Task] = []
         if predicting:
+            forecasts = (
+                self._worker_predictor.predict_counts(),
+                self._task_predictor.predict_counts(),
+            )
             predicted_workers, predicted_tasks = predict_entities(
                 self._rng,
                 now,
@@ -804,12 +808,13 @@ class StreamingEngine:
                 self._available_tasks,
                 self._worker_predictor,
                 self._task_predictor,
+                forecasts,
                 default_velocity=config.default_velocity,
                 default_deadline_offset=config.default_deadline_offset,
                 step=config.round_interval,
             )
-            self._last_worker_prediction = self._worker_predictor.predict_counts()[0]
-            self._last_task_prediction = self._task_predictor.predict_counts()[0]
+            self._last_worker_prediction = forecasts[0][0]
+            self._last_task_prediction = forecasts[1][0]
         else:
             self._last_worker_prediction = None
             self._last_task_prediction = None

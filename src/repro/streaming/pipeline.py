@@ -821,6 +821,7 @@ class FusedRoundBuilder:
         self._unit_cost = float(unit_cost)
         self._tiles = tiles
         self._grid = task_index.grid
+        self._task_index = task_index
         self._log = task_index.subscribe()
         self._discount = discount_by_existence
         self._reservation = reservation_filter
@@ -929,6 +930,15 @@ class FusedRoundBuilder:
     def close(self) -> None:
         """Release the runner backend (workers, shared memory)."""
         self._runner.close()
+
+    def detach(self) -> None:
+        """Unsubscribe from the task index's change journal.
+
+        For a builder that builds no further round.  :meth:`close`
+        keeps the subscription: the serial engine builds on inline
+        after closing its backend.
+        """
+        self._task_index.unsubscribe(self._log)
 
     # -- supervision ---------------------------------------------------------
 

@@ -258,10 +258,10 @@ class ReferenceEngine(StreamingEngine):
                 now,
             )
         finally:
+            # Nothing drains the new builder's journal once this round
+            # is built.
             builder.close()
-            # Stop the journal the new builder subscribed to: nothing
-            # drains it once this round is built.
-            self._task_index.unsubscribe(builder._log)
+            builder.detach()
 
 
 class ReferenceGreedy(Assigner):

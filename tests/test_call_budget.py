@@ -32,12 +32,17 @@ from repro.workloads import DriftingHotspotWorkload, WorkloadParams
 
 #: Ceiling on calls into ``repro`` per round on the input below, by
 #: ``(major, minor)`` interpreter version.  CPython 3.11 measures
-#: 958.2 (1,072.7 before the dense kernel priced only its valid pairs
-#: and selection decided Lemma 4.2's sign guard once, 1,264.4 before
-#: small single-tile rounds switched to the dense kernel); its ceiling
-#: leaves 5% headroom.  Record a version's figure here before the gate
-#: enforces on it.
-CALLS_PER_ROUND_CEILING = {(3, 11): 1006}
+#: 603.1 (958.2 before the greedy loop kept its survivors as masks and
+#: prediction sampled in bulk, 1,072.7 before the dense kernel priced
+#: only its valid pairs and selection decided Lemma 4.2's sign guard
+#: once, 1,264.4 before small single-tile rounds switched to the dense
+#: kernel); its ceiling leaves 5% headroom.  Record a version's figure
+#: here before the gate enforces on it.
+CALLS_PER_ROUND_CEILING = {(3, 11): 633}
+
+#: Layers the gate's failure message splits the count by, as path
+#: prefixes inside the package; everything else counts as "other".
+_LAYERS = (("core",), ("model",), ("prediction", "geo"))
 
 _COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
 _PACKAGE = str(Path(repro.__file__).resolve().parent)
@@ -61,25 +66,22 @@ def _served_input():
     return workload, service
 
 
-def calls_per_round() -> tuple[float, int]:
-    """``(repro calls per round, rounds)`` over the whole served stream."""
+def calls_per_round() -> tuple[float, int, dict[str, float]]:
+    """``(repro calls per round, rounds, calls per round by layer)``
+    over the whole served stream."""
     workload, service = _served_input()
-    in_package: dict[object, bool] = {}
-    count = 0
+    layer_of: dict[object, str | None] = {}
+    counts: dict[str, int] = {}
 
     def profile(frame, event, arg):
-        nonlocal count
         if event != "call":
             return
         code = frame.f_code
-        inside = in_package.get(code)
-        if inside is None:
-            inside = in_package[code] = (
-                code.co_name not in _COMPREHENSIONS
-                and code.co_filename.startswith(_PACKAGE)
-            )
-        if inside:
-            count += 1
+        if code not in layer_of:
+            layer_of[code] = _layer(code)
+        layer = layer_of[code]
+        if layer is not None:
+            counts[layer] = counts.get(layer, 0) + 1
 
     for instance in range(workload.num_instances):
         workers, tasks = workload.arrivals(instance)
@@ -94,7 +96,19 @@ def calls_per_round() -> tuple[float, int]:
             sys.setprofile(None)
     rounds = service.engine.rounds_run
     service.close()
-    return count / rounds, rounds
+    by_layer = {layer: count / rounds for layer, count in sorted(counts.items())}
+    return sum(counts.values()) / rounds, rounds, by_layer
+
+
+def _layer(code) -> str | None:
+    """The layer a counted frame belongs to, or ``None`` if not counted."""
+    if code.co_name in _COMPREHENSIONS or not code.co_filename.startswith(_PACKAGE):
+        return None
+    top = Path(code.co_filename).relative_to(_PACKAGE).parts[0]
+    for layer in _LAYERS:
+        if top in layer:
+            return "+".join(f"{name}/" for name in layer)
+    return "other"
 
 
 @pytest.mark.skipif(
@@ -103,14 +117,17 @@ def calls_per_round() -> tuple[float, int]:
 )
 def test_served_round_call_budget():
     ceiling = CALLS_PER_ROUND_CEILING[sys.version_info[:2]]
-    per_round, rounds = calls_per_round()
+    per_round, rounds, by_layer = calls_per_round()
     assert rounds == 25
     assert per_round > 0, "the profiler saw no repro frames"
     assert per_round <= ceiling, (
         f"{per_round:.0f} repro calls per served round exceeds the ceiling "
-        f"{ceiling}"
+        f"{ceiling}: " + ", ".join(f"{k} {v:.1f}" for k, v in by_layer.items())
     )
 
 
 if __name__ == "__main__":
-    print("%.1f calls per round over %d rounds" % calls_per_round())
+    per_round, rounds, by_layer = calls_per_round()
+    print("%.1f calls per round over %d rounds" % (per_round, rounds))
+    for layer, count in by_layer.items():
+        print("  %-20s %.1f" % (layer, count))

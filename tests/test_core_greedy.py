@@ -178,11 +178,13 @@ class TestHoistedSignGuard:
     """Both selection engines (``_greedy_select_rescan`` and, from
     ``TRIPLET_MIN_ROWS`` rows, the triplet engine) decide Lemma 4.2's
     sign guard once over their row set; only a set that fails
-    re-checks each window."""
+    re-checks each window.  The rescan loop prunes a window with
+    ``sweep_prune`` when the set passes, else with
+    ``probability_prune``; the ``prune`` counter counts both."""
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"window_guard": 0, "whole_set": 0, "prune": 0}
+        calls = {"window_guard": 0, "whole_set": 0, "prune": 0, "sweep": 0}
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
@@ -197,9 +199,13 @@ class TestHoistedSignGuard:
         monkeypatch.setattr(
             greedy, "signs_decide", counting("whole_set", pruning.signs_decide)
         )
+        # A window is pruned by the sweep where the set allows it, else
+        # by the shared pairwise-capable prune; either counts once.
         monkeypatch.setattr(
             greedy, "probability_prune", counting("prune", pruning.probability_prune)
         )
+        sweep = counting("sweep", pruning.sweep_prune)
+        monkeypatch.setattr(greedy, "sweep_prune", counting("prune", sweep))
         return calls
 
     @pytest.mark.parametrize("dominated", [True, False], ids=["apart", "together"])
@@ -243,6 +249,8 @@ class TestHoistedSignGuard:
         assert calls["prune"] > 4 * calls["whole_set"]
         # Two whole-set checks per selection, none per window.
         assert calls["window_guard"] == 2 * calls["whole_set"]
+        # Every served window sweeps.
+        assert calls["sweep"] == calls["prune"]
 
     @staticmethod
     def _count_triplet(monkeypatch):

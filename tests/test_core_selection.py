@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.selection import budget_confident_rows, select_best_row
+from repro.core.selection import budget_confident_rows, eq9_keep, eq9_lanes, select_best_row
 from test_core_pruning import pool_from_rows
 
 
@@ -27,6 +27,18 @@ class TestBudgetConfidentRows:
     def test_empty_rows(self):
         pool = pool_from_rows([(1.0, 1.0, 1.0, 1.0)])
         assert budget_confident_rows(pool, np.array([], dtype=int), 0, 10, 0.5).size == 0
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9, 0.999999])
+    def test_deterministic_zero_headroom_kept(self, delta):
+        # A budget spent exactly (headroom +0.0 or -0.0) still fits: the
+        # indicator is headroom >= 0, whatever delta.
+        pool = pool_from_rows([(3.0, 3.0, 1.0, 1.0)])
+        assert budget_confident_rows(pool, np.array([0]), 7.0, 10.0, delta).tolist() == [0]
+        zero_cost = pool_from_rows([(0.0, 0.0, 1.0, 1.0)])
+        assert budget_confident_rows(zero_cost, np.array([0]), 0.0, -0.0, delta).tolist() == [0]
+        std, z_lo, z_hi = eq9_lanes(np.zeros(4), delta)
+        z = np.array([0.0, -0.0, -5e-324, np.nan]) / std
+        assert eq9_keep(z, z_lo, z_hi, delta).tolist() == [True, True, False, False]
 
 
 class TestSelectBestRow:

@@ -150,20 +150,46 @@ class TestCellsWithinRadius:
 class TestGridSampling:
     def test_samples_land_in_cell(self, rng):
         grid = GridIndex(5)
-        for cell in (0, 7, 24):
-            box = grid.cell_box(cell)
-            for point in grid.sample_in_cell(cell, rng, 50):
-                assert box.contains(point)
+        cells = np.array([0, 7, 24])
+        xs, ys = grid.sample_cells(cells, np.array([50, 50, 50]), rng)
+        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            assert grid.cell_box(int(cells[i // 50])).contains(Point(x, y))
 
     def test_sample_count(self, rng):
-        assert len(GridIndex(3).sample_in_cell(4, rng, 17)) == 17
+        xs, ys = GridIndex(3).sample_cells(np.array([4, 2]), np.array([17, 3]), rng)
+        assert xs.size == ys.size == 20
 
     def test_sample_zero(self, rng):
-        assert GridIndex(3).sample_in_cell(0, rng, 0) == []
+        xs, ys = GridIndex(3).sample_cells(np.array([0]), np.array([0]), rng)
+        assert xs.size == ys.size == 0
+        xs, ys = GridIndex(3).sample_cells(np.zeros(0, int), np.zeros(0, int), rng)
+        assert xs.size == ys.size == 0
 
     def test_sample_negative_rejected(self, rng):
         with pytest.raises(ValueError):
-            GridIndex(3).sample_in_cell(0, rng, -1)
+            GridIndex(3).sample_cells(np.array([0]), np.array([-1]), rng)
+
+    def test_cell_out_of_range_rejected(self, rng):
+        with pytest.raises(IndexError):
+            GridIndex(3).sample_cells(np.array([9]), np.array([1]), rng)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bulk_draws_match_cell_by_cell(self, seed):
+        # One bulk call consumes the generator exactly as per-cell
+        # x-then-y draws, so predicted samples are bit-identical.
+        grid = GridIndex(7)
+        picker = np.random.default_rng(1000 + seed)
+        cells = np.sort(picker.choice(grid.num_cells, size=6, replace=False))
+        sizes = picker.integers(0, 5, size=cells.size)
+        xs, ys = grid.sample_cells(cells, sizes, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        expected_x, expected_y = [], []
+        for cell, size in zip(cells.tolist(), sizes.tolist()):
+            box = grid.cell_box(cell)
+            expected_x.extend(rng.uniform(box.x_lo, box.x_hi, size=size).tolist())
+            expected_y.extend(rng.uniform(box.y_lo, box.y_hi, size=size).tolist())
+        assert xs.tolist() == expected_x
+        assert ys.tolist() == expected_y
 
 
 class TestRadiusStencilCache:

@@ -86,40 +86,44 @@ class TestPredictSamples:
         arrivals = points_in_cell(grid, 4, 6) + points_in_cell(grid, 8, 3)
         predictor.observe(arrivals)
         predictor.observe(arrivals)
-        predicted = predictor.predict(rng, location_std=(0.1, 0.1))
+        predicted = predictor.predict(
+            rng, predictor.predict_counts(), location_std=(0.1, 0.1)
+        )
         assert predicted.total == 9
-        assert len(predicted.samples) == 9
-        assert len(predicted.boxes) == 9
-        in_cell_4 = sum(1 for s in predicted.samples if grid.cell_of(s) == 4)
-        assert in_cell_4 == 6
+        assert predicted.xs.size == predicted.ys.size == 9
+        assert all(axis.size == 9 for axis in predicted.bounds)
+        cells = grid.cells_of_coordinates(predicted.xs, predicted.ys)
+        assert np.count_nonzero(cells == 4) == 6
 
     def test_boxes_have_kde_bandwidth(self, rng):
         grid = GridIndex(2)
         predictor = GridPredictor(grid, 1)
         predictor.observe(points_in_cell(grid, 0, 4))
-        predicted = predictor.predict(rng, location_std=(0.2, 0.2))
+        predicted = predictor.predict(
+            rng, predictor.predict_counts(), location_std=(0.2, 0.2)
+        )
         from repro.prediction.kde import kde_bandwidth
 
         h = kde_bandwidth(0.2, 4)
-        box = predicted.boxes[0]
-        sample = predicted.samples[0]
+        x_lo, x_hi, y_lo, y_hi = (float(axis[0]) for axis in predicted.bounds)
+        x, y = float(predicted.xs[0]), float(predicted.ys[0])
         # Clipping can shrink the box, never grow it.
-        assert box.x_hi - box.x_lo <= 2 * h + 1e-12
-        assert box.contains(sample)
+        assert x_hi - x_lo <= 2 * h + 1e-12
+        assert x_lo <= x <= x_hi and y_lo <= y <= y_hi
 
     def test_empty_prediction(self, rng):
         grid = GridIndex(2)
         predictor = GridPredictor(grid, 2)
         predictor.observe([])
-        predicted = predictor.predict(rng)
+        predicted = predictor.predict(rng, predictor.predict_counts())
         assert predicted.total == 0
-        assert predicted.samples == []
+        assert predicted.xs.size == predicted.ys.size == 0
 
     def test_estimated_std_used_when_not_given(self, rng):
         grid = GridIndex(4)
         predictor = GridPredictor(grid, 2)
         predictor.observe(points_in_cell(grid, 0, 3) + points_in_cell(grid, 15, 3))
-        predicted = predictor.predict(rng)
+        predicted = predictor.predict(rng, predictor.predict_counts())
         assert predicted.total == 6
 
 

@@ -1,14 +1,16 @@
 """Tests for repro.prediction.kde."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.geo.box import Box
 from repro.geo.point import Point
 from repro.prediction.kde import (
     UNIFORM_KERNEL_CONSTANT,
     kde_bandwidth,
-    sample_boxes,
+    kernel_bounds,
 )
 
 
@@ -45,31 +47,56 @@ class TestBandwidth:
         assert h2 < h1
 
 
+def _boxes(xs, ys, bandwidth_x, bandwidth_y, clip=True):
+    bounds = kernel_bounds(np.array(xs), np.array(ys), bandwidth_x, bandwidth_y, clip)
+    return [Box(*box) for box in zip(*(axis.tolist() for axis in bounds))]
+
+
 class TestSampleBoxes:
+    """The kernel support boxes of predicted samples (``kernel_bounds``)."""
+
     def test_boxes_centered_on_samples(self):
-        samples = [Point(0.5, 0.5)]
-        box = sample_boxes(samples, 0.1, 0.2, clip=False)[0]
+        box = _boxes([0.5], [0.5], 0.1, 0.2, clip=False)[0]
         assert (box.x_lo, box.x_hi) == (0.4, 0.6)
         assert (box.y_lo, box.y_hi) == pytest.approx((0.3, 0.7))
 
     def test_clipping_at_boundary(self):
-        box = sample_boxes([Point(0.02, 0.98)], 0.1, 0.1)[0]
+        box = _boxes([0.02], [0.98], 0.1, 0.1)[0]
         assert box.x_lo == 0.0
         assert box.y_hi == 1.0
 
     def test_zero_bandwidth_degenerate(self):
-        box = sample_boxes([Point(0.3, 0.3)], 0.0, 0.0)[0]
+        box = _boxes([0.3], [0.3], 0.0, 0.0)[0]
         assert box.is_degenerate
 
     def test_one_box_per_sample(self):
-        samples = [Point(0.1, 0.1), Point(0.2, 0.2), Point(0.3, 0.3)]
-        assert len(sample_boxes(samples, 0.05, 0.05)) == 3
+        assert len(_boxes([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], 0.05, 0.05)) == 3
+
+    def test_no_samples(self):
+        assert _boxes([], [], 0.05, 0.05) == []
 
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            sample_boxes([Point(0.5, 0.5)], -0.1, 0.1)
+            kernel_bounds(np.array([0.5]), np.array([0.5]), -0.1, 0.1)
 
     def test_samples_inside_their_boxes(self):
-        samples = [Point(0.4, 0.6), Point(0.9, 0.1)]
-        for sample, box in zip(samples, sample_boxes(samples, 0.07, 0.03)):
-            assert box.contains(sample)
+        xs, ys = [0.4, 0.9], [0.6, 0.1]
+        for x, y, box in zip(xs, ys, _boxes(xs, ys, 0.07, 0.03)):
+            assert box.contains(Point(x, y))
+
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=20),
+        st.floats(0.0, 0.5),
+        st.floats(0.0, 0.5),
+        st.booleans(),
+    )
+    def test_matches_per_sample_boxes(self, samples, bandwidth_x, bandwidth_y, clip):
+        # The bulk bounds are the per-sample Box arithmetic, float for float.
+        xs = [x for x, _ in samples]
+        ys = [y for _, y in samples]
+        expected = [
+            Box.from_center(Point(x, y), bandwidth_x, bandwidth_y) for x, y in samples
+        ]
+        if clip:
+            expected = [box.clipped() for box in expected]
+        assert _boxes(xs, ys, bandwidth_x, bandwidth_y, clip) == expected

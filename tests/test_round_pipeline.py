@@ -364,3 +364,22 @@ class TestFusedBuilderDirect:
         )
         with pytest.raises(RuntimeError, match="refresh"):
             builder.build_round([], [], [], [], 0.0)
+
+    def test_detach_stops_journaling_the_index(self):
+        """``close`` keeps the journal (the serial engine builds on
+        after it); ``detach`` drops it, so later index changes are no
+        longer recorded and the index keeps no subscriber."""
+        index = SpatialIndex(8)
+        builder = FusedRoundBuilder(
+            HashQualityModel((1.0, 2.0), seed=0), 0.1, TileGrid(1, 1), index
+        )
+        log = builder._log
+        index.insert(1, Point(0.2, 0.3))
+        builder.close()
+        index.insert(2, Point(0.4, 0.5))
+        assert len(log) == 2
+        builder.detach()
+        index.insert(3, Point(0.6, 0.7))
+        index.remove(1)
+        assert len(log) == 2
+        assert index._subscribers == []
