@@ -20,6 +20,13 @@ The selection loop is exposed as :func:`greedy_select` because the D&C
 algorithm reuses it verbatim for its budget-constrained selection
 (Fig. 9 lines 17-28).  :class:`GreedyConfig` exposes the pruning
 switches for the ablation benches.
+
+It runs in one of two loops, the rescan loop below for small row sets
+and the amortized engine of :mod:`repro.core.triplet_select` for large
+ones.  Neither sorts the rows itself: both read the cost, weight,
+budget-lane and occupancy orders and the Eq. 9 lanes from one
+:class:`~repro.core.triplet_select.SelectionOrders`, built by
+:func:`~repro.core.triplet_select.build_selection_orders`.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from repro.core.pruning import (
     sweep_blockers,
     sweep_prune,
 )
-from repro.core.selection import _EPS, eq9_keep, eq9_lanes, pick_best, select_best_row
+from repro.core.selection import _EPS, eq9_keep, pick_best, select_best_row
 from repro.core import triplet_select
 from repro.model.instance import ProblemInstance
 from repro.model.pairs import PairPool
@@ -150,7 +157,10 @@ def _greedy_select_rescan(
 
     ``rows`` must be unique and ascending.  Every stage works on
     boolean masks over one frame, the rows in ``(cost_ub, row)`` order
-    gathered once, so an iteration costs a few dozen NumPy calls:
+    gathered once; the shared orders' weight order, budget lanes and
+    occupancy groups map into the frame through one rank scatter, so
+    the loop sorts nothing and an iteration costs a few dozen NumPy
+    calls:
 
     - feasibility is monotone in the spend, so each budget share's
       failing rows are a suffix of its cost order, found by bisection;
@@ -167,23 +177,30 @@ def _greedy_select_rescan(
     The differential suites pin its selections to ``ReferenceGreedy``
     and the triplet engine.
     """
-    order = pool.order_by_cost_ub(rows)
+    orders = triplet_select.build_selection_orders(pool, rows, config.delta)
+    # The frame; ``slot`` maps a position of the orders to its slot.
+    order = rows[orders.ub_order]
+    slot = np.empty(order.size, dtype=np.int64)
+    slot[orders.ub_order] = np.arange(order.size)
     cost_mean = pool.cost_mean[order]
     # Cost, quality mean and variance of a position: the Eq. 10 inputs.
     scoring = np.stack((cost_mean, pool.quality_mean[order], pool.quality_var[order]))
     # Weight order (the candidate-cap order) over positions.
-    weight_positions = np.lexsort((order, cost_mean, -scoring[1]))
+    weight_positions = slot[orders.weight_positions]
     alive = cost_mean == cost_mean  # a NaN cost never fits its budget
 
     # Feasibility: a current pair's cost must fit the current-instance
-    # budget (Definition 4), a predicted pair's the future share.
+    # budget (Definition 4), a predicted pair's the future share.  Each
+    # lane is its share's cost order; the NaN costs sorted last are
+    # already dead and stay outside the bisected range.
     lanes = []
-    for members in (alive & pool.is_current[order], alive > pool.is_current[order]):
-        lane = np.flatnonzero(members)
-        lane = lane[np.argsort(cost_mean[lane], kind="stable")]
-        lanes.append([lane, cost_mean[lane].tolist(), lane.size])
+    for sweep in (orders.cur_sweep, orders.fut_sweep):
+        lane = slot[sweep]
+        lanes.append([lane, cost_mean[lane].tolist(), np.count_nonzero(alive[lane])])
 
-    std, z_lo, z_hi = eq9_lanes(pool.cost_var[order], config.delta)
+    std, z_lo, z_hi = (
+        column[orders.ub_order] for column in (orders.std, orders.z_lo, orders.z_hi)
+    )
 
     if config.use_dominance_pruning:
         # Lemma 4.1 in the fixed frame: the dominators of a position
@@ -203,10 +220,11 @@ def _greedy_select_rescan(
     if blockers is not None:
         sweep_frame = np.stack((cost_mean, scoring[1], blockers))
 
-    by_worker = np.argsort(pool.worker_idx[order], kind="stable")
-    worker_keys = pool.worker_idx[order][by_worker].tolist()
-    by_task = np.argsort(pool.task_idx[order], kind="stable")
-    task_keys = pool.task_idx[order][by_task].tolist()
+    # Occupancy groups: (keys, starts, frame slots) per worker / task.
+    groups = (
+        (orders.w_keys.tolist(), orders.w_starts.tolist(), slot[orders.w_members]),
+        (orders.t_keys.tolist(), orders.t_starts.tolist(), slot[orders.t_members]),
+    )
 
     cap = config.candidate_cap
     budget_future = max(budget_max - budget_current, 0.0)
@@ -268,11 +286,11 @@ def _greedy_select_rescan(
         else:
             spent_future += float(pool.cost_mean[best])
         # Occupancy cut: every pair sharing the winner's worker or task.
-        for group, keys, key in (
-            (by_worker, worker_keys, int(pool.worker_idx[best])),
-            (by_task, task_keys, int(pool.task_idx[best])),
+        for (keys, starts, members), key in zip(
+            groups, (int(pool.worker_idx[best]), int(pool.task_idx[best]))
         ):
-            alive[group[bisect_left(keys, key) : bisect_right(keys, key)]] = False
+            group = bisect_left(keys, key)
+            alive[members[starts[group] : starts[group + 1]]] = False
 
     return selected
 

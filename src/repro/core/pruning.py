@@ -30,9 +30,7 @@ _VARIANCE_FLOOR = 1e-24
 _TINY = float(np.finfo(float).tiny)
 
 
-def dominance_skyline(
-    pool: PairPool, rows: np.ndarray, presorted_by_cost_ub: np.ndarray | None = None
-) -> np.ndarray:
+def dominance_skyline(pool: PairPool, rows: np.ndarray) -> np.ndarray:
     """Rows of ``rows`` that survive Lemma 4.1 dominance pruning.
 
     A row ``j`` is dominated iff some row ``a`` has
@@ -47,18 +45,12 @@ def dominance_skyline(
     Args:
         pool: the owning pair pool.
         rows: candidate row indices (any order).
-        presorted_by_cost_ub: optional precomputed ordering of ``rows``
-            by ``cost_ub`` (an argsort result), letting callers in a
-            selection loop amortize the sort.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size <= 1:
         return rows
 
-    if presorted_by_cost_ub is None:
-        order = np.argsort(pool.cost_ub[rows], kind="stable")
-    else:
-        order = presorted_by_cost_ub
+    order = np.argsort(pool.cost_ub[rows], kind="stable")
     sorted_rows = rows[order]
     sorted_ub_cost = pool.cost_ub[sorted_rows]
     prefix_max_lb_quality = np.maximum.accumulate(pool.quality_lb[sorted_rows])

@@ -1,14 +1,20 @@
 """Sparse-native greedy selection over CSR-style pool triplets.
 
 :class:`TripletSelection` runs the Fig. 5 selection loop without the
-per-iteration full-pool rescans of the straightforward implementation
-(kept as ``repro.core.greedy._greedy_select_rescan``): the pool rows
-are organized once into sorted orders and occupancy groups, and every
-iteration touches only the rows whose state can actually have changed.
-The selected rows are *identical* to the rescan loop's — every stage
-below reproduces the same candidate row set per iteration, and the
-shared ``probability_prune`` / ``select_best_row`` tail breaks ties
+per-iteration full-pool rescans of the mask-based loop
+(``repro.core.greedy._greedy_select_rescan``, which serves row sets
+under ``TRIPLET_MIN_ROWS``): every iteration touches only the rows
+whose state can actually have changed.  The selected rows are
+*identical* to the rescan loop's — every stage below reproduces the
+same candidate row set per iteration, and the shared
+``probability_prune`` / ``select_best_row`` tail breaks ties
 identically.
+
+Both loops read one :class:`SelectionOrders`: the sorted orders,
+occupancy groups and Eq. 9 lanes of the row set.  ``_merge_orders``
+is the only code that sorts a selection's rows and derives its sweep
+keys; a cold :func:`build_selection_orders` is its fresh-row half with
+no survivor runs, and the warm repair below passes the survivors.
 
 Per-iteration stages and why they are exact:
 
@@ -55,8 +61,9 @@ round the state maps the new pool's rows onto the previous round's
 from the delta builder, or by self-diffing pair identities), verifies
 that every surviving row's order-determining columns are unchanged
 (mismatches are demoted to fresh rows), and then *repairs* each sorted
-order: the survivors' sub-order is extracted in O(n), only the fresh
-rows are sorted (O(churn log churn)), and the two runs are merged with
+order: the survivors' sub-order is extracted in O(n), and
+``_merge_orders`` sorts only the fresh rows (O(churn log churn)), with
+the code of a cold build, and merges the two runs with
 :func:`_merge_sorted_positions` — an exact stable merge whose
 cross-run ties are re-sorted on the full lexicographic key.  Any guard
 failure (non-monotone origin, inconsistent occupancy keys, churn past
@@ -76,7 +83,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pruning import probability_prune, signs_decide
-from repro.core.selection import _EPS, _VARIANCE_FLOOR, _phi_threshold, select_best_row
+from repro.core.selection import (
+    _EPS,
+    _VARIANCE_FLOOR,
+    _phi_threshold,
+    eq9_lanes,
+    select_best_row,
+)
 from repro.model.pairs import PairPool
 from repro.uncertainty.vector import phi_vec
 
@@ -106,26 +119,13 @@ _WORKER_ID_LIMIT = 1 << (63 - _ID_TASK_BITS)
 _TASK_ID_LIMIT = 1 << _ID_TASK_BITS
 
 
-def _group(keys: np.ndarray):
-    """Occupancy grouping: positions sharing a key, sorted by key.
-
-    Returns ``(uniq, starts, members)`` where ``members`` is every
-    position sorted by ``(key, position)`` and group ``i`` spans
-    ``members[starts[i]:starts[i + 1]]``.
-    """
-    order = np.argsort(keys, kind="stable").astype(np.int64)
-    sorted_keys = keys[order]
-    uniq, first = np.unique(sorted_keys, return_index=True)
-    starts = np.concatenate((first, [sorted_keys.size])).astype(np.int64)
-    return uniq, starts, order
-
-
 def _regroup(keys: np.ndarray, members: np.ndarray):
     """Rebuild ``(uniq, starts, members)`` from pre-sorted members.
 
-    ``members`` must already be sorted by ``(keys[member], member)`` —
-    the repair path guarantees it — so the group boundaries reduce to
-    one run-length pass.  Matches :func:`_group` bit for bit.
+    ``members`` must already be sorted by ``(keys[member], member)``,
+    so the group boundaries reduce to one run-length pass.  Returns
+    ``(uniq, starts, members)``: group ``i`` holds the positions with
+    key ``uniq[i]``, ``members[starts[i]:starts[i + 1]]``.
     """
     member_keys = keys[members]
     if member_keys.size == 0:
@@ -198,68 +198,116 @@ def _sorted_by_key_then_position(keys: np.ndarray, seq: np.ndarray) -> bool:
 
 
 class SelectionOrders:
-    """The structural (cacheable) half of a :class:`TripletSelection`.
+    """The structural (cacheable) half of a selection.
 
-    Sorted position orders and occupancy groups of one full-pool row
-    set.  Everything here is a pure function of the rows' values (and
-    the z-thresholds for the stochastic sweep keys); ``run()`` never
-    mutates these arrays, so the bundle can be reused across rounds
-    and repaired incrementally by :class:`SelectionState`.
+    Sorted position orders, occupancy groups and Eq. 9 lanes of one row
+    set; a position indexes the ascending row array.  Everything here
+    is a pure function of the rows' values and ``delta``, and neither
+    selection loop mutates these arrays, so the bundle can be reused
+    across rounds and repaired incrementally by :class:`SelectionState`.
+    ``std``, ``z_lo`` and ``z_hi`` are :func:`eq9_lanes` per position;
+    the ``*_keys`` arrays are the stochastic sweeps' sorted Eq. 9 keys.
     """
 
     __slots__ = (
-        "size",
-        "weight_positions",
-        "ub_order",
-        "w_keys",
-        "w_starts",
-        "w_members",
-        "t_keys",
-        "t_starts",
-        "t_members",
-        "by_cost",
-        "cur_sweep",
-        "fut_sweep",
-        "det_sweep",
-        "sto_fail_sweep",
-        "band_entry",
+        "weight_positions", "ub_order",
+        "w_keys", "w_starts", "w_members", "t_keys", "t_starts", "t_members",
+        "by_cost", "cur_sweep", "fut_sweep", "det_sweep",
+        "std", "z_lo", "z_hi",
+        "sto_fail_sweep", "sto_fail_keys", "band_entry", "band_entry_keys",
     )
 
 
 def build_selection_orders(
-    pool: PairPool, rows: np.ndarray, thresholds: tuple[float, float]
+    pool: PairPool, rows: np.ndarray, delta: float
 ) -> SelectionOrders:
-    """Cold-build the structural orders for ``rows`` (unique, ascending)."""
+    """Cold-build the structural orders of ``rows`` (unique, ascending).
+
+    Every position is fresh and no survivor run is merged in, so each
+    order is :func:`_merge_orders`' fresh-row sort as it stands.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    return _merge_orders(
+        pool, rows, delta, np.arange(rows.size, dtype=np.int64), (empty,) * 7
+    )
+
+
+def _merge_orders(
+    pool: PairPool,
+    rows: np.ndarray,
+    delta: float,
+    fresh: np.ndarray,
+    kept: tuple[np.ndarray, ...],
+) -> SelectionOrders:
+    """The orders of ``rows``: ``fresh`` sorted, then merged into ``kept``.
+
+    The only code that sorts a selection's rows and derives its Eq. 9
+    sweep keys.  ``kept`` holds one survivor run per sorted order, in
+    the order worker members, task members, weight, cost upper bound,
+    cost, Eq. 9 fail key, Eq. 9 pass key; each run is sorted by its
+    order's key, then position, and disjoint from ``fresh``.  A cold
+    build passes empty runs, which :func:`_merge_sorted_positions`
+    returns the fresh sort for unchanged; :meth:`SelectionState._repair`
+    passes the previous round's orders restricted to its survivors.
+    """
+    # A full pool's positions are its rows: slice views, no copies.
+    at = slice(None) if rows.size == len(pool) else rows
+    worker = pool.worker_idx[at]
+    task = pool.task_idx[at]
+    cost = pool.cost_mean[at]
+    neg_quality = -pool.quality_mean[at]
+    cost_ub = pool.cost_ub[at]
+    is_current = pool.is_current[at]
+    variance = pool.cost_var[at]
+    kept_worker, kept_task, kept_weight, kept_ub, kept_cost, kept_fail, kept_pass = kept
+
     orders = SelectionOrders()
-    orders.size = rows.size
-    cost = pool.cost_mean[rows]
+    members = _merge_sorted_positions(
+        kept_worker, fresh[np.argsort(worker[fresh], kind="stable")], (worker,)
+    )
+    orders.w_keys, orders.w_starts, orders.w_members = _regroup(worker, members)
+    members = _merge_sorted_positions(
+        kept_task, fresh[np.argsort(task[fresh], kind="stable")], (task,)
+    )
+    orders.t_keys, orders.t_starts, orders.t_members = _regroup(task, members)
 
-    orders.w_keys, orders.w_starts, orders.w_members = _group(pool.worker_idx[rows])
-    orders.t_keys, orders.t_starts, orders.t_members = _group(pool.task_idx[rows])
+    orders.weight_positions = _merge_sorted_positions(
+        kept_weight,
+        fresh[np.lexsort((fresh, cost[fresh], neg_quality[fresh]))],
+        (neg_quality, cost),
+    )
+    orders.ub_order = _merge_sorted_positions(
+        kept_ub, fresh[np.argsort(cost_ub[fresh], kind="stable")], (cost_ub,)
+    )
 
-    orders.weight_positions = np.lexsort((rows, cost, -pool.quality_mean[rows]))
-    orders.ub_order = np.argsort(pool.cost_ub[rows], kind="stable")
-
-    # The cost-ascending order is stored because the repair path
-    # derives the three filtered sweeps below from it with one merge
-    # and cheap mask filters instead of three merges.
-    is_current = pool.is_current[rows]
-    by_cost = np.argsort(cost, kind="stable")
-    orders.by_cost = by_cost.astype(np.int64, copy=False)
-    orders.cur_sweep = by_cost[is_current[by_cost]]
-    orders.fut_sweep = by_cost[~is_current[by_cost]]
-
-    variance = pool.cost_var[rows]
+    # The cost-ascending order is stored because the repair derives
+    # the three filtered sweeps below from it with one merge and mask
+    # filters: filtering a total order commutes with merging (both
+    # sides are the (cost, position) order of the filtered set).
+    by_cost = _merge_sorted_positions(
+        kept_cost, fresh[np.argsort(cost[fresh], kind="stable")], (cost,)
+    )
+    orders.by_cost = by_cost
+    current = is_current[by_cost]
+    orders.cur_sweep = by_cost[current]
+    orders.fut_sweep = by_cost[~current]
     deterministic = variance <= _VARIANCE_FLOOR
     orders.det_sweep = by_cost[deterministic[by_cost]]
 
-    z_lo, z_hi = thresholds
-    sto_positions = np.nonzero(~deterministic)[0]
-    std = np.sqrt(variance[sto_positions])
-    fail_key = cost[sto_positions] + z_lo * std
-    pass_key = cost[sto_positions] + z_hi * std
-    orders.sto_fail_sweep = sto_positions[np.argsort(fail_key, kind="stable")]
-    orders.band_entry = sto_positions[np.argsort(pass_key, kind="stable")]
+    # Stochastic Eq. 9 lanes: conservative fail / pass keys from the
+    # z-thresholds (a deterministic lane's keys are never read).
+    orders.std, orders.z_lo, orders.z_hi = eq9_lanes(variance, delta)
+    fail_key = cost + orders.z_lo * orders.std
+    pass_key = cost + orders.z_hi * orders.std
+    fresh_sto = fresh[~deterministic[fresh]]
+    orders.sto_fail_sweep = _merge_sorted_positions(
+        kept_fail, fresh_sto[np.argsort(fail_key[fresh_sto], kind="stable")], (fail_key,)
+    )
+    orders.sto_fail_keys = fail_key[orders.sto_fail_sweep]
+    orders.band_entry = _merge_sorted_positions(
+        kept_pass, fresh_sto[np.argsort(pass_key[fresh_sto], kind="stable")], (pass_key,)
+    )
+    orders.band_entry_keys = pass_key[orders.band_entry]
     return orders
 
 
@@ -273,7 +321,6 @@ class TripletSelection:
         budget_current: float,
         budget_max: float,
         config,
-        thresholds: tuple[float, float],
         orders: SelectionOrders | None = None,
     ) -> None:
         self._pool = pool
@@ -285,14 +332,14 @@ class TripletSelection:
         # Canonical positions: index into the ascending row array.
         # When ``rows`` is the full pool (the streaming engines pass
         # the arange every round), the per-row gathers below are
-        # identity copies — alias the pool arrays instead.  Every
-        # aliased array is read-only here; the mutated ones
-        # (``_live_lb``) are copied explicitly.
+        # slice views of the pool arrays.  Every one of them is
+        # read-only here; the mutated ones (``_live_lb``) are copied
+        # explicitly.
         self._rows = rows
         size = rows.size
-        full = size == len(pool)
-        self._cost = pool.cost_mean if full else pool.cost_mean[rows]
-        self._quality_ub = pool.quality_ub if full else pool.quality_ub[rows]
+        at = slice(None) if size == len(pool) else rows
+        self._cost = pool.cost_mean[at]
+        self._quality_ub = pool.quality_ub[at]
         self._dead = np.zeros(size, dtype=bool)
 
         # Structural orders: cold-built here, or injected (warm start).
@@ -300,20 +347,13 @@ class TripletSelection:
         # the exact same float operations either way, so a warm run is
         # bit-identical to a cold one by construction.
         if orders is None:
-            orders = build_selection_orders(pool, rows, thresholds)
-        self.orders = orders
+            orders = build_selection_orders(pool, rows, config.delta)
 
         # Occupancy groups: positions sharing a worker / a task.
-        self._w_keys, self._w_starts, self._w_members = (
-            orders.w_keys,
-            orders.w_starts,
-            orders.w_members,
-        )
-        self._t_keys, self._t_starts, self._t_members = (
-            orders.t_keys,
-            orders.t_starts,
-            orders.t_members,
-        )
+        self._w_keys, self._w_starts = orders.w_keys, orders.w_starts
+        self._w_members = orders.w_members
+        self._t_keys, self._t_starts = orders.t_keys, orders.t_starts
+        self._t_members = orders.t_members
 
         # Weight order (the candidate-cap order) as positions.
         self._weight_positions = orders.weight_positions
@@ -329,12 +369,10 @@ class TripletSelection:
         order = orders.ub_order
         self._rank_of_pos = np.empty(size, dtype=np.int64)
         self._rank_of_pos[order] = np.arange(size)
-        cost_ub = pool.cost_ub if full else pool.cost_ub[rows]
-        self._ub_sorted = cost_ub[order]
-        self._cost_lb = pool.cost_lb if full else pool.cost_lb[rows]
+        self._ub_sorted = pool.cost_ub[at][order]
+        self._cost_lb = pool.cost_lb[at]
         self._cut_of_pos = np.full(size, -1, dtype=np.int64)
-        quality_lb = pool.quality_lb if full else pool.quality_lb[rows]
-        self._live_lb = quality_lb[order]
+        self._live_lb = pool.quality_lb[at][order]
         self._stale_pmax = np.maximum.accumulate(self._live_lb) if size else self._live_lb
         # The prefix max stays exact until a kill removes a value that
         # was attaining it somewhere (a "load-bearing" kill); only then
@@ -354,31 +392,21 @@ class TripletSelection:
         self._fut_end = self._fut_sweep.size
 
         # Eq. 9 sweep orders.  Deterministic lanes fail when their cost
-        # exceeds the remaining headroom; stochastic lanes carry
-        # conservative pass/fail keys derived from the z-thresholds.
-        variance = pool.cost_var if full else pool.cost_var[rows]
-        deterministic = variance <= _VARIANCE_FLOOR
+        # exceeds the remaining headroom; stochastic lanes carry the
+        # orders' conservative pass/fail keys.
         self._det_sweep = orders.det_sweep
         self._det_keys = self._cost[orders.det_sweep]
         self._det_end = self._det_sweep.size
 
-        z_lo, z_hi = thresholds
-        sto = ~deterministic
-        self._std = np.zeros(size)
-        self._std[sto] = np.sqrt(variance[sto])
+        self._std = orders.std
         self._sto_fail_sweep = orders.sto_fail_sweep
-        self._sto_fail_keys = (
-            self._cost[orders.sto_fail_sweep]
-            + z_lo * self._std[orders.sto_fail_sweep]
-        )
+        self._sto_fail_keys = orders.sto_fail_keys
         self._sto_fail_end = self._sto_fail_sweep.size
         # Band entry: once the headroom drops to a row's pass key the
         # outcome is no longer certain; the row joins the exact-phi
         # band until it passes no more (permanently killed).
         self._band_entry = orders.band_entry
-        self._band_entry_keys = (
-            self._cost[orders.band_entry] + z_hi * self._std[orders.band_entry]
-        )
+        self._band_entry_keys = orders.band_entry_keys
         self._band_start = self._band_entry.size
         self._band: np.ndarray = np.zeros(0, dtype=np.int64)
 
@@ -585,12 +613,9 @@ def triplet_greedy_select(
     Returns ``None`` when the configured ``delta`` is too extreme for
     the z-threshold shortcut — the caller then uses the rescan loop.
     """
-    thresholds = _phi_threshold(config.delta)
-    if thresholds is None:
+    if _phi_threshold(config.delta) is None:
         return None
-    return TripletSelection(
-        pool, rows, budget_current, budget_max, config, thresholds
-    ).run()
+    return TripletSelection(pool, rows, budget_current, budget_max, config).run()
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +772,6 @@ class SelectionState:
         problem, churn = self._problem, self._churn
         self._problem = None
         self._churn = None
-        thresholds = _phi_threshold(config.delta)
         if problem is None or problem.pool is not pool or rows.size != len(pool):
             self.stats.declined += 1
             return None
@@ -756,7 +780,7 @@ class SelectionState:
         # declined, so a later engaged round can still repair across
         # the gap.
         self._observe(pool, churn)
-        if rows.size < TRIPLET_MIN_ROWS or thresholds is None:
+        if rows.size < TRIPLET_MIN_ROWS or _phi_threshold(config.delta) is None:
             self.stats.declined += 1
             return None
         self.stats.rounds += 1
@@ -767,15 +791,15 @@ class SelectionState:
         orders = None
         origin = self._derive_origin(pool, churn, problem)
         if origin is not None:
-            orders = self._repair(pool, origin, thresholds)
+            orders = self._repair(pool, rows, origin, config.delta)
         if orders is None:
-            orders = build_selection_orders(pool, rows, thresholds)
+            orders = build_selection_orders(pool, rows, config.delta)
             self.stats.primes += 1
         else:
             self.stats.repaired += 1
 
         selected = TripletSelection(
-            pool, rows, budget_current, budget_max, config, thresholds, orders=orders
+            pool, rows, budget_current, budget_max, config, orders=orders
         ).run()
         self._remember(pool, problem, churn, orders, config.delta)
         return selected
@@ -833,7 +857,7 @@ class SelectionState:
     # -- the repair ----------------------------------------------------------
 
     def _repair(
-        self, pool: PairPool, origin: np.ndarray, thresholds: tuple[float, float]
+        self, pool: PairPool, rows: np.ndarray, origin: np.ndarray, delta: float
     ) -> SelectionOrders | None:
         """Repair the cached orders onto the new pool, or ``None``.
 
@@ -841,7 +865,8 @@ class SelectionState:
         is verified strictly increasing, so surviving rows keep their
         relative positions, and (b) every order-determining column is
         verified unchanged at surviving rows (mismatches are demoted
-        to fresh).  Fresh rows are sorted cold and merged in.
+        to fresh).  :func:`_merge_orders` sorts the fresh rows and
+        merges them in.
         """
         old = self._orders
         n_old = self._n
@@ -890,86 +915,33 @@ class SelectionState:
             mapped = new_of_old[old_order]
             return mapped[mapped >= 0]
 
-        cost = pool.cost_mean
-        neg_quality = -pool.quality_mean
-        cost_ub = pool.cost_ub
-        variance = pool.cost_var
-        z_lo, z_hi = thresholds
-        deterministic = variance <= _VARIANCE_FLOOR
-        std = np.zeros(n_new)
-        sto = ~deterministic
-        std[sto] = np.sqrt(variance[sto])
-        fail_key = cost + z_lo * std
-        pass_key = cost + z_hi * std
-
         # Occupancy groups: pool indices are renumbered between rounds
         # (compaction), so instead of comparing key values the repair
         # verifies the surviving member runs are still sorted under
         # the *new* keys — renumbering is monotone when the builder
         # behaves, and the guard catches it when it does not.
-        worker_keys = pool.worker_idx
-        task_keys = pool.task_idx
         w_surv = surv_seq(old.w_members)
         t_surv = surv_seq(old.t_members)
-        if not _sorted_by_key_then_position(worker_keys, w_surv):
+        if not _sorted_by_key_then_position(pool.worker_idx, w_surv):
             self.stats.guard_fallbacks += 1
             return None
-        if not _sorted_by_key_then_position(task_keys, t_surv):
+        if not _sorted_by_key_then_position(pool.task_idx, t_surv):
             self.stats.guard_fallbacks += 1
             return None
 
         self.stats.rows_survived += int(surv_new.size)
         self.stats.rows_fresh += int(fresh.size)
-
-        orders = SelectionOrders()
-        orders.size = n_new
-
-        w_fresh = fresh[np.argsort(worker_keys[fresh], kind="stable")]
-        members = _merge_sorted_positions(w_surv, w_fresh, (worker_keys,))
-        orders.w_keys, orders.w_starts, orders.w_members = _regroup(
-            worker_keys, members
+        kept = (w_surv, t_surv) + tuple(
+            surv_seq(order)
+            for order in (
+                old.weight_positions,
+                old.ub_order,
+                old.by_cost,
+                old.sto_fail_sweep,
+                old.band_entry,
+            )
         )
-        t_fresh = fresh[np.argsort(task_keys[fresh], kind="stable")]
-        members = _merge_sorted_positions(t_surv, t_fresh, (task_keys,))
-        orders.t_keys, orders.t_starts, orders.t_members = _regroup(task_keys, members)
-
-        fresh_weight = fresh[
-            np.lexsort((fresh, cost[fresh], -pool.quality_mean[fresh]))
-        ]
-        orders.weight_positions = _merge_sorted_positions(
-            surv_seq(old.weight_positions), fresh_weight, (neg_quality, cost)
-        )
-        fresh_ub = fresh[np.argsort(cost_ub[fresh], kind="stable")]
-        orders.ub_order = _merge_sorted_positions(
-            surv_seq(old.ub_order), fresh_ub, (cost_ub,)
-        )
-
-        # One merge of the cost-ascending order, then mask filters:
-        # filtering a total order commutes with merging (both sides
-        # are the (cost, position)-sorted order of the filtered set),
-        # so this matches the cold build's three sweeps exactly.
-        fresh_by_cost = fresh[np.argsort(cost[fresh], kind="stable")]
-        by_cost = _merge_sorted_positions(
-            surv_seq(old.by_cost), fresh_by_cost, (cost,)
-        )
-        orders.by_cost = by_cost
-        is_current = pool.is_current
-        cur_mask = is_current[by_cost]
-        orders.cur_sweep = by_cost[cur_mask]
-        orders.fut_sweep = by_cost[~cur_mask]
-        orders.det_sweep = by_cost[deterministic[by_cost]]
-        fresh_sto = fresh[sto[fresh]]
-        orders.sto_fail_sweep = _merge_sorted_positions(
-            surv_seq(old.sto_fail_sweep),
-            fresh_sto[np.argsort(fail_key[fresh_sto], kind="stable")],
-            (fail_key,),
-        )
-        orders.band_entry = _merge_sorted_positions(
-            surv_seq(old.band_entry),
-            fresh_sto[np.argsort(pass_key[fresh_sto], kind="stable")],
-            (pass_key,),
-        )
-        return orders
+        return _merge_orders(pool, rows, delta, fresh, kept)
 
     # -- caching -------------------------------------------------------------
 

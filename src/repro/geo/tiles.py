@@ -210,10 +210,6 @@ class TileZones:
     def num_tiles(self) -> int:
         return self._tiles.num_tiles
 
-    def steps_of(self, tile: int) -> int:
-        """Current zone width of ``tile`` in whole cells (-1 = unset)."""
-        return int(self._steps[tile])
-
     def quantize(self, margin: float) -> int:
         """Whole-cell steps covering ``margin`` (round up, never down)."""
         if margin < 0.0:

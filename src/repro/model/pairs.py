@@ -236,17 +236,6 @@ class PairPool:
             quality=quality,
         )
 
-    def order_by_cost_ub(self, rows: np.ndarray) -> np.ndarray:
-        """``rows`` sorted ascending by cost upper bound (stable).
-
-        For ascending-row input this equals the restriction of the
-        global ``(cost_ub, row)`` order to the subset — the invariant
-        the greedy selection loop maintains so the dominance skyline
-        never re-sorts.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        return rows[np.argsort(self.cost_ub[rows], kind="stable")]
-
     def order_by_weight(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` sorted by descending expected quality.
 

@@ -415,10 +415,6 @@ class StreamingEngine:
     def num_available_tasks(self) -> int:
         return len(self._available_tasks)
 
-    @property
-    def num_pending_events(self) -> int:
-        return len(self._queue)
-
     def result(self) -> SimulationResult:
         """Metrics and audit trail of every round executed so far."""
         return SimulationResult(

@@ -99,10 +99,6 @@ class EventQueue:
         heapq.heappush(self._heap, (event.time, event.phase, self._seq, event))
         self._seq += 1
 
-    def peek_time(self) -> float | None:
-        """Timestamp of the next event, or ``None`` when empty."""
-        return self._heap[0][0] if self._heap else None
-
     def latest_time(self, max_phase: int | None = None) -> float | None:
         """Largest queued timestamp, optionally phase-bounded (O(n)).
 

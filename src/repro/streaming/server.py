@@ -12,9 +12,12 @@ over a bounded pool of execution slots:
   submission order *per tenant* — preserving the engine's determinism
   guarantee tenant by tenant — while different tenants' ops run on
   worker threads.  Those threads share one GIL, so two tenants' rounds
-  interleave rather than run in parallel: measured on the served
-  benchmark inputs, a round that takes 7-15 ms alone takes 26-33 ms
-  when both tenants' rounds overlap, most of it GIL wait.
+  interleave rather than run in parallel.  Under the perfbench
+  open-loop traffic (two tenants, shared 2-CPU host), wall minus CPU
+  time per engine round was 19.4% of round wall time on serve-memory
+  and 6.1% on serve-journaled, and the median round waited about
+  0 ms; the wait sits in the tail and also counts OS descheduling.
+  Nothing exports that figure yet (ROADMAP.md item 6).
 - **Admission control.**  A full queue or an exhausted rate-limit
   token bucket rejects the call *immediately* with a typed
   :class:`AdmissionError` (``reason`` ∈ ``queue_full`` /

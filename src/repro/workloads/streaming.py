@@ -238,10 +238,6 @@ class CitywideMultiHotspotWorkload(_GeneratedStream):
         self._centers = centers
         super().__init__(params, seed)
 
-    @property
-    def hotspot_centers(self) -> list[Point]:
-        return [Point(x, y) for x, y in self._centers]
-
     def _instance_weights(self, rng: np.random.Generator, phase: int) -> np.ndarray:
         return np.ones(self._params.num_instances)
 
