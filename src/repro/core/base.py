@@ -151,11 +151,11 @@ def finalize_selection(
     pool = problem.pool
     rows = np.asarray(list(selected_rows), dtype=np.int64)
     current_rows = rows[pool.is_current[rows]] if rows.size else rows
-    current = [int(r) for r in current_rows]
+    current = current_rows.tolist()
 
-    if np.unique(pool.worker_idx[current_rows]).size != current_rows.size:
+    if len(set(pool.worker_idx[current_rows].tolist())) != len(current):
         raise AssertionError("a worker was assigned to two tasks")
-    if np.unique(pool.task_idx[current_rows]).size != current_rows.size:
+    if len(set(pool.task_idx[current_rows].tolist())) != len(current):
         raise AssertionError("a task was assigned to two workers")
 
     total_cost = float(pool.cost_mean[current_rows].sum())

@@ -177,7 +177,9 @@ def _greedy_select_rescan(
     The differential suites pin its selections to ``ReferenceGreedy``
     and the triplet engine.
     """
-    orders = triplet_select.build_selection_orders(pool, rows, config.delta)
+    orders = triplet_select.build_selection_orders(
+        pool, rows, config.delta, stochastic_sweeps=False
+    )
     # The frame; ``slot`` maps a position of the orders to its slot.
     order = rows[orders.ub_order]
     slot = np.empty(order.size, dtype=np.int64)
@@ -215,8 +217,10 @@ def _greedy_select_rescan(
     # Lemma 4.2's sign guard, decided once: a candidate window is a
     # subset of ``rows``, so a pass here holds for every window, and
     # where the blockers allow, every window is pruned by the sweep.
-    signs_decided = config.use_probability_pruning and signs_decide(pool, rows)
-    blockers = sweep_blockers(pool, order) if signs_decided else None
+    signs_decided = config.use_probability_pruning and signs_decide(
+        pool, rows, orders.weight_positions, orders.by_cost
+    )
+    blockers = sweep_blockers(pool, order, weight_positions) if signs_decided else None
     if blockers is not None:
         sweep_frame = np.stack((cost_mean, scoring[1], blockers))
 

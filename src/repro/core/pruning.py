@@ -96,11 +96,13 @@ def probability_prune(
     q_var = pool.quality_var[rows]
     c_mean = pool.cost_mean[rows]
     c_var = pool.cost_var[rows]
+    by_weight = np.lexsort((rows, c_mean, -q_mean))
     blockers = None
     if signs_decided or (
-        _signs_decide(np.sort(q_mean), q_var) and _signs_decide(np.sort(c_mean), c_var)
+        _signs_decide(q_mean[by_weight[::-1]], q_var)
+        and _signs_decide(np.sort(c_mean), c_var)
     ):
-        blockers = sweep_blockers(pool, rows)
+        blockers = sweep_blockers(pool, rows, by_weight)
     if blockers is None:
         worse = (prob_greater_vec(q_mean[:, None], q_var[:, None], q_mean, q_var) < 0.5) & (
             prob_less_or_equal_vec(c_mean[:, None], c_var[:, None], c_mean, c_var) < 0.5
@@ -108,13 +110,12 @@ def probability_prune(
         np.fill_diagonal(worse, False)
         return rows[~worse.any(axis=1)]
 
-    by_weight = np.lexsort((rows, c_mean, -q_mean))
     keep = np.empty(rows.size, dtype=bool)
     keep[by_weight] = sweep_prune(c_mean[by_weight], q_mean[by_weight], blockers[by_weight])
     return rows[keep]
 
 
-def sweep_blockers(pool: PairPool, rows: np.ndarray) -> np.ndarray | None:
+def sweep_blockers(pool: PairPool, rows: np.ndarray, by_weight: np.ndarray) -> np.ndarray | None:
     """Rows that :func:`sweep_prune` must treat apart, or ``None``.
 
     Once :func:`signs_decide` has passed on ``rows``, Lemma 4.2 over a
@@ -126,18 +127,19 @@ def sweep_blockers(pool: PairPool, rows: np.ndarray) -> np.ndarray | None:
     served pools, current pairs at one score and predicted pairs
     discounted to quality 0.  They must have zero variance, so they
     never prune each other; else (or on a negative variance) ``None``:
-    no window may sweep.
+    no window may sweep.  ``by_weight`` orders ``rows`` by descending
+    quality mean (the weight order), which puts equal means side by
+    side.
     """
     q_var = pool.quality_var[rows]
     if not (q_var >= 0.0).all():
         return None
-    tight = np.flatnonzero(q_var <= _VARIANCE_FLOOR)
-    means = pool.quality_mean[rows][tight]
-    order = np.argsort(means, kind="stable")
-    tied = means[order[1:]] == means[order[:-1]]
+    tight = by_weight[q_var[by_weight] <= _VARIANCE_FLOOR]
+    means = pool.quality_mean[rows[tight]]
+    tied = means[1:] == means[:-1]
     blockers = np.zeros(q_var.size, dtype=bool)
-    blockers[tight[order[1:][tied]]] = True
-    blockers[tight[order[:-1][tied]]] = True
+    blockers[tight[1:][tied]] = True
+    blockers[tight[:-1][tied]] = True
     if (q_var[blockers] != 0.0).any():
         return None
     return blockers
@@ -166,7 +168,7 @@ def sweep_prune(
     return keep
 
 
-def signs_decide(pool: PairPool, rows: np.ndarray) -> bool:
+def signs_decide(pool: PairPool, rows: np.ndarray, by_weight=None, by_cost=None) -> bool:
     """Whether mean-gap signs decide Eqs. 7-8 on every subset of ``rows``.
 
     Passing here lets a selection loop skip the per-window check of
@@ -174,17 +176,24 @@ def signs_decide(pool: PairPool, rows: np.ndarray) -> bool:
     when the set's are, its positive sorted gaps are each at least one
     positive gap of the set (float subtraction is monotone), and its
     variance bound is no larger.  A set that fails says nothing about
-    its subsets, which keep the per-window check.
+    its subsets, which keep the per-window check.  A selection passes
+    its orders of ``rows`` by descending quality mean (``by_weight``)
+    and ascending cost mean (``by_cost``) instead of sorting again;
+    only tests call it without them, and then it sorts.
     """
+    quality, cost = pool.quality_mean[rows], pool.cost_mean[rows]
     return _signs_decide(
-        np.sort(pool.quality_mean[rows]), pool.quality_var[rows]
-    ) and _signs_decide(np.sort(pool.cost_mean[rows]), pool.cost_var[rows])
+        np.sort(quality) if by_weight is None else quality[by_weight[::-1]],
+        pool.quality_var[rows],
+    ) and _signs_decide(
+        np.sort(cost) if by_cost is None else cost[by_cost], pool.cost_var[rows]
+    )
 
 
 def _signs_decide(sorted_mean: np.ndarray, var: np.ndarray) -> bool:
     """Whether mean-gap signs decide Eq. 7 or 8 on every pair.
 
-    The means must be finite (sorting puts NaN last), and no positive
+    The means must be finite (a sort puts NaN at one end), and no positive
     gap, the smallest of which lies between sorted neighbours, may
     underflow ``gap / sqrt(var_i + var_j)``.  ``2 * max(var)`` bounds
     every combined variance, so gaps of at least

@@ -152,6 +152,14 @@ def pick_best(rows, cost_mean, quality_mean, quality_var, objective: str) -> int
     if objective == "efficiency":
         scores = quality_mean / np.maximum(cost_mean, _EFFICIENCY_COST_FLOOR)
     else:
+        # An all-deterministic window with finite means and one top
+        # mean: Eq. 10 scores that row 0.0 and every other row -inf
+        # (a zero factor against the top), so it wins outright.  Ties
+        # at the top go through the pairwise sum.
+        if 2.0 * quality_var.max() <= _VARIANCE_FLOOR and np.isfinite(quality_mean).all():
+            top = quality_mean.argmax()
+            if np.count_nonzero(quality_mean == quality_mean[top]) == 1:
+                return int(rows[top])
         scores = superiority_scores(quality_mean, quality_var)
     return int(rows[np.lexsort((rows, cost_mean, -scores))[0]])
 

@@ -90,6 +90,7 @@ from repro.core.selection import (
     eq9_lanes,
     select_best_row,
 )
+from repro.model.instance import _ids
 from repro.model.pairs import PairPool
 from repro.uncertainty.vector import phi_vec
 
@@ -206,7 +207,9 @@ class SelectionOrders:
     selection loop mutates these arrays, so the bundle can be reused
     across rounds and repaired incrementally by :class:`SelectionState`.
     ``std``, ``z_lo`` and ``z_hi`` are :func:`eq9_lanes` per position;
-    the ``*_keys`` arrays are the stochastic sweeps' sorted Eq. 9 keys.
+    the ``*_keys`` arrays are the stochastic sweeps' sorted Eq. 9 keys,
+    which only the triplet engine reads (the rescan loop's orders leave
+    the four stochastic sweep attributes unset).
     """
 
     __slots__ = (
@@ -219,7 +222,7 @@ class SelectionOrders:
 
 
 def build_selection_orders(
-    pool: PairPool, rows: np.ndarray, delta: float
+    pool: PairPool, rows: np.ndarray, delta: float, stochastic_sweeps: bool = True
 ) -> SelectionOrders:
     """Cold-build the structural orders of ``rows`` (unique, ascending).
 
@@ -228,7 +231,8 @@ def build_selection_orders(
     """
     empty = np.zeros(0, dtype=np.int64)
     return _merge_orders(
-        pool, rows, delta, np.arange(rows.size, dtype=np.int64), (empty,) * 7
+        pool, rows, delta, np.arange(rows.size, dtype=np.int64), (empty,) * 7,
+        stochastic_sweeps,
     )
 
 
@@ -238,6 +242,7 @@ def _merge_orders(
     delta: float,
     fresh: np.ndarray,
     kept: tuple[np.ndarray, ...],
+    stochastic_sweeps: bool = True,
 ) -> SelectionOrders:
     """The orders of ``rows``: ``fresh`` sorted, then merged into ``kept``.
 
@@ -249,6 +254,8 @@ def _merge_orders(
     build passes empty runs, which :func:`_merge_sorted_positions`
     returns the fresh sort for unchanged; :meth:`SelectionState._repair`
     passes the previous round's orders restricted to its survivors.
+    ``stochastic_sweeps=False`` (the rescan loop) skips the two
+    stochastic Eq. 9 sweeps.
     """
     # A full pool's positions are its rows: slice views, no copies.
     at = slice(None) if rows.size == len(pool) else rows
@@ -260,33 +267,34 @@ def _merge_orders(
     is_current = pool.is_current[at]
     variance = pool.cost_var[at]
     kept_worker, kept_task, kept_weight, kept_ub, kept_cost, kept_fail, kept_pass = kept
+    # A cold build's fresh positions are all of them: sort without gathers.
+    cold = fresh.size == rows.size
+
+    def fresh_sorted(key):
+        if cold:
+            return np.argsort(key, kind="stable")
+        return fresh[np.argsort(key[fresh], kind="stable")]
 
     orders = SelectionOrders()
-    members = _merge_sorted_positions(
-        kept_worker, fresh[np.argsort(worker[fresh], kind="stable")], (worker,)
-    )
+    members = _merge_sorted_positions(kept_worker, fresh_sorted(worker), (worker,))
     orders.w_keys, orders.w_starts, orders.w_members = _regroup(worker, members)
-    members = _merge_sorted_positions(
-        kept_task, fresh[np.argsort(task[fresh], kind="stable")], (task,)
-    )
+    members = _merge_sorted_positions(kept_task, fresh_sorted(task), (task,))
     orders.t_keys, orders.t_starts, orders.t_members = _regroup(task, members)
 
     orders.weight_positions = _merge_sorted_positions(
         kept_weight,
-        fresh[np.lexsort((fresh, cost[fresh], neg_quality[fresh]))],
+        np.lexsort((cost, neg_quality))
+        if cold
+        else fresh[np.lexsort((fresh, cost[fresh], neg_quality[fresh]))],
         (neg_quality, cost),
     )
-    orders.ub_order = _merge_sorted_positions(
-        kept_ub, fresh[np.argsort(cost_ub[fresh], kind="stable")], (cost_ub,)
-    )
+    orders.ub_order = _merge_sorted_positions(kept_ub, fresh_sorted(cost_ub), (cost_ub,))
 
     # The cost-ascending order is stored because the repair derives
     # the three filtered sweeps below from it with one merge and mask
     # filters: filtering a total order commutes with merging (both
     # sides are the (cost, position) order of the filtered set).
-    by_cost = _merge_sorted_positions(
-        kept_cost, fresh[np.argsort(cost[fresh], kind="stable")], (cost,)
-    )
+    by_cost = _merge_sorted_positions(kept_cost, fresh_sorted(cost), (cost,))
     orders.by_cost = by_cost
     current = is_current[by_cost]
     orders.cur_sweep = by_cost[current]
@@ -297,6 +305,8 @@ def _merge_orders(
     # Stochastic Eq. 9 lanes: conservative fail / pass keys from the
     # z-thresholds (a deterministic lane's keys are never read).
     orders.std, orders.z_lo, orders.z_hi = eq9_lanes(variance, delta)
+    if not stochastic_sweeps:
+        return orders
     fail_key = cost + orders.z_lo * orders.std
     pass_key = cost + orders.z_hi * orders.std
     fresh_sto = fresh[~deterministic[fresh]]
@@ -355,8 +365,10 @@ class TripletSelection:
         self._t_keys, self._t_starts = orders.t_keys, orders.t_starts
         self._t_members = orders.t_members
 
-        # Weight order (the candidate-cap order) as positions.
+        # Weight order (the candidate-cap order) as positions; with the
+        # cost order it spares the sign guard its sorts.
         self._weight_positions = orders.weight_positions
+        self._by_cost = orders.by_cost
         self._walk_start = 0
 
         # Dominance scaffolding in cost-ub order.  The cut (how many
@@ -571,7 +583,7 @@ class TripletSelection:
         # Lemma 4.2's sign guard, decided once: every candidate window
         # is a subset of the selection's rows.
         signs_decided = config.use_probability_pruning and signs_decide(
-            pool, self._rows
+            pool, self._rows, self._weight_positions, self._by_cost
         )
         selected: list[int] = []
         while True:
@@ -664,12 +676,8 @@ def _pair_identity_keys(pool: PairPool, problem) -> tuple[np.ndarray, np.ndarray
     indices) of each current pair.  Returns ``None`` when ids do not
     fit the packing — the caller then skips self-diff.
     """
-    ncw = problem.num_current_workers
-    nct = problem.num_current_tasks
-    wid = np.fromiter(
-        (w.id for w in problem.workers[:ncw]), dtype=np.int64, count=ncw
-    )
-    tid = np.fromiter((t.id for t in problem.tasks[:nct]), dtype=np.int64, count=nct)
+    wid = _ids(problem.current_workers)
+    tid = _ids(problem.current_tasks)
     if wid.size and (wid.min() < 0 or wid.max() >= _WORKER_ID_LIMIT):
         return None
     if tid.size and (tid.min() < 0 or tid.max() >= _TASK_ID_LIMIT):

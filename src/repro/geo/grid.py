@@ -83,17 +83,6 @@ class GridIndex:
             index += 1
         return index
 
-    def _clamp_axis_vec(self, coordinates: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_clamp_axis` (same boundary correction)."""
-        index = np.minimum(
-            (coordinates * self._gamma).astype(np.int64), self._gamma - 1
-        )
-        index = np.where(coordinates < index * self._side, index - 1, index)
-        bump = (index + 1 < self._gamma) & (
-            coordinates >= (index + 1) * self._side
-        )
-        return np.where(bump, index + 1, index)
-
     def cell_box(self, cell: int) -> Box:
         """The axis-aligned bounds of cell ``cell``."""
         row, col = self._validate_cell(cell)
@@ -140,18 +129,31 @@ class GridIndex:
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape:
             raise ValueError("xs and ys must have the same shape")
-        if not (
-            ((xs >= 0.0) & (xs <= 1.0)).all() and ((ys >= 0.0) & (ys <= 1.0)).all()
-        ):
+        # Both axes in one pass: row 0 holds the rows (y), row 1 the
+        # columns (x).  ``min``/``max`` are NaN for a NaN coordinate.
+        both = np.stack((ys, xs))
+        if both.size and not (both.min() >= 0.0 and both.max() <= 1.0):
             raise ValueError("coordinates outside the unit square")
-        cols = self._clamp_axis_vec(xs)
-        rows = self._clamp_axis_vec(ys)
-        return rows * self._gamma + cols
+        index = np.minimum((both * self._gamma).astype(np.int64), self._gamma - 1)
+        index -= both < index * self._side
+        index += (index + 1 < self._gamma) & (both >= (index + 1) * self._side)
+        return index[0] * self._gamma + index[1]
 
     def count_coordinates(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`count_points` over coordinate arrays."""
         cells = self.cells_of_coordinates(xs, ys)
         return np.bincount(cells, minlength=self.num_cells).astype(np.int64)
+
+    def count_groups(self, xs: np.ndarray, ys: np.ndarray, sizes) -> np.ndarray:
+        """Per-cell counts of consecutive point groups, in one pass.
+
+        Row ``i`` of the ``(len(sizes), num_cells)`` result counts the
+        ``sizes[i]`` points after the previous groups' points.
+        """
+        cells = self.cells_of_coordinates(xs, ys)
+        cells += np.repeat(np.arange(len(sizes)) * self.num_cells, sizes)
+        counts = np.bincount(cells, minlength=len(sizes) * self.num_cells)
+        return counts.astype(np.int64).reshape(len(sizes), self.num_cells)
 
     def cells_within_radius(self, point: Point, radius: float) -> np.ndarray:
         """Cells whose area intersects the disc around ``point``.

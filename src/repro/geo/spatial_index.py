@@ -104,22 +104,22 @@ class SpatialIndex:
         """Detach a journal previously returned by :meth:`subscribe`."""
         self._subscribers.remove(log)
 
-    def _notify(self, op: str, key: int, x: float, y: float) -> None:
-        for log in self._subscribers:
-            log.record(op, key, x, y)
-
     def insert(self, key: int, point: Point) -> None:
         """Add ``key`` at ``point``; re-inserting a live key is an error."""
         if key in self._points:
             raise KeyError(f"key {key} already indexed (remove it first)")
-        self._grid.cell_of(point)  # rejects points outside the unit square
-        self._points[key] = (point.x, point.y)
-        self._notify("insert", key, point.x, point.y)
+        x, y = point.x, point.y
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            raise ValueError(f"point ({x}, {y}) outside the unit square")
+        self._points[key] = (x, y)
+        for log in self._subscribers:
+            log.record("insert", key, x, y)
 
     def remove(self, key: int) -> None:
         """Drop ``key``; raises ``KeyError`` when absent."""
         x, y = self._points.pop(key)  # KeyError propagates
-        self._notify("remove", key, x, y)
+        for log in self._subscribers:
+            log.record("remove", key, x, y)
 
     def __repr__(self) -> str:
         return f"SpatialIndex(gamma={self._grid.gamma}, size={len(self)})"

@@ -102,7 +102,7 @@ class TileGrid:
         index = np.minimum((coordinates * count).astype(np.int64), count - 1)
         # Float products can round across an interval boundary; correct
         # against the same arithmetic the tile boxes use (cf.
-        # GridIndex._clamp_axis_vec).
+        # GridIndex.cells_of_coordinates).
         index = np.where(coordinates < index * side, index - 1, index)
         bump = (index + 1 < count) & (coordinates >= (index + 1) * side)
         return np.where(bump, index + 1, index)

@@ -54,7 +54,13 @@ import numpy as np
 
 from repro.geo.grid import GridIndex
 from repro.model.entities import Task, Worker
-from repro.model.instance import _box_intervals, _task_columns, _worker_columns
+from repro.model.instance import (
+    PredictedTaskColumns,
+    PredictedWorkerColumns,
+    _ids,
+    _task_columns,
+    _worker_columns,
+)
 from repro.model.quality import QualityModel
 from repro.obs.metrics import monotonic
 from repro.model.sparse import (
@@ -62,7 +68,6 @@ from repro.model.sparse import (
     SparseBuildStats,
     _CandidateCSR,
     _pair_quality,
-    _reach,
     _uncertain_pairs_batched,
 )
 from repro.uncertainty.vector import _interval_gap_vec
@@ -102,85 +107,6 @@ class ChurnRecord:
     worker_removed_ids: Sequence[int] | None = None
     row_origin: np.ndarray | None = None
     prev_pool_rows: int = -1
-
-
-@dataclass
-class PredictedWorkerColumns:
-    """Packed per-round predicted-worker columns (no entity objects).
-
-    The partition-emission path (:meth:`DeltaPoolBuilder.
-    emit_partition`) consumes predicted entities as plain arrays so a
-    process-backend shard worker can run the predicted families from a
-    shared-memory view without ever unpickling ``Worker`` objects.
-    Built once per round by :func:`predicted_worker_columns`.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    vel: np.ndarray
-    arr: np.ndarray
-    intervals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    reach: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.xs.size)
-
-    def take(self, rows: np.ndarray) -> "PredictedWorkerColumns":
-        """The aligned subset at ``rows`` (a tile's owned entities)."""
-        return PredictedWorkerColumns(
-            xs=self.xs[rows],
-            ys=self.ys[rows],
-            vel=self.vel[rows],
-            arr=self.arr[rows],
-            intervals=tuple(a[rows] for a in self.intervals),
-            reach=self.reach[rows],
-        )
-
-
-@dataclass
-class PredictedTaskColumns:
-    """Packed per-round predicted-task columns (no entity objects)."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    deadline: np.ndarray
-    arr: np.ndarray
-    intervals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    reach: np.ndarray
-    deadline_max: float
-    max_reach: float
-
-    @property
-    def size(self) -> int:
-        return int(self.xs.size)
-
-
-def predicted_worker_columns(predicted_workers) -> PredictedWorkerColumns | None:
-    """Pack one round's predicted workers into plain arrays."""
-    if not predicted_workers:
-        return None
-    intervals = _box_intervals(predicted_workers)
-    xs, ys, vel, arr = _worker_columns(predicted_workers)
-    return PredictedWorkerColumns(
-        xs=xs, ys=ys, vel=vel, arr=arr,
-        intervals=intervals, reach=_reach(intervals, xs, ys),
-    )
-
-
-def predicted_task_columns(predicted_tasks) -> PredictedTaskColumns | None:
-    """Pack one round's predicted tasks into plain arrays."""
-    if not predicted_tasks:
-        return None
-    xs, ys, deadline, arr = _task_columns(predicted_tasks)
-    intervals = _box_intervals(predicted_tasks)
-    reach = _reach(intervals, xs, ys)
-    return PredictedTaskColumns(
-        xs=xs, ys=ys, deadline=deadline, arr=arr,
-        intervals=intervals, reach=reach,
-        deadline_max=float(deadline.max()),
-        max_reach=float(reach.max()),
-    )
 
 
 @dataclass
@@ -234,10 +160,6 @@ class DeltaBuildStats:
     cols_joined: int = 0
     pairs_cached: int = 0
     revalidated: int = 0
-
-
-def _ids_of(entities) -> np.ndarray:
-    return np.fromiter((e.id for e in entities), dtype=np.int64, count=len(entities))
 
 
 def _require_current(entities, kind: str) -> None:
@@ -497,11 +419,11 @@ class DeltaPoolBuilder:
         n, m = len(current_workers), len(current_tasks)
         if n:
             self._wx, self._wy, self._wvel, self._warr = _worker_columns(current_workers)
-            self._w_ids = _ids_of(current_workers)
+            self._w_ids = _ids(current_workers)
             self._w_csr = _CandidateCSR.from_coordinates(self._wx, self._wy, self._gamma)
         if m:
             self._tx, self._ty, self._tdl, self._tarr = _task_columns(current_tasks)
-            self._t_ids = _ids_of(current_tasks)
+            self._t_ids = _ids(current_tasks)
             self._t_id_set = set(self._t_ids.tolist())
             self._csr = _CandidateCSR.from_coordinates(self._tx, self._ty, self._gamma)
         if n and m:
@@ -574,7 +496,7 @@ class DeltaPoolBuilder:
             # keep their relative order and new ids must be appended at
             # the tail (the engine's list discipline); anything else
             # re-primes.
-            w_ids_round = _ids_of(current_workers)
+            w_ids_round = _ids(current_workers)
             in_round = np.isin(self._w_ids, w_ids_round, assume_unique=True)
             new_w_mask = ~np.isin(w_ids_round, self._w_ids, assume_unique=True)
             num_persist = int(in_round.sum())
@@ -614,7 +536,7 @@ class DeltaPoolBuilder:
             ntx, nty, ntdl, ntarr = _task_columns(tail)
             offset = self._t_ids.size
             self._t_id_set.update(new_t)
-            self._t_ids = np.concatenate((self._t_ids, _ids_of(tail)))
+            self._t_ids = np.concatenate((self._t_ids, _ids(tail)))
             self._tx = np.concatenate((self._tx, ntx))
             self._ty = np.concatenate((self._ty, nty))
             self._tdl = np.concatenate((self._tdl, ntdl))
@@ -639,7 +561,7 @@ class DeltaPoolBuilder:
             _require_current(tail_w, "worker")
             nwx, nwy, nwvel, nwarr = _worker_columns(tail_w)
             offset_w = self._w_ids.size
-            self._w_ids = np.concatenate((self._w_ids, _ids_of(tail_w)))
+            self._w_ids = np.concatenate((self._w_ids, _ids(tail_w)))
             self._wx = np.concatenate((self._wx, nwx))
             self._wy = np.concatenate((self._wy, nwy))
             self._wvel = np.concatenate((self._wvel, nwvel))
@@ -677,7 +599,7 @@ class DeltaPoolBuilder:
             return True
         if not np.array_equal(self._w_ids, w_ids_round):
             return False
-        if not np.array_equal(self._t_ids, _ids_of(current_tasks)):
+        if not np.array_equal(self._t_ids, _ids(current_tasks)):
             return False
         return True
 
@@ -840,9 +762,8 @@ class DeltaPoolBuilder:
         (:func:`repro.streaming.pipeline._reconcile`), which is what
         keeps the assembled pool bit-identical to the serial builders.
 
-        Call :meth:`repair` first; predicted entities arrive as packed
-        columns (:func:`predicted_worker_columns`/
-        :func:`predicted_task_columns`) so shard workers can source
+        Call :meth:`repair` first; predicted entities arrive as columns
+        with their ``reach`` filled in, so shard workers can source
         them from shared memory without object serialization.
         """
         started = monotonic()
@@ -857,27 +778,28 @@ class DeltaPoolBuilder:
         out.pw_ct = (_EMPTY_IDX, _EMPTY_IDX)
         out.cw_pt = (_EMPTY_IDX, _EMPTY_IDX)
         out.pw_pt = (_EMPTY_IDX, _EMPTY_IDX)
-        if pw is not None and pw.size and self._t_ids.size:
+        if pw is not None and pw.ids.size and self._t_ids.size:
             t_intervals = (self._tx, self._tx, self._ty, self._ty)
             out.pw_ct = _uncertain_pairs_batched(
                 self._csr, pw.xs, pw.ys, pw.vel, pw.arr, pw.intervals, pw.reach,
                 t_intervals, self._tdl, self._tarr, float(self._tdl.max()), 0.0,
                 now, local,
             )
-        if pt is not None and pt.size and self._w_ids.size:
+        if pt is not None and pt.ids.size and self._w_ids.size:
             out.cw_pt = self._join_current_predicted_tasks(
                 pt.xs, pt.ys, pt.deadline, pt.arr, pt.intervals, pt.reach,
                 now, local,
             )
         if (
-            pw is not None and pw.size
-            and pt is not None and pt.size
+            pw is not None and pw.ids.size
+            and pt is not None and pt.ids.size
             and self._future_future
         ):
             pt_csr = _CandidateCSR.from_coordinates(pt.xs, pt.ys, self._gamma)
             out.pw_pt = _uncertain_pairs_batched(
                 pt_csr, pw.xs, pw.ys, pw.vel, pw.arr, pw.intervals, pw.reach,
-                pt.intervals, pt.deadline, pt.arr, pt.deadline_max, pt.max_reach,
+                pt.intervals, pt.deadline, pt.arr, float(pt.deadline.max()),
+                float(pt.reach.max()),
                 now, local,
             )
         self.delta_stats.pairs_cached = int(self._p_w.size)

@@ -21,34 +21,162 @@ agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 from functools import cached_property
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
+from repro.geo.box import Box
+from repro.geo.point import Point
 from repro.model.entities import Task, Worker
-from repro.model.pairs import CandidatePair, DensePairMatrices, PairPool
+from repro.model.pairs import CandidatePair, DensePairMatrices, PairPool, PoolPart
 from repro.model.quality import QualityModel
 from repro.uncertainty.vector import _interval_gap_vec, distance_stats_aligned
 
+_ID = attrgetter("id")
 
-@dataclass(frozen=True)
+
+class _PredictedColumns:
+    """One round's predicted entities as columns (no entity objects).
+
+    What :func:`~repro.simulation.engine.predict_entities` returns and
+    every builder reads: ids, sample points ``xs``/``ys``, velocities
+    (workers) or deadlines (tasks), arrivals and the kernel boxes
+    ``intervals = (x_lo, x_hi, y_lo, y_hi)``.  ``reach``
+    (:func:`~repro.model.sparse._reach`) is filled in by the tile
+    pipeline, its only reader.  The entity objects are built on first
+    iteration (or kept, when packed from objects by :meth:`of`).
+    """
+
+    @classmethod
+    def of(cls, entities):
+        """``entities`` as columns, or ``None`` when there are none.
+
+        Columns pass through; entity objects (tests, the clairvoyant
+        mode) are packed after checking that each is flagged predicted.
+        """
+        if isinstance(entities, cls):
+            return entities if entities.ids.size else None
+        if not entities:
+            return None
+        for entity in entities:
+            if not entity.predicted:
+                raise ValueError(
+                    f"{cls._kind} {entity.id} passed as predicted but not flagged"
+                )
+        return cls(
+            _ids(entities),
+            *_columns(entities, "location.x", "location.y", cls._third, "arrival"),
+            _columns(entities, "box.x_lo", "box.x_hi", "box.y_lo", "box.y_hi"),
+            objects=list(entities),
+        )
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __iter__(self):
+        if self.objects is None:
+            self.objects = [
+                self._entity(i, Point(x, y), third, arrival, True, Box(*box))
+                for i, x, y, third, arrival, *box in zip(
+                    self.ids.tolist(), self.xs.tolist(), self.ys.tolist(),
+                    getattr(self, self._field).tolist(), self.arr.tolist(),
+                    *(axis.tolist() for axis in self.intervals),
+                )
+            ]
+        return iter(self.objects)
+
+
+@dataclass(eq=False)
+class PredictedWorkerColumns(_PredictedColumns):
+    """One round's predicted workers as columns; see :class:`_PredictedColumns`."""
+
+    _kind, _entity, _third, _field = "worker", Worker, "velocity", "vel"
+    ids: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    vel: np.ndarray
+    arr: np.ndarray
+    intervals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    reach: np.ndarray | None = None
+    objects: list[Worker] | None = field(default=None, repr=False)
+
+    def take(self, rows: np.ndarray) -> "PredictedWorkerColumns":
+        """The aligned subset at ``rows`` (a tile's owned entities)."""
+        return PredictedWorkerColumns(
+            self.ids[rows], self.xs[rows], self.ys[rows], self.vel[rows],
+            self.arr[rows], tuple(a[rows] for a in self.intervals), self.reach[rows],
+        )
+
+
+@dataclass(eq=False)
+class PredictedTaskColumns(_PredictedColumns):
+    """One round's predicted tasks as columns; see :class:`_PredictedColumns`."""
+
+    _kind, _entity, _third, _field = "task", Task, "deadline", "deadline"
+    ids: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    deadline: np.ndarray
+    arr: np.ndarray
+    intervals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    reach: np.ndarray | None = None
+    objects: list[Task] | None = field(default=None, repr=False)
+
+
 class ProblemInstance:
     """One MQA decision problem (one time instance).
 
     ``workers`` and ``tasks`` list current entities first, then
-    predicted ones; ``pool`` indexes into those lists.
+    predicted ones; ``pool`` indexes into those lists.  The builders
+    pass the predicted entities as columns (``predicted_workers`` /
+    ``predicted_tasks``), whose objects are built on the first access
+    of ``workers`` / ``tasks``; :meth:`pair` of a current row builds
+    none.
     """
 
-    workers: list[Worker]
-    tasks: list[Task]
-    num_current_workers: int
-    num_current_tasks: int
-    pool: PairPool
-    now: float
+    def __init__(
+        self,
+        workers: list[Worker],
+        tasks: list[Task],
+        num_current_workers: int,
+        num_current_tasks: int,
+        pool: PairPool,
+        now: float,
+        predicted_workers: PredictedWorkerColumns | None = None,
+        predicted_tasks: PredictedTaskColumns | None = None,
+    ) -> None:
+        self._workers = workers
+        self._tasks = tasks
+        self._pending = [predicted_workers, predicted_tasks]
+        self.num_current_workers = num_current_workers
+        self.num_current_tasks = num_current_tasks
+        self.pool = pool
+        self.now = now
+
+    @property
+    def workers(self) -> list[Worker]:
+        if self._pending[0] is not None:
+            self._workers = self._workers + list(self._pending[0])
+            self._pending[0] = None
+        return self._workers
+
+    @property
+    def tasks(self) -> list[Task]:
+        if self._pending[1] is not None:
+            self._tasks = self._tasks + list(self._pending[1])
+            self._pending[1] = None
+        return self._tasks
+
+    @property
+    def current_workers(self) -> list[Worker]:
+        return self._workers[: self.num_current_workers]
+
+    @property
+    def current_tasks(self) -> list[Task]:
+        return self._tasks[: self.num_current_tasks]
 
     @cached_property
     def current_dense(self) -> DensePairMatrices:
@@ -65,9 +193,10 @@ class ProblemInstance:
 
     def pair(self, row: int) -> CandidatePair:
         """Materialize pool row ``row`` as a :class:`CandidatePair`."""
+        w, t = int(self.pool.worker_idx[row]), int(self.pool.task_idx[row])
         return CandidatePair(
-            worker=self.workers[int(self.pool.worker_idx[row])],
-            task=self.tasks[int(self.pool.task_idx[row])],
+            worker=(self._workers if w < len(self._workers) else self.workers)[w],
+            task=(self._tasks if t < len(self._tasks) else self.tasks)[t],
             cost=self.pool.cost_value(row),
             quality=self.pool.quality_value(row),
             existence=float(self.pool.existence[row]),
@@ -82,11 +211,16 @@ class ProblemInstance:
         return len(self.pool)
 
 
+def _ids(entities) -> np.ndarray:
+    """The ids of ``entities`` as one int64 array."""
+    return np.fromiter(map(_ID, entities), dtype=np.int64, count=len(entities))
+
+
 def _columns(entities, *fields: str) -> tuple[np.ndarray, ...]:
     """One float array per attribute path in ``fields``, in bulk."""
     return tuple(
-        np.fromiter(map(attrgetter(field), entities), dtype=float, count=len(entities))
-        for field in fields
+        np.fromiter(map(attrgetter(path), entities), dtype=float, count=len(entities))
+        for path in fields
     )
 
 
@@ -98,11 +232,6 @@ def _worker_columns(workers: Sequence[Worker]):
 def _task_columns(tasks: Sequence[Task]):
     """``(x, y, deadline, arrival)`` arrays."""
     return _columns(tasks, "location.x", "location.y", "deadline", "arrival")
-
-
-def _box_intervals(entities: Sequence[Worker] | Sequence[Task]):
-    """``(x_lo, x_hi, y_lo, y_hi)`` arrays of the support boxes."""
-    return _columns(entities, "box.x_lo", "box.x_hi", "box.y_lo", "box.y_hi")
 
 
 @dataclass(frozen=True)
@@ -173,26 +302,24 @@ def quality_sample_stats(
         global_mean, global_var = prior_mean, prior_var
         global_min, global_max = prior_lb, prior_ub
 
-    def _with_fallback(count, mean, var, lo, hi):
-        empty = count == 0
-        return (
-            np.where(empty, global_mean, mean),
-            np.where(empty, global_var, var),
-            np.where(empty, global_min, lo),
-            np.where(empty, global_max, hi),
-        )
-
-    task_count, task_mean, task_var, task_min, task_max = _segment_stats(
-        cols, values, num_tasks
+    # Tasks (Case 1) and workers (Case 2) in one pass: the worker
+    # segments follow the task segments, and every segment accumulates
+    # its values in the same order as it would alone.
+    count, mean, var, lo, hi = _segment_stats(
+        np.concatenate((cols, rows + num_tasks)),
+        np.concatenate((values, values)),
+        num_tasks + num_workers,
     )
-    worker_count, worker_mean, worker_var, worker_min, worker_max = _segment_stats(
-        rows, values, num_workers
+    empty = count == 0
+    mean = np.where(empty, global_mean, mean)
+    var = np.where(empty, global_var, var)
+    lo = np.where(empty, global_min, lo)
+    hi = np.where(empty, global_max, hi)
+    task_count, task_mean, task_var, task_min, task_max = (
+        a[:num_tasks] for a in (count, mean, var, lo, hi)
     )
-    task_mean, task_var, task_min, task_max = _with_fallback(
-        task_count, task_mean, task_var, task_min, task_max
-    )
-    worker_mean, worker_var, worker_min, worker_max = _with_fallback(
-        worker_count, worker_mean, worker_var, worker_min, worker_max
+    worker_count, worker_mean, worker_var, worker_min, worker_max = (
+        a[num_tasks:] for a in (count, mean, var, lo, hi)
     )
     return QualitySampleStats(
         task_count=task_count,
@@ -213,38 +340,15 @@ def quality_sample_stats(
     )
 
 
-def validate_predicted_flags(
-    predicted_workers: Sequence[Worker], predicted_tasks: Sequence[Task]
-) -> None:
-    """Reject entities passed as predicted without the flag set."""
-    if predicted_workers:
-        flags = np.fromiter(
-            (w.predicted for w in predicted_workers),
-            dtype=bool,
-            count=len(predicted_workers),
-        )
-        if not flags.all():
-            bad = predicted_workers[int(np.argmin(flags))]
-            raise ValueError(f"worker {bad.id} passed as predicted but not flagged")
-    if predicted_tasks:
-        flags = np.fromiter(
-            (t.predicted for t in predicted_tasks),
-            dtype=bool,
-            count=len(predicted_tasks),
-        )
-        if not flags.all():
-            bad = predicted_tasks[int(np.argmin(flags))]
-            raise ValueError(f"task {bad.id} passed as predicted but not flagged")
-
-
-def _reachable(w_intervals, w_vel, w_arr, t_intervals, t_deadline, t_arr, now):
-    """Row-major ``(rows, cols)`` of one predicted family's valid pairs.
+def _valid_pairs(w_intervals, w_vel, w_arr, t_intervals, t_deadline, t_arr, now):
+    """``(valid, lower)`` matrices of every worker against every task.
 
     The matrix form of the validity predicate: the deadline horizon
-    and the box-gap lower bound ``hypot(gap_x, gap_y)``, the same
-    floats as the ``lower`` output of
+    and the box-gap lower bound ``lower = hypot(gap_x, gap_y)``, the
+    same floats as the ``lower`` output of
     :func:`~repro.uncertainty.vector.distance_stats_vec`, so no pair
-    has to be priced to be rejected.
+    has to be priced to be rejected.  Between two points (degenerate
+    boxes) ``lower`` is their distance, bit for bit.
     """
     wx_lo, wx_hi, wy_lo, wy_hi = (axis[:, None] for axis in w_intervals)
     tx_lo, tx_hi, ty_lo, ty_hi = t_intervals
@@ -254,20 +358,17 @@ def _reachable(w_intervals, w_vel, w_arr, t_intervals, t_deadline, t_arr, now):
         _interval_gap_vec(wx_lo, wx_hi, tx_lo, tx_hi),
         _interval_gap_vec(wy_lo, wy_hi, ty_lo, ty_hi),
     )
-    return np.nonzero((horizon > 0.0) & (lower <= horizon * w_vel[:, None]))
+    return (horizon > 0.0) & (lower <= horizon * w_vel[:, None]), lower
 
 
-class _Family(NamedTuple):
-    """One predicted family's surviving pairs, awaiting the joint pricing."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    w_intervals: tuple
-    t_intervals: tuple
-    quality: tuple
-    existence: np.ndarray
-    worker_offset: int
-    task_offset: int
+def _stack_sides(current, predicted):
+    """One side's ``(intervals, velocity or deadline, arrival)``, the
+    current entities' first."""
+    return (
+        tuple(np.concatenate(pair) for pair in zip(current[0], predicted[0])),
+        np.concatenate((current[1], predicted[1])),
+        np.concatenate((current[2], predicted[2])),
+    )
 
 
 def _discount_quality(mean, var, lb, ub, probability):
@@ -279,103 +380,65 @@ def _discount_quality(mean, var, lb, ub, probability):
     return mean_d, var_d, lb_d, ub_d
 
 
-def _triplet_pool(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    worker_offset: int,
-    task_offset: int,
-    cost: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    quality: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    existence: np.ndarray,
-    is_current: bool,
-) -> PairPool:
-    """Assemble one pair family from aligned per-pair columns."""
-    if rows.size == 0:
-        return PairPool.empty()
-    return PairPool(
-        worker_idx=rows + worker_offset,
-        task_idx=cols + task_offset,
-        cost_mean=cost[0],
-        cost_var=cost[1],
-        cost_lb=cost[2],
-        cost_ub=cost[3],
-        quality_mean=quality[0],
-        quality_var=quality[1],
-        quality_lb=quality[2],
-        quality_ub=quality[3],
-        existence=existence,
-        is_current=np.full(rows.size, is_current, dtype=bool),
-    )
-
-
 def _predicted_family_coupling(
     stats: QualitySampleStats,
     side: str,
-    index: np.ndarray,
-    existence: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    existence_axis,
     discount_by_existence: bool,
     reservation_filter: bool,
     exact_quality: np.ndarray | None = None,
 ):
-    """Quality estimate, discount and reservation verdict of one family.
+    """One predicted family's valid pairs, coupled: the survivors'
+    ``(rows, cols, quality, existence)``.
 
     The single source of the Section III-B predicted-pair semantics,
     shared by the dense kernel and the fused pipeline's reconcile pass
-    so they can never diverge: ``side`` selects the
-    sample-statistic axis (``"task"`` for ``<w_hat, t>`` gathered by
-    ``index = cols``, ``"worker"`` for ``<w, t_hat>`` gathered by
-    ``index = rows``, ``"global"`` for ``<w_hat, t_hat>``), the
-    quality is discounted by the existence probability when enabled,
-    and the reservation filter returns a keep mask (``None`` when it
-    does not apply — the future-future family reserves no current
-    entity).  Callers apply the mask to their own aligned columns.
+    so they can never diverge: ``side`` selects the sample-statistic
+    axis (``"task"`` for ``<w_hat, t>``, gathered by ``cols``,
+    ``"worker"`` for ``<w, t_hat>``, gathered by ``rows``, ``"global"``
+    for ``<w_hat, t_hat>``), and ``existence_axis`` likewise gives the
+    existence probabilities (one value for ``"global"``).  The quality
+    is discounted by the existence probability when enabled, and the
+    reservation filter drops mixed pairs (the future-future family
+    reserves no current entity).
     """
+    index = cols if side == "task" else rows
+    if side == "global":
+        existence = np.full(rows.size, existence_axis)
+    else:
+        existence = existence_axis[index]
     if exact_quality is not None:
-        quality = (
-            exact_quality,
-            np.zeros_like(exact_quality),
-            exact_quality,
-            exact_quality,
-        )
-    elif side == "task":
+        zeros = np.zeros_like(exact_quality)
+        quality = (exact_quality, zeros, exact_quality, exact_quality)
+    elif side == "global":
         quality = tuple(
-            axis[index]
-            for axis in (stats.task_mean, stats.task_var, stats.task_min, stats.task_max)
-        )
-    elif side == "worker":
-        quality = tuple(
-            axis[index]
-            for axis in (
-                stats.worker_mean,
-                stats.worker_var,
-                stats.worker_min,
-                stats.worker_max,
-            )
+            np.full(rows.size, getattr(stats, f"global_{name}"))
+            for name in ("mean", "var", "min", "max")
         )
     else:
-        quality = (
-            np.full(index.size, stats.global_mean),
-            np.full(index.size, stats.global_var),
-            np.full(index.size, stats.global_min),
-            np.full(index.size, stats.global_max),
+        quality = tuple(
+            getattr(stats, f"{side}_{name}")[index] for name in ("mean", "var", "min", "max")
         )
     if discount_by_existence:
         quality = _discount_quality(*quality, existence)
-    keep = None
     if reservation_filter and side in ("task", "worker"):
         count = stats.task_count if side == "task" else stats.worker_count
         best_axis = stats.task_max if side == "task" else stats.worker_max
         has_current = count > 0
         best_current = np.where(has_current, best_axis, -np.inf)
         keep = (quality[0] > best_current[index]) | ~has_current[index]
-    return quality, keep
+        rows, cols, existence = rows[keep], cols[keep], existence[keep]
+        quality = tuple(a[keep] for a in quality)
+    return rows, cols, quality, existence
 
 
 def build_problem(
     current_workers: Sequence[Worker],
     current_tasks: Sequence[Task],
-    predicted_workers: Sequence[Worker],
-    predicted_tasks: Sequence[Task],
+    predicted_workers: PredictedWorkerColumns | Sequence[Worker],
+    predicted_tasks: PredictedTaskColumns | Sequence[Task],
     quality_model: QualityModel,
     unit_cost: float,
     now: float,
@@ -390,9 +453,12 @@ def build_problem(
         current_workers / current_tasks: entities available now
             (``W_p`` / ``T_p``).
         predicted_workers / predicted_tasks: grid-prediction samples
-            for the next instance (``W_{p+1}`` / ``T_{p+1}``); pass
-            empty sequences for the without-prediction (WoP) mode.
-        quality_model: supplier of pair quality scores.
+            for the next instance (``W_{p+1}`` / ``T_{p+1}``), as
+            columns or as entity objects flagged predicted; pass empty
+            sequences for the without-prediction (WoP) mode.
+        quality_model: supplier of pair quality scores; its
+            ``quality_pairs_by_ids`` hook, when present, scores only
+            the valid current pairs.
         unit_cost: the unit price ``C`` per distance.
         now: the current timestamp ``p``.
         discount_by_existence: multiply predicted pairs' quality by
@@ -419,41 +485,58 @@ def build_problem(
     """
     if unit_cost < 0.0:
         raise ValueError(f"unit cost must be non-negative, got {unit_cost}")
-    validate_predicted_flags(predicted_workers, predicted_tasks)
+    predicted_workers = PredictedWorkerColumns.of(predicted_workers)
+    predicted_tasks = PredictedTaskColumns.of(predicted_tasks)
 
     n, m = len(current_workers), len(current_tasks)
-    k, l = len(predicted_workers), len(predicted_tasks)
-    pools: list[PairPool] = []
+    k = 0 if predicted_workers is None else predicted_workers.ids.size
+    l = 0 if predicted_tasks is None else predicted_tasks.ids.size
+    parts: list[PoolPart] = []  # the pool: current pairs, then each family
 
+    # ---- validity of every pair, mask first --------------------------------
+    # Rows: the current workers, then the predicted ones; columns: the
+    # current tasks, then the predicted ones -- the order of the
+    # instance's entity lists, so an entry's position is its pair's
+    # pool index.  A current entity is a point (its box is degenerate)
+    # and a predicted one its kernel box, whose sample point the build
+    # never reads.  Each family's validity (horizon, box-gap lower
+    # bound, then the reservation filter) is decided before any pair
+    # is priced; the survivors of all predicted families then share
+    # one delta-method pricing call.
     wx, wy, w_vel, w_arr = _worker_columns(current_workers)
     tx, ty, t_deadline, t_arr = _task_columns(current_tasks)
+    w_side = ((wx, wx, wy, wy), w_vel, w_arr)
+    t_side = ((tx, tx, ty, ty), t_deadline, t_arr)
+    if k:
+        cols = predicted_workers
+        w_side = _stack_sides(w_side, (cols.intervals, cols.vel, cols.arr))
+    if l:
+        cols = predicted_tasks
+        t_side = _stack_sides(t_side, (cols.intervals, cols.deadline, cols.arr))
+    valid, lower = _valid_pairs(*w_side, *t_side, now)
 
     # ---- current x current -------------------------------------------------
     if n and m:
-        dist = np.hypot(wx[:, None] - tx[None, :], wy[:, None] - ty[None, :])
-        departure = np.maximum(now, np.maximum(w_arr[:, None], t_arr[None, :]))
-        horizon = t_deadline[None, :] - departure
-        cc_rows, cc_cols = np.nonzero((horizon > 0.0) & (dist <= horizon * w_vel[:, None]))
-        quality_cc = quality_model.quality_matrix(current_workers, current_tasks)
-        if quality_cc.shape != (n, m):
-            raise ValueError(
-                f"quality matrix shape {quality_cc.shape} != ({n}, {m})"
+        cc_rows, cc_cols = np.nonzero(valid[:n, :m])
+        by_ids = getattr(quality_model, "quality_pairs_by_ids", None)
+        if by_ids is not None:
+            cc_quality = np.asarray(
+                by_ids(_ids(current_workers)[cc_rows], _ids(current_tasks)[cc_cols]),
+                dtype=float,
             )
-        cc_quality = quality_cc[cc_rows, cc_cols]
-        cost_cc = unit_cost * dist[cc_rows, cc_cols]
+        else:
+            quality_cc = quality_model.quality_matrix(current_workers, current_tasks)
+            if quality_cc.shape != (n, m):
+                raise ValueError(
+                    f"quality matrix shape {quality_cc.shape} != ({n}, {m})"
+                )
+            cc_quality = quality_cc[cc_rows, cc_cols]
+        cost_cc = unit_cost * lower[cc_rows, cc_cols]
         zeros = np.zeros_like(cost_cc)
-        pools.append(
-            _triplet_pool(
-                cc_rows,
-                cc_cols,
-                worker_offset=0,
-                task_offset=0,
-                cost=(cost_cc, zeros, cost_cc, cost_cc),
-                quality=(cc_quality, zeros, cc_quality, cc_quality),
-                existence=np.ones_like(cost_cc),
-                is_current=True,
-            )
-        )
+        parts.append(PoolPart(
+            cc_rows, cc_cols, (cost_cc, zeros, cost_cc, cost_cc),
+            (cc_quality, zeros, cc_quality, cc_quality), np.ones_like(cost_cc), True,
+        ))
     else:
         cc_rows = cc_cols = np.zeros(0, dtype=np.int64)
         cc_quality = np.zeros(0)
@@ -466,93 +549,54 @@ def build_problem(
         cc_rows, cc_cols, cc_quality, n, m, quality_model.prior()
     )
 
-    # ---- predicted families: mask first, price once ------------------------
-    # Each family's validity (horizon, box-gap lower bound, reservation
-    # filter) is decided before any pair is priced; the survivors of
-    # all three families then share one delta-method pricing call.
-    families: list[_Family] = []
-
-    def _family(w_side, t_side, side, existence_axis, worker_offset, task_offset) -> None:
-        w_entities, w_iv, vel, w_arrival = w_side
-        t_entities, t_iv, deadline, t_arrival = t_side
-        rows, cols = _reachable(w_iv, vel, w_arrival, t_iv, deadline, t_arrival, now)
+    # ---- predicted families: couple, then price the survivors once --------
+    families = []
+    if k and m:
+        exist_task = np.minimum(stats.task_count / max(n, 1), 1.0)
+        families.append(("task", predicted_workers, current_tasks, n, 0, exist_task))
+    if n and l:
+        exist_worker = np.minimum(stats.worker_count / max(m, 1), 1.0)
+        families.append(("worker", current_workers, predicted_tasks, 0, m, exist_worker))
+    if k and l and include_future_future_pairs:
+        exist_ff = min(stats.total_valid / max(n * m, 1), 1.0)
+        families.append(("global", predicted_workers, predicted_tasks, n, m, exist_ff))
+    survivors = []
+    for side, w_entities, t_entities, row0, col0, existence_axis in families:
+        rows, cols = np.nonzero(
+            valid[row0 : row0 + len(w_entities), col0 : col0 + len(t_entities)]
+        )
         if rows.size == 0:
-            return
-        index = cols if side == "task" else rows
-        existence = existence_axis[index]
+            continue
         exact = (
-            quality_model.quality_matrix(w_entities, t_entities)[rows, cols]
+            quality_model.quality_matrix(list(w_entities), list(t_entities))[rows, cols]
             if exact_predicted_quality
             else None
         )
-        quality, keep = _predicted_family_coupling(
-            stats, side, index, existence,
+        rows, cols, quality, existence = _predicted_family_coupling(
+            stats, side, rows, cols, existence_axis,
             discount_by_existence, reservation_filter, exact,
         )
-        if keep is not None:
-            rows, cols = rows[keep], cols[keep]
-            quality = tuple(a[keep] for a in quality)
-            existence = existence[keep]
         if rows.size:
-            families.append(
-                _Family(rows, cols, w_iv, t_iv, quality, existence, worker_offset, task_offset)
-            )
+            survivors.append((rows + row0, cols + col0, quality, existence))
 
-    # Predicted entities are priced from their boxes, their sample
-    # points never read; a current entity is a point (its box is
-    # degenerate), priced from its location as in the fused pipeline.
-    if k:
-        pw_vel, pw_arr = _columns(predicted_workers, "velocity", "arrival")
-        pw = (predicted_workers, _box_intervals(predicted_workers), pw_vel, pw_arr)
-    if l:
-        pt_deadline, pt_arr = _columns(predicted_tasks, "deadline", "arrival")
-        pt = (predicted_tasks, _box_intervals(predicted_tasks), pt_deadline, pt_arr)
-    if k and m:
-        ct = (current_tasks, (tx, tx, ty, ty), t_deadline, t_arr)
-        exist_task = np.minimum(stats.task_count / max(n, 1), 1.0)
-        _family(pw, ct, "task", exist_task, n, 0)
-    if n and l:
-        cw = (current_workers, (wx, wx, wy, wy), w_vel, w_arr)
-        exist_worker = np.minimum(stats.worker_count / max(m, 1), 1.0)
-        _family(cw, pt, "worker", exist_worker, 0, m)
-    if k and l and include_future_future_pairs:
-        exist_ff = np.full(k, min(stats.total_valid / max(n * m, 1), 1.0))
-        _family(pw, pt, "global", exist_ff, n, m)
-
-    if families:
+    if survivors:
+        rows = np.concatenate([s[0] for s in survivors])
+        cols = np.concatenate([s[1] for s in survivors])
         d_mean, d_var, d_lb, d_ub = distance_stats_aligned(
-            tuple(
-                np.concatenate([f.w_intervals[axis][f.rows] for f in families])
-                for axis in range(4)
-            ),
-            tuple(
-                np.concatenate([f.t_intervals[axis][f.cols] for f in families])
-                for axis in range(4)
-            ),
+            tuple(axis[rows] for axis in w_side[0]),
+            tuple(axis[cols] for axis in t_side[0]),
         )
         cost = (unit_cost * d_mean, unit_cost**2 * d_var, unit_cost * d_lb, unit_cost * d_ub)
         start = 0
-        for f in families:
-            stop = start + f.rows.size
-            pools.append(
-                _triplet_pool(
-                    f.rows,
-                    f.cols,
-                    worker_offset=f.worker_offset,
-                    task_offset=f.task_offset,
-                    cost=tuple(column[start:stop] for column in cost),
-                    quality=f.quality,
-                    existence=f.existence,
-                    is_current=False,
-                )
-            )
+        for f_rows, f_cols, quality, existence in survivors:
+            stop = start + f_rows.size
+            parts.append(PoolPart(
+                f_rows, f_cols, tuple(column[start:stop] for column in cost),
+                quality, existence, False,
+            ))
             start = stop
 
     return ProblemInstance(
-        workers=list(current_workers) + list(predicted_workers),
-        tasks=list(current_tasks) + list(predicted_tasks),
-        num_current_workers=n,
-        num_current_tasks=m,
-        pool=PairPool.concatenate(pools),
-        now=now,
+        list(current_workers), list(current_tasks), n, m, PairPool.from_parts(parts), now,
+        predicted_workers, predicted_tasks,
     )

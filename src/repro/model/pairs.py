@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +82,21 @@ class CandidatePair:
     def is_current(self) -> bool:
         """True when both endpoints exist right now (materializable)."""
         return self.worker.is_current and self.task.is_current
+
+
+class PoolPart(NamedTuple):
+    """Aligned columns of some rows of a :class:`PairPool`.
+
+    ``cost`` and ``quality`` are ``(mean, var, lb, ub)``;
+    ``is_current`` is one flag for every row of the part, or one per row.
+    """
+
+    worker_idx: np.ndarray
+    task_idx: np.ndarray
+    cost: tuple
+    quality: tuple
+    existence: np.ndarray
+    is_current: bool | np.ndarray
 
 
 class PairPool:
@@ -167,25 +183,33 @@ class PairPool:
         return cls(zi, zi, z, z, z, z, z, z, z, z, z, zb)
 
     @classmethod
-    def concatenate(cls, pools: list["PairPool"]) -> "PairPool":
-        """Stack several pools into one."""
-        pools = [p for p in pools if len(p) > 0]
-        if not pools:
+    def from_parts(cls, parts: list["PoolPart"]) -> "PairPool":
+        """One pool from its parts, in order, every column stacked once."""
+        if not parts:
             return cls.empty()
         return cls(
-            np.concatenate([p.worker_idx for p in pools]),
-            np.concatenate([p.task_idx for p in pools]),
-            np.concatenate([p.cost_mean for p in pools]),
-            np.concatenate([p.cost_var for p in pools]),
-            np.concatenate([p.cost_lb for p in pools]),
-            np.concatenate([p.cost_ub for p in pools]),
-            np.concatenate([p.quality_mean for p in pools]),
-            np.concatenate([p.quality_var for p in pools]),
-            np.concatenate([p.quality_lb for p in pools]),
-            np.concatenate([p.quality_ub for p in pools]),
-            np.concatenate([p.existence for p in pools]),
-            np.concatenate([p.is_current for p in pools]),
+            np.concatenate([part.worker_idx for part in parts]),
+            np.concatenate([part.task_idx for part in parts]),
+            *(np.concatenate([part.cost[i] for part in parts]) for i in range(4)),
+            *(np.concatenate([part.quality[i] for part in parts]) for i in range(4)),
+            np.concatenate([part.existence for part in parts]),
+            np.concatenate([np.full(part.worker_idx.shape, part.is_current) for part in parts]),
         )
+
+    @classmethod
+    def concatenate(cls, pools: list["PairPool"]) -> "PairPool":
+        """Stack several pools into one."""
+        return cls.from_parts([
+            PoolPart(
+                p.worker_idx,
+                p.task_idx,
+                (p.cost_mean, p.cost_var, p.cost_lb, p.cost_ub),
+                (p.quality_mean, p.quality_var, p.quality_lb, p.quality_ub),
+                p.existence,
+                p.is_current,
+            )
+            for p in pools
+        ])
 
     def __len__(self) -> int:
         return len(self.worker_idx)

@@ -56,6 +56,18 @@ _STAT_COUNTERS = {
     ),
 }
 
+#: Phases recorded as ``stream_<phase>_seconds`` histograms each round.
+_PHASES = ("build", "price", "select", "finalize", "assign")
+#: ``(kind, name)`` of the instruments :meth:`StreamObserver.end_round`
+#: records into every round.
+_ROUND_INSTRUMENTS = (
+    *(("counter", f"stream_{name}_total") for name in ("rounds", "events", "assignments", "pairs")),
+    ("gauge", "stream_available_workers"),
+    ("gauge", "stream_available_tasks"),
+    ("histogram", "stream_round_seconds"),
+    *(("histogram", f"stream_{phase}_seconds") for phase in _PHASES),
+)
+
 
 class RoundTimer:
     """Phase stopwatch for one round (always measuring, never recording).
@@ -115,6 +127,10 @@ class StreamObserver:
         self._prev: dict[tuple[str, str], float] = {}
         self._prev_price = 0.0
         self._active: RoundTimer | None = None
+        # The per-round instruments by name, looked up on the first
+        # recorded round (not here, which would move every engine's
+        # set-up time).
+        self._bound: dict | None = None
 
     @property
     def enabled(self) -> bool:
@@ -295,22 +311,24 @@ class StreamObserver:
 
         metrics = self.metrics
         if metrics.enabled:
-            metrics.counter("stream_rounds_total").inc()
-            metrics.counter("stream_events_total").inc(max(events_delta, 0.0))
-            metrics.counter("stream_assignments_total").inc(assigned)
-            metrics.counter("stream_pairs_total").inc(num_pairs)
-            metrics.gauge("stream_available_workers").set(num_workers)
-            metrics.gauge("stream_available_tasks").set(num_tasks)
+            bound = self._bound
+            if bound is None:
+                bound = self._bound = {
+                    name: getattr(metrics, kind)(name) for kind, name in _ROUND_INSTRUMENTS
+                }
+            bound["stream_rounds_total"].inc()
+            bound["stream_events_total"].inc(max(events_delta, 0.0))
+            bound["stream_assignments_total"].inc(assigned)
+            bound["stream_pairs_total"].inc(num_pairs)
+            bound["stream_available_workers"].set(num_workers)
+            bound["stream_available_tasks"].set(num_tasks)
             if cached_pairs is not None:
-                metrics.gauge("stream_cached_pairs").set(cached_pairs)
-            metrics.histogram("stream_round_seconds").observe(round_seconds)
-            for phase in ("build", "price", "select", "finalize"):
-                metrics.histogram(f"stream_{phase}_seconds").observe(
-                    timer.seconds(phase)
-                )
-            metrics.histogram("stream_assign_seconds").observe(
-                timer.seconds("assign")
-            )
+                if "stream_cached_pairs" not in bound:
+                    bound["stream_cached_pairs"] = metrics.gauge("stream_cached_pairs")
+                bound["stream_cached_pairs"].set(cached_pairs)
+            bound["stream_round_seconds"].observe(round_seconds)
+            for phase in _PHASES:
+                bound[f"stream_{phase}_seconds"].observe(timer.seconds(phase))
 
         instants: list[tuple[str, float]] = []
         if delta_stats is not None:

@@ -115,7 +115,7 @@ class GridPredictor:
         """
         if not self._history:
             raise RuntimeError("predict_counts() called before any observe()")
-        window_matrix = np.stack(self._history, axis=0).astype(float)
+        window_matrix = np.array(self._history, dtype=float)
         num_cells = self._grid.num_cells
         predict_batch = getattr(self._predictor, "predict_batch", None)
         if predict_batch is not None:

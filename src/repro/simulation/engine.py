@@ -22,18 +22,22 @@ at ``p`` are scored against the actual new arrivals of ``p + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, sub
 
 import numpy as np
 
 from repro.core.base import Assigner
-from repro.geo.box import Box
 from repro.geo.grid import GridIndex
-from repro.geo.point import Point, euclidean_distance
+from repro.geo.point import euclidean_distance
 from repro.model.entities import Task, Worker
-from repro.model.instance import build_problem
+from repro.model.instance import (
+    PredictedTaskColumns,
+    PredictedWorkerColumns,
+    _columns,
+    build_problem,
+)
 from repro.obs.metrics import monotonic
-from repro.prediction.accuracy import average_relative_error
+from repro.prediction.accuracy import relative_errors
 from repro.prediction.grid_predictor import GridPredictor
 from repro.prediction.predictors import CountPredictor
 from repro.simulation.metrics import (
@@ -44,8 +48,9 @@ from repro.simulation.metrics import (
 from repro.workloads.base import Workload
 
 _PREDICTED_ID_BASE = 10_000_000_000
-_X = attrgetter("x")
-_Y = attrgetter("y")
+_VELOCITY = attrgetter("velocity")
+_DEADLINE = attrgetter("deadline")
+_ARRIVAL = attrgetter("arrival")
 
 
 @dataclass(frozen=True)
@@ -174,26 +179,15 @@ class SimulationEngine:
             # (3) prediction bookkeeping: score last instance's
             # prediction against today's actual new arrivals, then
             # observe them and predict tomorrow's.
-            grid = self._worker_predictor.grid
-            actual_worker_counts = grid.count_points(
-                [w.location for w in joining_workers]
+            worker_error, task_error = observe_arrivals(
+                self._worker_predictor,
+                self._task_predictor,
+                joining_workers,
+                new_tasks,
+                (last_worker_prediction, last_task_prediction),
             )
-            actual_task_counts = grid.count_points([t.location for t in new_tasks])
-            worker_error = (
-                average_relative_error(last_worker_prediction, actual_worker_counts)
-                if last_worker_prediction is not None
-                else None
-            )
-            task_error = (
-                average_relative_error(last_task_prediction, actual_task_counts)
-                if last_task_prediction is not None
-                else None
-            )
-            self._worker_predictor.observe_counts(actual_worker_counts)
-            self._task_predictor.observe_counts(actual_task_counts)
 
-            predicted_workers: list[Worker] = []
-            predicted_tasks: list[Task] = []
+            predicted_workers = predicted_tasks = ()
             predicting = (
                 (config.use_prediction or config.oracle_prediction)
                 and instance + 1 < num_instances
@@ -207,8 +201,11 @@ class SimulationEngine:
                     self._worker_predictor.predict_counts(),
                     self._task_predictor.predict_counts(),
                 )
-                predicted_workers, predicted_tasks = self._predict_entities(
-                    rng, now, current_workers, current_tasks, forecasts
+                predicted_workers, predicted_tasks = predict_entities(
+                    rng, now, current_workers, current_tasks,
+                    self._worker_predictor, self._task_predictor, forecasts,
+                    default_velocity=config.default_velocity,
+                    default_deadline_offset=config.default_deadline_offset,
                 )
                 last_worker_prediction = forecasts[0][0]
                 last_task_prediction = forecasts[1][0]
@@ -312,36 +309,41 @@ class SimulationEngine:
         ]
         return workers, tasks
 
-    def _predict_entities(
-        self,
-        rng: np.random.Generator,
-        now: float,
-        current_workers: list[Worker],
-        current_tasks: list[Task],
-        forecasts: tuple,
-    ) -> tuple[list[Worker], list[Task]]:
-        """Materialize ``W_{p+1}`` and ``T_{p+1}`` from the predictors."""
-        config = self._config
-        return predict_entities(
-            rng,
-            now,
-            current_workers,
-            current_tasks,
-            self._worker_predictor,
-            self._task_predictor,
-            forecasts,
-            default_velocity=config.default_velocity,
-            default_deadline_offset=config.default_deadline_offset,
+
+def observe_arrivals(
+    worker_predictor: GridPredictor,
+    task_predictor: GridPredictor,
+    workers: list[Worker],
+    tasks: list[Task],
+    last_forecasts: tuple[np.ndarray | None, np.ndarray | None],
+) -> tuple[float | None, float | None]:
+    """One instance's prediction bookkeeping, shared by both engines.
+
+    Counts the newly arrived ``workers`` and ``tasks`` per grid cell
+    (one pass over both), scores the previous forecasts against those
+    counts (Fig. 10's average relative error; ``None`` before any
+    forecast) and records the counts on the predictors.  Returns the
+    ``(worker, task)`` errors.
+    """
+    xs, ys = _columns(workers + tasks, "location.x", "location.y")
+    actual = worker_predictor.grid.count_groups(xs, ys, (len(workers), len(tasks)))
+    errors = (None, None)
+    if last_forecasts[0] is not None:
+        errors = tuple(
+            relative_errors(np.stack(last_forecasts), actual).mean(axis=1).tolist()
         )
+    worker_predictor.observe_counts(actual[0])
+    task_predictor.observe_counts(actual[1])
+    return errors
 
 
-def location_std(points) -> tuple[float, float]:
-    """Per-dimension standard deviation of a point set (KDE bandwidth)."""
-    if not points:
+def location_std(entities) -> tuple[float, float]:
+    """Per-dimension standard deviation of the entities' locations
+    (the KDE bandwidth input)."""
+    if not entities:
         return (0.0, 0.0)
-    xs = np.fromiter(map(_X, points), dtype=float, count=len(points))
-    ys = np.fromiter(map(_Y, points), dtype=float, count=len(points))
-    return (float(xs.std()), float(ys.std()))
+    # Both axes in one call: a row's std is the 1-D std, bit for bit.
+    return tuple(np.stack(_columns(entities, "location.x", "location.y")).std(axis=1).tolist())
 
 
 def predict_entities(
@@ -355,53 +357,49 @@ def predict_entities(
     default_velocity: float,
     default_deadline_offset: float,
     step: float = 1.0,
-) -> tuple[list[Worker], list[Task]]:
-    """Materialize the next instance's predicted entity sets.
+) -> tuple[PredictedWorkerColumns, PredictedTaskColumns]:
+    """Sample the next instance's predicted entity sets, as columns.
 
     Shared by the batch engine (``step = 1.0``, one time instance
     ahead) and the streaming engine, whose look-ahead is its round
     interval.  Velocity and deadline offsets are estimated from the
     current population, falling back to the configured defaults.
     ``forecasts`` holds both predictors' :meth:`~repro.prediction.
-    GridPredictor.predict_counts` results for this step.
+    GridPredictor.predict_counts` results for this step.  Workers take
+    the ids from ``_PREDICTED_ID_BASE`` on, tasks the ids after them;
+    the columns build their ``Worker``/``Task`` objects only when
+    iterated.
     """
     worker_forecast, task_forecast = forecasts
-    worker_std = location_std([w.location for w in current_workers])
-    task_std = location_std([t.location for t in current_tasks])
-    predicted_w = worker_predictor.predict(rng, worker_forecast, worker_std)
-    predicted_t = task_predictor.predict(rng, task_forecast, task_std)
+    predicted_w = worker_predictor.predict(rng, worker_forecast, location_std(current_workers))
+    predicted_t = task_predictor.predict(rng, task_forecast, location_std(current_tasks))
 
     if current_workers:
-        velocity = sum(w.velocity for w in current_workers) / len(current_workers)
+        velocity = sum(map(_VELOCITY, current_workers)) / len(current_workers)
     else:
         velocity = default_velocity
     if current_tasks:
-        offset = sum(t.deadline - t.arrival for t in current_tasks) / len(
-            current_tasks
-        )
+        offset = sum(
+            map(sub, map(_DEADLINE, current_tasks), map(_ARRIVAL, current_tasks))
+        ) / len(current_tasks)
     else:
         offset = default_deadline_offset
 
-    # Positional fields (id, location, velocity or deadline, arrival,
-    # predicted, box): a keyword call costs a third more per entity.
+    k, l = predicted_w.xs.size, predicted_t.xs.size
     arrival = now + step
-    workers = [
-        Worker(_PREDICTED_ID_BASE + i, Point(x, y), velocity, arrival, True, Box(*bounds))
-        for i, (x, y, *bounds) in enumerate(_sample_columns(predicted_w))
-    ]
-    base = _PREDICTED_ID_BASE + len(workers)
     deadline = now + step + offset
-    tasks = [
-        Task(base + j, Point(x, y), deadline, arrival, True, Box(*bounds))
-        for j, (x, y, *bounds) in enumerate(_sample_columns(predicted_t))
-    ]
-    return workers, tasks
-
-
-def _sample_columns(predicted):
-    """Per-sample ``(x, y, x_lo, x_hi, y_lo, y_hi)`` of a prediction."""
-    return zip(
-        predicted.xs.tolist(),
-        predicted.ys.tolist(),
-        *(axis.tolist() for axis in predicted.bounds),
+    if k and velocity <= 0.0:
+        raise ValueError(f"predicted workers: velocity must be positive, got {velocity}")
+    if l and deadline < arrival:
+        raise ValueError(f"predicted tasks: deadline {deadline} precedes arrival {arrival}")
+    workers = PredictedWorkerColumns(
+        np.arange(_PREDICTED_ID_BASE, _PREDICTED_ID_BASE + k),
+        predicted_w.xs, predicted_w.ys, np.full(k, velocity), np.full(k, arrival),
+        predicted_w.bounds,
     )
+    tasks = PredictedTaskColumns(
+        np.arange(_PREDICTED_ID_BASE + k, _PREDICTED_ID_BASE + k + l),
+        predicted_t.xs, predicted_t.ys, np.full(l, deadline), np.full(l, arrival),
+        predicted_t.bounds,
+    )
+    return workers, tasks

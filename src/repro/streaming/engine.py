@@ -36,8 +36,10 @@ batch loop; the differential suite in
 from __future__ import annotations
 
 import pickle
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -49,17 +51,18 @@ from repro.geo.spatial_index import SpatialIndex
 from repro.geo.tiles import TileGrid
 from repro.model.delta import ChurnRecord
 from repro.model.entities import Task, Worker
+from repro.model.instance import PredictedTaskColumns, PredictedWorkerColumns
 from repro.model.quality import QualityModel
 from repro.model.sparse import SparseBuildStats
 from repro.obs.instrument import StreamObserver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
-from repro.prediction.accuracy import average_relative_error
 from repro.prediction.grid_predictor import GridPredictor
 from repro.prediction.predictors import CountPredictor
 from repro.simulation.engine import (
     EngineConfig,
     _PREDICTED_ID_BASE,
+    observe_arrivals,
     predict_entities,
 )
 from repro.simulation.metrics import (
@@ -79,6 +82,7 @@ from repro.streaming.events import (
 from repro.streaming.pipeline import FusedRoundBuilder, InlineTileRunner
 
 _RELEASED_ID_BASE = _PREDICTED_ID_BASE * 2
+_ASSIGNMENT_SEQ = attrgetter("assignment_seq")
 
 #: Churn fraction above which a tile's delta pool re-primes instead of
 #: repairing, and warm selection rebuilds its orders cold.
@@ -589,9 +593,11 @@ class StreamingEngine:
     # -- the round ----------------------------------------------------------
 
     def _apply_due_events(self, now: float) -> None:
+        """Apply the events due by ``now``, popped as one batch."""
         expired: set[int] = set()
-        for event in self._queue.pop_due(now):
-            self.events_processed += 1
+        due = self._queue.pop_due(now)
+        self.events_processed += len(due)
+        for event in due:
             if isinstance(event, WorkerArrival):
                 worker = event.worker
                 if worker.id in self._available_worker_ids:
@@ -612,7 +618,6 @@ class StreamingEngine:
                 self._available_task_ids.add(task.id)
                 self._available_tasks.append(task)
                 self._task_index.insert(task.id, task.location)
-                self._queue.push(TaskExpiry(task.deadline, task.id))
                 self._new_tasks.append(task)
             elif isinstance(event, WorkerRelease):
                 self._release_buffer.append(event)
@@ -640,7 +645,7 @@ class StreamingEngine:
         """
         if not self._release_buffer:
             return
-        self._release_buffer.sort(key=lambda event: event.assignment_seq)
+        self._release_buffer.sort(key=_ASSIGNMENT_SEQ)
         for event in self._release_buffer:
             worker = Worker(
                 id=self._next_released_id,
@@ -657,8 +662,8 @@ class StreamingEngine:
     def _build_problem(
         self,
         now: float,
-        predicted_workers: list[Worker],
-        predicted_tasks: list[Task],
+        predicted_workers: PredictedWorkerColumns | Sequence[Worker],
+        predicted_tasks: PredictedTaskColumns | Sequence[Task],
         churn: ChurnRecord | None = None,
     ):
         """Assemble the round's candidate-pair problem.
@@ -754,23 +759,13 @@ class StreamingEngine:
 
         # Prediction bookkeeping: score the previous round's forecast
         # against what actually joined, observe, forecast the next.
-        grid = self._worker_predictor.grid
-        actual_worker_counts = grid.count_points(
-            [w.location for w in self._joined_workers]
+        worker_error, task_error = observe_arrivals(
+            self._worker_predictor,
+            self._task_predictor,
+            self._joined_workers,
+            self._new_tasks,
+            (self._last_worker_prediction, self._last_task_prediction),
         )
-        actual_task_counts = grid.count_points([t.location for t in self._new_tasks])
-        worker_error = (
-            average_relative_error(self._last_worker_prediction, actual_worker_counts)
-            if self._last_worker_prediction is not None
-            else None
-        )
-        task_error = (
-            average_relative_error(self._last_task_prediction, actual_task_counts)
-            if self._last_task_prediction is not None
-            else None
-        )
-        self._worker_predictor.observe_counts(actual_worker_counts)
-        self._task_predictor.observe_counts(actual_task_counts)
         self._round_worker_arrivals = list(self._joined_workers)
         self._joined_workers.clear()
         self._new_tasks.clear()
@@ -790,8 +785,7 @@ class StreamingEngine:
             self._end_time is None
             or now + config.round_interval < self._end_time
         )
-        predicted_workers: list[Worker] = []
-        predicted_tasks: list[Task] = []
+        predicted_workers = predicted_tasks = ()
         if predicting:
             forecasts = (
                 self._worker_predictor.predict_counts(),

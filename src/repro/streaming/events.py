@@ -113,17 +113,29 @@ class EventQueue:
         ]
         return max(times) if times else None
 
-    def pop_due(self, time: float, max_phase: int = PHASE_RELEASE):
-        """Yield events up to ``time``, bounded by ``max_phase`` at the edge.
+    def pop_due(self, time: float, max_phase: int = PHASE_RELEASE) -> list[Event]:
+        """Pop the events up to ``time``, in order, as one batch.
 
         Pops every event strictly before ``time`` and, at exactly
         ``time``, those whose phase is ``<= max_phase`` — the engine
         calls this with ``PHASE_RELEASE`` before a round so boundary
-        expiries stay queued until after the round has run.
+        expiries stay queued until after the round has run.  Each popped
+        :class:`TaskArrival` queues its task's :class:`TaskExpiry` on
+        the spot: the heap evolves exactly as when each arrival was
+        applied as it popped, and an expiry already due (a late-stamped
+        arrival) joins the batch in order.
         """
-        while self._heap:
-            event_time, phase, _, event = self._heap[0]
+        heap = self._heap
+        due = []
+        while heap:
+            event_time, phase, _, event = heap[0]
             if event_time > time or (event_time == time and phase > max_phase):
                 break
-            heapq.heappop(self._heap)
-            yield event
+            heapq.heappop(heap)
+            due.append(event)
+            if isinstance(event, TaskArrival):
+                task = event.task
+                expiry = TaskExpiry(task.deadline, task.id)
+                heapq.heappush(heap, (expiry.time, expiry.phase, self._seq, expiry))
+                self._seq += 1
+        return due

@@ -107,25 +107,22 @@ from repro.model.delta import (
     DeltaBuildStats,
     DeltaPoolBuilder,
     PartitionEmission,
-    PredictedTaskColumns,
-    PredictedWorkerColumns,
-    predicted_task_columns,
-    predicted_worker_columns,
 )
 from repro.model.entities import Task, Worker
 from repro.model.instance import (
+    PredictedTaskColumns,
+    PredictedWorkerColumns,
     ProblemInstance,
+    _ids,
     _predicted_family_coupling,
     _task_columns,
-    _triplet_pool,
     _worker_columns,
     build_problem,
     quality_sample_stats,
-    validate_predicted_flags,
 )
-from repro.model.pairs import PairPool
+from repro.model.pairs import PairPool, PoolPart
 from repro.model.quality import QualityModel
-from repro.model.sparse import _EMPTY_IDX, _RADIUS_SLACK, SparseBuildStats
+from repro.model.sparse import _EMPTY_IDX, _RADIUS_SLACK, SparseBuildStats, _reach
 from repro.obs.metrics import monotonic
 from repro.uncertainty.vector import distance_stats_aligned
 
@@ -608,8 +605,8 @@ class _ReconcileContext:
 
     current_workers: Sequence[Worker]
     current_tasks: Sequence[Task]
-    predicted_workers: Sequence[Worker]
-    predicted_tasks: Sequence[Task]
+    predicted_workers: PredictedWorkerColumns | None
+    predicted_tasks: PredictedTaskColumns | None
     quality_model: QualityModel
     unit_cost: float
     now: float
@@ -646,13 +643,12 @@ def _reconcile(
     identical order make every downstream float match the serial
     builders exactly.
     """
-    n, m, k, l = (
-        len(ctx.current_workers), len(ctx.current_tasks),
-        len(ctx.predicted_workers), len(ctx.predicted_tasks),
-    )
+    n, m = len(ctx.current_workers), len(ctx.current_tasks)
+    k = 0 if ctx.predicted_workers is None else ctx.predicted_workers.ids.size
+    l = 0 if ctx.predicted_tasks is None else ctx.predicted_tasks.ids.size
     unit_cost = ctx.unit_cost
     prior = ctx.quality_model.prior()
-    pools: list[PairPool] = []
+    parts: list[PoolPart] = []
 
     merged = _merge_rowmajor(cc_parts)
     if merged:
@@ -665,18 +661,10 @@ def _reconcile(
     if cc_rows.size:
         cost_cc = unit_cost * cc_dist
         zeros = np.zeros_like(cc_dist)
-        pools.append(
-            _triplet_pool(
-                cc_rows,
-                cc_cols,
-                worker_offset=0,
-                task_offset=0,
-                cost=(cost_cc, zeros, cost_cc, cost_cc),
-                quality=(cc_quality, zeros, cc_quality, cc_quality),
-                existence=np.ones_like(cc_dist),
-                is_current=True,
-            )
-        )
+        parts.append(PoolPart(
+            cc_rows, cc_cols, (cost_cc, zeros, cost_cc, cost_cc),
+            (cc_quality, zeros, cc_quality, cc_quality), np.ones_like(cc_dist), True,
+        ))
         local.emitted += int(cc_rows.size)
 
     # Global coupling statistics: identical accumulation inputs in
@@ -699,16 +687,12 @@ def _reconcile(
     # exactly the pairs (and values) the serial builder prices.
     pending: list[dict] = []
 
-    def _couple(rows, cols, side, index, existence, w_intervals, t_intervals,
+    def _couple(rows, cols, side, existence_axis, w_intervals, t_intervals,
                 worker_offset, task_offset) -> None:
-        quality, keep = _predicted_family_coupling(
-            stats_cc, side, index, existence,
+        rows, cols, quality, existence = _predicted_family_coupling(
+            stats_cc, side, rows, cols, existence_axis,
             ctx.discount_by_existence, ctx.reservation_filter,
         )
-        if keep is not None:
-            rows, cols = rows[keep], cols[keep]
-            quality = tuple(a[keep] for a in quality)
-            existence = existence[keep]
         if rows.size:
             pending.append(dict(
                 rows=rows, cols=cols, quality=quality, existence=existence,
@@ -720,22 +704,22 @@ def _reconcile(
     if k and m:
         rows, cols = _merged_family(lambda r: r.pw_ct)
         if rows.size:
-            _couple(rows, cols, "task", cols, exist_task[cols],
+            _couple(rows, cols, "task", exist_task,
                     ctx.pw_intervals, ctx.t_intervals, n, 0)
 
     # ---- current workers x predicted tasks --------------------------------
     if n and l:
         rows, cols = _merged_family(lambda r: r.cw_pt)
         if rows.size:
-            _couple(rows, cols, "worker", rows, exist_worker[rows],
+            _couple(rows, cols, "worker", exist_worker,
                     ctx.cw_intervals, ctx.pt_intervals, 0, m)
 
     # ---- predicted workers x predicted tasks -------------------------------
     if k and l and ctx.include_future_future_pairs:
         rows, cols = _merged_family(lambda r: r.pw_pt)
         if rows.size:
-            existence_value = min(stats_cc.total_valid / max(n * m, 1), 1.0)
-            _couple(rows, cols, "global", rows, np.full(rows.size, existence_value),
+            existence = min(stats_cc.total_valid / max(n * m, 1), 1.0)
+            _couple(rows, cols, "global", existence,
                     ctx.pw_intervals, ctx.pt_intervals, n, m)
 
     # ---- price the survivors, emit in family order ------------------------
@@ -746,32 +730,17 @@ def _reconcile(
          for job in pending],
     )
     for job, (d_mean, d_var, d_lb, d_ub) in zip(pending, priced):
-        pools.append(
-            _triplet_pool(
-                job["rows"],
-                job["cols"],
-                worker_offset=job["worker_offset"],
-                task_offset=job["task_offset"],
-                cost=(
-                    unit_cost * d_mean,
-                    unit_cost**2 * d_var,
-                    unit_cost * d_lb,
-                    unit_cost * d_ub,
-                ),
-                quality=job["quality"],
-                existence=job["existence"],
-                is_current=False,
-            )
-        )
+        parts.append(PoolPart(
+            job["rows"] + job["worker_offset"],
+            job["cols"] + job["task_offset"],
+            (unit_cost * d_mean, unit_cost**2 * d_var, unit_cost * d_lb, unit_cost * d_ub),
+            job["quality"], job["existence"], False,
+        ))
         local.emitted += int(job["rows"].size)
 
     instance = ProblemInstance(
-        workers=list(ctx.current_workers) + list(ctx.predicted_workers),
-        tasks=list(ctx.current_tasks) + list(ctx.predicted_tasks),
-        num_current_workers=n,
-        num_current_tasks=m,
-        pool=PairPool.concatenate(pools),
-        now=ctx.now,
+        list(ctx.current_workers), list(ctx.current_tasks), n, m,
+        PairPool.from_parts(parts), ctx.now, ctx.predicted_workers, ctx.predicted_tasks,
     )
     return instance, cc_extras
 
@@ -1005,8 +974,8 @@ class FusedRoundBuilder:
         self,
         current_workers: Sequence[Worker],
         current_tasks: Sequence[Task],
-        predicted_workers: Sequence[Worker],
-        predicted_tasks: Sequence[Task],
+        predicted_workers: PredictedWorkerColumns | Sequence[Worker],
+        predicted_tasks: PredictedTaskColumns | Sequence[Task],
         now: float,
         churn: ChurnRecord | None = None,
         tile_phases: list[tuple[int, float]] | None = None,
@@ -1025,18 +994,21 @@ class FusedRoundBuilder:
         tile — both appended in place for the observer.  A round built
         by the dense kernel has no tiles: it appends to neither and
         leaves ``churn.row_origin`` unset, so warm selection self-diffs.
+        Predicted entities are columns or objects flagged predicted
+        (:meth:`~repro.model.instance.PredictedWorkerColumns.of`).
         """
-        validate_predicted_flags(predicted_workers, predicted_tasks)
+        pw_cols = PredictedWorkerColumns.of(predicted_workers)
+        pt_cols = PredictedTaskColumns.of(predicted_tasks)
         n, m = len(current_workers), len(current_tasks)
-        k, l = len(predicted_workers), len(predicted_tasks)
+        k = 0 if pw_cols is None else pw_cols.ids.size
+        l = 0 if pt_cols is None else pt_cols.ids.size
         local = SparseBuildStats()
         local.dense_equivalent = n * m + k * m + n * l
         if self._future_future:
             local.dense_equivalent += k * l
         if self._dense_eligible and local.dense_equivalent <= DENSE_ROUND_MAX_PAIRS:
             return self._build_dense(
-                current_workers, current_tasks, predicted_workers,
-                predicted_tasks, now, churn, local,
+                current_workers, current_tasks, pw_cols, pt_cols, now, churn, local,
             )
         # The runner counts pipe bytes cumulatively so a mid-round
         # retry (refresh re-send) still lands in this round's total.
@@ -1079,8 +1051,9 @@ class FusedRoundBuilder:
             new_task_objs = {}
 
         # ---- margins + zone growth (growth forces a tile re-prime) --------
-        pw_cols = predicted_worker_columns(predicted_workers)
-        pt_cols = predicted_task_columns(predicted_tasks)
+        for cols in (pw_cols, pt_cols):
+            if cols is not None and cols.reach is None:
+                cols.reach = _reach(cols.intervals, cols.xs, cols.ys)
         build_pt_blocks = bool(l and (n or (k and self._future_future)))
         margin_ct = self._margin_ct(n, m, k, now, pw_cols)
         refresh_tiles = set(self._zones.ensure(margin_ct))
@@ -1207,8 +1180,8 @@ class FusedRoundBuilder:
         ctx = _ReconcileContext(
             current_workers=current_workers,
             current_tasks=current_tasks,
-            predicted_workers=predicted_workers,
-            predicted_tasks=predicted_tasks,
+            predicted_workers=pw_cols,
+            predicted_tasks=pt_cols,
             quality_model=self._quality_model,
             unit_cost=self._unit_cost,
             now=now,
@@ -1262,8 +1235,8 @@ class FusedRoundBuilder:
         self,
         current_workers: Sequence[Worker],
         current_tasks: Sequence[Task],
-        predicted_workers: Sequence[Worker],
-        predicted_tasks: Sequence[Task],
+        predicted_workers: PredictedWorkerColumns | None,
+        predicted_tasks: PredictedTaskColumns | None,
         now: float,
         churn: ChurnRecord | None,
         local: SparseBuildStats,
@@ -1320,11 +1293,7 @@ class FusedRoundBuilder:
         the discipline is *checked* instead.
         """
         if arrivals is None or removed_ids is None:
-            current_ids = np.fromiter(
-                (w.id for w in current_workers),
-                dtype=np.int64,
-                count=len(current_workers),
-            )
+            current_ids = _ids(current_workers)
             keep = np.isin(self._w_ids, current_ids, assume_unique=True)
             new_mask = ~np.isin(current_ids, self._w_ids, assume_unique=True)
             if not np.array_equal(current_ids[~new_mask], self._w_ids[keep]):
@@ -1347,9 +1316,7 @@ class FusedRoundBuilder:
             self._w_owner = self._w_owner[keep]
         if arrivals:
             ax, ay, avel, aarr = _worker_columns(arrivals)
-            aids = np.fromiter(
-                (w.id for w in arrivals), dtype=np.int64, count=len(arrivals)
-            )
+            aids = _ids(arrivals)
             owner = self._tiles.tile_of_coordinates(ax, ay)
             for worker, tile in zip(arrivals, owner.tolist()):
                 arrivals_by_tile.setdefault(tile, []).append(worker)
@@ -1434,18 +1401,14 @@ class FusedRoundBuilder:
             self._wx, self._wy, self._wvel, self._warr = _worker_columns(
                 current_workers
             )
-            self._w_ids = np.fromiter(
-                (w.id for w in current_workers), dtype=np.int64, count=n
-            )
+            self._w_ids = _ids(current_workers)
             self._w_owner = self._tiles.tile_of_coordinates(self._wx, self._wy)
         else:
             self._w_ids = self._w_owner = _EMPTY_IDX
             self._wx = self._wy = self._wvel = self._warr = _EMPTY_F
         if m:
             self._tx, self._ty, self._tdl, self._tarr = _task_columns(current_tasks)
-            self._t_ids = np.fromiter(
-                (t.id for t in current_tasks), dtype=np.int64, count=m
-            )
+            self._t_ids = _ids(current_tasks)
             self._t_cells = self._grid.cells_of_coordinates(self._tx, self._ty)
         else:
             self._t_ids = self._t_cells = _EMPTY_IDX

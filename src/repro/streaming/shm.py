@@ -54,12 +54,8 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
-from repro.model.delta import (
-    DeltaBuildStats,
-    PartitionEmission,
-    PredictedTaskColumns,
-    PredictedWorkerColumns,
-)
+from repro.model.delta import DeltaBuildStats, PartitionEmission
+from repro.model.instance import PredictedTaskColumns, PredictedWorkerColumns
 from repro.obs.metrics import monotonic
 from repro.streaming.pipeline import (
     PipelineSpec,
@@ -230,9 +226,9 @@ def _columns_to_arrays(pw: PredictedWorkerColumns | None,
                        pt: PredictedTaskColumns | None) -> list:
     arrays: list = []
     if pw is not None:
-        arrays += [pw.xs, pw.ys, pw.vel, pw.arr, *pw.intervals, pw.reach]
+        arrays += [pw.ids, pw.xs, pw.ys, pw.vel, pw.arr, *pw.intervals, pw.reach]
     if pt is not None:
-        arrays += [pt.xs, pt.ys, pt.deadline, pt.arr, *pt.intervals, pt.reach]
+        arrays += [pt.ids, pt.xs, pt.ys, pt.deadline, pt.arr, *pt.intervals, pt.reach]
     return arrays
 
 
@@ -249,19 +245,11 @@ def _unpack_columns(segment: SharedMemory | None, header: dict):
 
     pw = pt = None
     if header["pw"]:
-        xs, ys, vel, arr, ax_lo, ax_hi, ay_lo, ay_hi, reach = grab(9)
-        pw = PredictedWorkerColumns(
-            xs=xs, ys=ys, vel=vel, arr=arr,
-            intervals=(ax_lo, ax_hi, ay_lo, ay_hi), reach=reach,
-        )
+        ids, xs, ys, vel, arr, *intervals, reach = grab(10)
+        pw = PredictedWorkerColumns(ids, xs, ys, vel, arr, tuple(intervals), reach)
     if header["pt"]:
-        xs, ys, deadline, arr, ax_lo, ax_hi, ay_lo, ay_hi, reach = grab(9)
-        deadline_max, max_reach = header["pt_scalars"]
-        pt = PredictedTaskColumns(
-            xs=xs, ys=ys, deadline=deadline, arr=arr,
-            intervals=(ax_lo, ax_hi, ay_lo, ay_hi), reach=reach,
-            deadline_max=deadline_max, max_reach=max_reach,
-        )
+        ids, xs, ys, deadline, arr, *intervals, reach = grab(10)
+        pt = PredictedTaskColumns(ids, xs, ys, deadline, arr, tuple(intervals), reach)
     return pw, pt
 
 
@@ -619,7 +607,6 @@ class ShmTileRunner:
             "descs": descs,
             "pw": pw is not None,
             "pt": pt is not None,
-            "pt_scalars": (pt.deadline_max, pt.max_reach) if pt is not None else None,
         }
 
     def _worker_segment(self, worker: int, name: str | None):

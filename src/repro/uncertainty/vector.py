@@ -40,10 +40,12 @@ def _uniform_raw_moments(lb, ub, orders: tuple[int, ...]) -> list[np.ndarray]:
         return [lb**k for k in orders]
     safe_width = np.where(degenerate, 1.0, ub - lb)
     mixed = degenerate.any()
+    # Each power once: a degenerate lane's lb**k is the order below's lb**(k + 1).
+    lb_power = {j: lb**j for j in {*orders, *(k + 1 for k in orders)}}
     moments = []
     for k in orders:
-        moment = (ub ** (k + 1) - lb ** (k + 1)) / ((k + 1) * safe_width)
-        moments.append(np.where(degenerate, lb**k, moment) if mixed else moment)
+        moment = (ub ** (k + 1) - lb_power[k + 1]) / ((k + 1) * safe_width)
+        moments.append(np.where(degenerate, lb_power[k], moment) if mixed else moment)
     return moments
 
 

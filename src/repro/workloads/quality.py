@@ -33,13 +33,14 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _hash_uniform(worker_ids: np.ndarray, task_ids: np.ndarray, salt: np.uint64) -> np.ndarray:
+def _hash_uniform(worker_ids: np.ndarray, task_ids: np.ndarray, salt) -> np.ndarray:
     """Uniforms in ``(0, 1]`` from broadcastable id arrays.
 
     Pass ``worker_ids[:, None]`` against ``task_ids`` for the full
     pairwise matrix, or two aligned 1-D arrays for elementwise pairs;
     a given ``(worker, task)`` id pair hashes to the same value either
-    way (all operations are elementwise).
+    way (all operations are elementwise).  ``salt`` is one value or an
+    array that broadcasts against the ids.
     """
     mixed_workers = _splitmix64(worker_ids.astype(np.uint64) * _WORKER_SALT + salt)
     mixed_tasks = _splitmix64(task_ids.astype(np.uint64) * _TASK_SALT + salt)
@@ -129,8 +130,10 @@ class HashQualityModel:
 
     def _scores(self, worker_ids: np.ndarray, task_ids: np.ndarray) -> np.ndarray:
         """Gaussian-in-range scores for broadcastable id arrays."""
-        u1 = _hash_uniform(worker_ids, task_ids, self._seed)
-        u2 = _hash_uniform(worker_ids, task_ids, self._seed + np.uint64(0x1234567))
+        # Both uniforms in one pass: the salts run along a new leading axis.
+        salts = np.array([self._seed, self._seed + np.uint64(0x1234567)], dtype=np.uint64)
+        ndim = max(np.ndim(worker_ids), np.ndim(task_ids))
+        u1, u2 = _hash_uniform(worker_ids, task_ids, salts.reshape((2,) + (1,) * ndim))
         gaussians = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
         return np.clip(self._center + self._std * gaussians, self._low, self._high)
 

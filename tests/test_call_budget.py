@@ -32,13 +32,16 @@ from repro.workloads import DriftingHotspotWorkload, WorkloadParams
 
 #: Ceiling on calls into ``repro`` per round on the input below, by
 #: ``(major, minor)`` interpreter version.  CPython 3.11 measures
-#: 603.1 (958.2 before the greedy loop kept its survivors as masks and
-#: prediction sampled in bulk, 1,072.7 before the dense kernel priced
-#: only its valid pairs and selection decided Lemma 4.2's sign guard
-#: once, 1,264.4 before small single-tile rounds switched to the dense
+#: 370.5 (613.1 before predicted entities stayed columns, due events
+#: were popped as one batch and the round's instruments were bound
+#: once; 603.1 before one builder sorted a selection's rows; 958.2
+#: before the greedy loop kept its survivors as masks and prediction
+#: sampled in bulk, 1,072.7 before the dense kernel priced only its
+#: valid pairs and selection decided Lemma 4.2's sign guard once,
+#: 1,264.4 before small single-tile rounds switched to the dense
 #: kernel); its ceiling leaves 5% headroom.  Record a version's figure
 #: here before the gate enforces on it.
-CALLS_PER_ROUND_CEILING = {(3, 11): 633}
+CALLS_PER_ROUND_CEILING = {(3, 11): 389}
 
 #: Layers the gate's failure message splits the count by, as path
 #: prefixes inside the package; everything else counts as "other".

@@ -271,3 +271,40 @@ def test_pools_hit_every_lane_kind(monkeypatch, reference):
         # Tied present pairs would be identical rows (see above).
         seen.pop("mean tie without variance")
     assert all(seen.values()), seen
+
+
+def test_pick_best_deterministic_shortcut(monkeypatch):
+    """Eq. 10 over an all-deterministic window with finite means and one
+    top mean returns that row without the pairwise kernel; every other
+    window (a tie at the top, a variance, a non-finite mean) takes the
+    kernel.  Either way the winner is the one the pairwise scores pick."""
+    branches = {"shortcut": 0, "kernel": 0}
+    kernel = selection.superiority_scores
+
+    def counted(quality_mean, quality_var):
+        branches["kernel"] += 1
+        return kernel(quality_mean, quality_var)
+
+    monkeypatch.setattr(selection, "superiority_scores", counted)
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 12))
+        rows = np.sort(rng.choice(1000, size, replace=False))
+        cost = np.round(rng.uniform(0.0, 2.0, size), 1)
+        quality = np.round(rng.uniform(0.0, 3.0, size), int(rng.integers(0, 3)))
+        variance = np.where(rng.random(size) < 0.15, 0.04, 0.0)
+        if rng.random() < 0.2:
+            variance[:] = 0.0
+            quality[rng.integers(size)] = quality.max()  # may tie the top
+        if rng.random() < 0.05:
+            quality[rng.integers(size)] = rng.choice([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):  # inf - inf in the kernel
+            scores = kernel(quality, variance)
+            before = branches["kernel"]
+            best = selection.pick_best(rows, cost, quality, variance, "probability")
+        assert best == int(rows[np.lexsort((rows, cost, -scores))[0]])
+        if branches["kernel"] == before:
+            branches["shortcut"] += 1
+            assert not variance.any() and np.isfinite(quality).all()
+            assert np.count_nonzero(quality == quality.max()) == 1
+    assert branches["shortcut"] and branches["kernel"], branches

@@ -43,7 +43,8 @@ class TestEventQueue:
         queue.push(WorkerArrival(1.0, _worker(1, 0.5, 0.5, arrival=1.0)))
         queue.push(TaskArrival(0.5, _task(2, 0.5, 0.5, deadline=3.0, arrival=0.5)))
         times = [e.time for e in queue.pop_due(5.0)]
-        assert times == [0.5, 1.0, 2.0]
+        # The task arriving at 0.5 queues its own expiry at its deadline.
+        assert times == [0.5, 1.0, 2.0, 3.0]
 
     def test_boundary_expiry_stays_queued(self):
         """At the drain boundary, arrivals/releases pop, expiries wait."""
